@@ -12,7 +12,6 @@ left to the user.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -185,12 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # DPS_THREADS caps internal parallelism; the reference pipeline is
-    # sequential, so any cap >= 1 is honored trivially.
-    threads = os.environ.get("DPS_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print(f"bad DPS_THREADS value {threads!r}", file=sys.stderr)
-        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateSolution, IterationLimit
-from .model import ModelParams, Policy, feasible_actions
+from .model import ModelParams, Policy, feasibility_mask, feasible_actions
 from .mrp import StationaryDistribution
 
 FEAS_TOL = 1e-9
@@ -89,12 +89,12 @@ def build_lp(params: ModelParams, p_th: float) -> LpProblem:
     """Assemble the transformed program for a given power budget."""
     if p_th < 0:
         raise ValueError(f"power budget must be nonnegative, got {p_th}")
-    var_index = tuple(
-        (k, m) for k in range(params.K + 1) for m in feasible_actions(params, k)
-    )
+    # row-major nonzero order is the lexicographic (state, action) order
+    ks, ms = np.nonzero(feasibility_mask(params))
+    var_index = tuple(zip(ks.tolist(), ms.tolist()))
     n = len(var_index)
-    c = np.array([k / (params.alpha * params.A) for k, _ in var_index])
-    a_power = np.array([params.power[m] for _, m in var_index])
+    c = ks / (params.alpha * params.A)
+    a_power = params.power_array[ms]
     eq = equilibrium_matrix(params, var_index)
     # small-alpha instances scale the balance rows to keep pivots healthy
     scale = 1.0 / params.alpha if params.alpha < 0.1 else 1.0
@@ -116,10 +116,7 @@ def build_lp(params: ModelParams, p_th: float) -> LpProblem:
 
 def occupation_measure(params: ModelParams, policy: Policy, pi: StationaryDistribution) -> np.ndarray:
     """x[k, m] = pi_k * f[k, m] over the masked variable order."""
-    var_index = tuple(
-        (k, m) for k in range(params.K + 1) for m in feasible_actions(params, k)
-    )
-    return np.array([pi.pi[k] * policy.f[k, m] for k, m in var_index])
+    return (pi.pi[:, None] * policy.f)[feasibility_mask(params)]
 
 
 def _pivot(T: np.ndarray, b: np.ndarray, row: int, col: int) -> None:
@@ -261,12 +258,9 @@ def recover_policy(params: ModelParams, sol: LpSolution) -> Policy:
     """
     if sol.status != "optimal" or sol.x is None:
         raise DegenerateSolution(f"cannot recover a policy from status {sol.status}")
-    var_index = tuple(
-        (k, m) for k in range(params.K + 1) for m in feasible_actions(params, k)
-    )
     x = np.zeros((params.K + 1, params.M + 1))
-    for (k, m), v in zip(var_index, sol.x):
-        x[k, m] = max(v, 0.0)
+    x[feasibility_mask(params)] = sol.x
+    x[x < 0.0] = 0.0
     pi = x.sum(axis=1)
     f = np.zeros_like(x)
     unreachable = []

@@ -123,12 +123,14 @@ def feasible_actions(params: ModelParams, k: int) -> range:
 
 
 def feasibility_mask(params: ModelParams) -> np.ndarray:
-    """(K+1) x (M+1) boolean mask of allowed (state, action) pairs."""
-    mask = np.zeros((params.K + 1, params.M + 1), dtype=bool)
-    for k in range(params.K + 1):
-        for m in feasible_actions(params, k):
-            mask[k, m] = True
-    return mask
+    """(K+1) x (M+1) boolean mask of allowed (state, action) pairs: the
+    bounds of `feasible_actions` broadcast over every state and action."""
+    return _feasible(params, np.arange(params.K + 1)[:, None], np.arange(params.M + 1))
+
+
+def _feasible(params: ModelParams, k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Elementwise feasibility of actions 0 <= m <= M in states 0 <= k <= K."""
+    return (m >= k - params.Q) & (m <= k)
 
 
 class Policy:
@@ -276,29 +278,28 @@ def threshold_action_map(params: ModelParams, tp: ThresholdPolicy) -> list[int]:
             f"threshold vector has {tp.M + 1} entries, expected {params.M + 1}"
         )
     K = params.K
-    acts: list[Optional[int]] = [None] * (K + 1)
-    prev = -1
-    for m, km in enumerate(tp.thresholds):
-        if km > K:
-            raise InfeasibleThresholds(f"threshold {km} exceeds K={K}")
-        for k in range(prev + 1, km + 1):
-            acts[k] = m
-        prev = max(prev, km)
-    for k in range(prev + 1, K + 1):
-        lo = max(0, k - params.Q)
-        hi = min(k, params.M)
-        m = max(acts[k - 1], lo)
-        if m > hi:
-            raise InfeasibleThresholds(
-                f"no feasible completion action at state {k} (need >= {acts[k - 1]})"
-            )
-        acts[k] = m
-    for k, m in enumerate(acts):
-        if m not in feasible_actions(params, k):
-            raise InfeasibleThresholds(
-                f"thresholds assign infeasible action {m} to state {k}"
-            )
-    return acts  # type: ignore[return-value]
+    ts = np.asarray(tp.thresholds)
+    if ts[-1] > K:
+        raise InfeasibleThresholds(f"threshold {ts[ts > K][0]} exceeds K={K}")
+    states = np.arange(K + 1)
+    acts = np.searchsorted(ts, states)
+    # the completion's lower bound max(0, k-Q) is nondecreasing in k, so
+    # carrying the previous action forward reduces to one maximum
+    tail = ts[-1] + 1
+    acts[tail:] = np.maximum(acts[ts[-1]], states[tail:] - params.Q)
+    ok = _feasible(params, states, acts)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise InfeasibleThresholds(
+            f"thresholds assign infeasible action {acts[k]} to state {k}"
+        )
+    return acts.tolist()
+
+
+def _last_state_at_most(acts: Sequence[int], M: int) -> tuple[int, ...]:
+    """For m = 0..M, the last state whose action is <= m (or -1), given a
+    nondecreasing action map."""
+    return tuple((np.searchsorted(acts, np.arange(M + 1), side="right") - 1).tolist())
 
 
 def complete_thresholds(params: ModelParams, tp: ThresholdPolicy) -> ThresholdPolicy:
@@ -313,24 +314,14 @@ def complete_thresholds(params: ModelParams, tp: ThresholdPolicy) -> ThresholdPo
                 "randomized threshold policies must cover all states"
             )
         return tp
-    acts = threshold_action_map(params, tp)
-    K = params.K
-    ts = []
-    for m in range(params.M + 1):
-        km = -1
-        for k in range(K + 1):
-            if acts[k] <= m:
-                km = k
-        ts.append(km)
-    return ThresholdPolicy(tuple(ts))
+    return ThresholdPolicy(_last_state_at_most(threshold_action_map(params, tp), params.M))
 
 
 def threshold_to_policy(params: ModelParams, tp: ThresholdPolicy) -> Policy:
     """Materialize a ThresholdPolicy as a full Policy matrix."""
     acts = threshold_action_map(params, tp)
     f = np.zeros((params.K + 1, params.M + 1))
-    for k, m in enumerate(acts):
-        f[k, m] = 1.0
+    f[np.arange(params.K + 1), acts] = 1.0
     if tp.randomized_index is not None:
         m_star = tp.randomized_index
         k_star = tp.thresholds[m_star]

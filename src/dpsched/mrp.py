@@ -121,37 +121,30 @@ def build_transition_piecewise(params: ModelParams, policy: Policy) -> Transitio
     return TransitionMatrix(lam)
 
 
-def _balance_system(T: TransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized balance system: ones row stacked over the first K rows
-    of (Lambda - I), right-hand side e_0."""
+def _solve_balance(T: TransitionMatrix):
+    """Stationary solve of the normalized balance system H pi = e_0, where H
+    stacks a ones row over the first K rows of (Lambda - I).  Returns H, its
+    LU factors (dense LU with partial pivoting) and the cleaned pi."""
     n = T.n_states
-    G = T.matrix - np.eye(n)
-    H = np.vstack([np.ones((1, n)), G[: n - 1, :]])
-    c = np.zeros(n)
-    c[0] = 1.0
-    return H, c
-
-
-def _factorize(H: np.ndarray):
+    H = np.vstack([np.ones((1, n)), (T.matrix - np.eye(n))[: n - 1, :]])
     with warnings.catch_warnings():
         # exact singularity is detected below via the pivot threshold
         warnings.simplefilter("ignore")
-        lu, piv = lu_factor(H, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) < SINGULAR_TOL:
+        lu_piv = lu_factor(H, check_finite=False)
+    if np.min(np.abs(np.diag(lu_piv[0]))) < SINGULAR_TOL:
         raise SingularChain(
             "balance system is numerically singular (pivot below "
             f"{SINGULAR_TOL}); the chain likely has multiple recurrent classes"
         )
-    return lu, piv
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    return H, lu_piv, _clean_pi(T, lu_solve(lu_piv, e0, check_finite=False))
 
 
 def stationary_distribution(T: TransitionMatrix) -> StationaryDistribution:
     """Solve for the stationary distribution via the normalized balance
     system (dense LU with partial pivoting)."""
-    H, c = _balance_system(T)
-    lu_piv = _factorize(H)
-    pi = lu_solve(lu_piv, c, check_finite=False)
-    return StationaryDistribution(_clean_pi(T, pi))
+    return StationaryDistribution(_solve_balance(T)[2])
 
 
 def _clean_pi(T: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
@@ -189,13 +182,11 @@ def average_delay(params: ModelParams, pi: StationaryDistribution) -> float:
 class _ChainSolve:
     """Factorized balance system of one policy, with lazily built inverse."""
 
-    __slots__ = ("H", "c", "lu_piv", "pi", "p_vec", "point", "_h_inv")
+    __slots__ = ("H", "lu_piv", "pi", "p_vec", "point", "_h_inv")
 
     def __init__(self, params: ModelParams, policy: Policy):
         T = build_transition_enumerative(params, policy)
-        self.H, self.c = _balance_system(T)
-        self.lu_piv = _factorize(self.H)
-        self.pi = _clean_pi(T, lu_solve(self.lu_piv, self.c, check_finite=False))
+        self.H, self.lu_piv, self.pi = _solve_balance(T)
         self.p_vec = power_reward_vector(params, policy)
         sd = StationaryDistribution(self.pi.copy())
         self.point = DelayPowerPoint(
@@ -238,24 +229,12 @@ def evaluate(params: ModelParams, policy: Policy, cache: Optional[EvalCache] = N
     return _ChainSolve(params, policy).point
 
 
-def mix_policies(
-    F: Policy,
-    F2: Policy,
-    epsilon: float,
-    *,
-    require_one_row_diff: bool = False,
-) -> Policy:
+def mix_policies(F: Policy, F2: Policy, epsilon: float) -> Policy:
     """Entrywise convex combination (1-epsilon)*F + epsilon*F2."""
     if F.f.shape != F2.f.shape:
         raise RowDiffCountMismatch("policies have different shapes")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    if require_one_row_diff:
-        rows = F.differing_rows(F2)
-        if len(rows) != 1:
-            raise RowDiffCountMismatch(
-                f"policies differ in {len(rows)} rows, expected exactly 1"
-            )
     return Policy(F.params, (1 - epsilon) * F.f + epsilon * F2.f)
 
 

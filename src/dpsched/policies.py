@@ -18,7 +18,9 @@ from .model import (
     ModelParams,
     Policy,
     ThresholdPolicy,
+    _last_state_at_most,
     feasible_actions,
+    threshold_action_map,
     threshold_to_policy,
 )
 
@@ -28,8 +30,7 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 def policy_from_actions(params: ModelParams, actions: Sequence[int]) -> Policy:
     """Deterministic policy from a state -> action map (assumed feasible)."""
     f = np.zeros((params.K + 1, params.M + 1))
-    for k, m in enumerate(actions):
-        f[k, m] = 1.0
+    f[np.arange(params.K + 1), actions] = 1.0
     return Policy(params, f, validate=False)
 
 
@@ -89,10 +90,7 @@ def is_threshold(params: ModelParams, policy: Policy) -> Optional[ThresholdPolic
         levels[k] <= frac_m for k in range(frac_state + 1, K + 1)
     ):
         return None  # states past the split must use the higher action
-    # levels[0] = 0 always, so every maximum below is over a nonempty set.
-    ts = tuple(
-        max(k for k in range(K + 1) if levels[k] <= m) for m in range(M + 1)
-    )
+    ts = _last_state_at_most(levels, M)
     try:
         if frac_state is not None:
             tp = ThresholdPolicy(ts, randomized_index=frac_m, weight=frac_w)
@@ -139,7 +137,7 @@ def neighbors_increase_threshold(
             continue
         try:
             nb = ThresholdPolicy(tuple(cand))
-            threshold_to_policy(params, nb)
+            threshold_action_map(params, nb)
         except InfeasibleThresholds:
             continue
         out.append(nb)

@@ -137,14 +137,6 @@ class TestErrors:
         assert main(["lp", "--alpha", "1.5", "--A", "2", "--M", "3", "--Q", "5",
                      "--power", "0,1,4,9", "--pth", "1"]) == 2
 
-    def test_bad_threads_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("DPS_THREADS", "zero")
-        assert main(["lp", *VI_FLAGS, "--pth", "1.6"]) == 2
-        monkeypatch.setenv("DPS_THREADS", "0")
-        assert main(["lp", *VI_FLAGS, "--pth", "1.6"]) == 2
-        monkeypatch.setenv("DPS_THREADS", "4")
-        assert main(["lp", *VI_FLAGS, "--pth", "1.6"]) == 0
-
 
 class TestVerify:
     def test_battery_passes(self, capsys):

@@ -1,19 +1,24 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpsched import errors
+from dpsched.lp import build_lp
 from dpsched.model import (
     ModelParams,
     Policy,
     ThresholdPolicy,
     complete_thresholds,
+    feasibility_mask,
     feasible_actions,
     parse_param_text,
     threshold_action_map,
     threshold_to_policy,
     validate_params,
 )
+from dpsched.policies import neighbors_increase_threshold
 
 
 class TestValidateParams:
@@ -157,6 +162,87 @@ class TestThresholdPolicy:
         except errors.InfeasibleThresholds:
             return
         assert np.allclose(pol.f.sum(axis=1), 1.0, atol=1e-12)
+
+
+# The reference instance and its Q=0 variant (no state has a choice of
+# action past the covered range).
+BOOKKEEPING_INSTANCES = [
+    validate_params(0.4, 2, 3, 5, [0, 1, 4, 9]),
+    validate_params(0.4, 2, 3, 0, [0, 1, 4, 9]),
+]
+
+
+def reference_action_map(params, ts):
+    """Per-state expansion of a threshold vector, or None if infeasible:
+    action m on (ts[m-1], ts[m]], then each later state takes the smallest
+    feasible action not below its predecessor's."""
+    if ts[-1] > params.K:
+        return None
+    acts = []
+    for k in range(params.K + 1):
+        if k <= ts[-1]:
+            m = next(m for m, t in enumerate(ts) if k <= t)
+        else:
+            m = max(acts[-1], feasible_actions(params, k).start)
+        if m not in feasible_actions(params, k):
+            return None
+        acts.append(m)
+    return acts
+
+
+def all_threshold_vectors(params):
+    """Every nondecreasing vector (0, t_1, ..., t_M) with entries in 0..K+1."""
+    for rest in itertools.combinations_with_replacement(range(params.K + 2), params.M):
+        yield (0,) + rest
+
+
+@pytest.mark.parametrize("params", BOOKKEEPING_INSTANCES, ids=["reference", "Q0"])
+class TestFeasibilityBookkeeping:
+    def test_action_map_and_completion_match_per_state_reference(self, params):
+        n_feasible = 0
+        for ts in all_threshold_vectors(params):
+            tp = ThresholdPolicy(ts)
+            want = reference_action_map(params, ts)
+            if want is None:
+                with pytest.raises(errors.InfeasibleThresholds):
+                    threshold_action_map(params, tp)
+                with pytest.raises(errors.InfeasibleThresholds):
+                    complete_thresholds(params, tp)
+                continue
+            n_feasible += 1
+            assert threshold_action_map(params, tp) == want
+            canonical = tuple(
+                max((k for k, a in enumerate(want) if a <= m), default=-1)
+                for m in range(params.M + 1)
+            )
+            if canonical[0] != 0:
+                # state 1 idles: no vector with thresholds[0] = 0 has this map
+                with pytest.raises(errors.InfeasibleThresholds):
+                    complete_thresholds(params, tp)
+            else:
+                assert complete_thresholds(params, tp).thresholds == canonical
+        assert n_feasible > 0
+
+    def test_neighbors_are_the_feasible_raised_vectors(self, params):
+        for ts in all_threshold_vectors(params):
+            want = []
+            for m in range(1, params.M + 1):
+                cand = list(ts)
+                cand[m] += 1
+                try:
+                    nb = ThresholdPolicy(tuple(cand))
+                    threshold_to_policy(params, nb)
+                except errors.InfeasibleThresholds:
+                    continue
+                want.append(nb)
+            assert neighbors_increase_threshold(params, ThresholdPolicy(ts)) == want
+
+    def test_lp_variables_in_lexicographic_feasible_order(self, params):
+        want = tuple(
+            (k, m) for k in range(params.K + 1) for m in feasible_actions(params, k)
+        )
+        assert build_lp(params, 1.0).var_index == want
+        assert [tuple(e) for e in np.argwhere(feasibility_mask(params))] == list(want)
 
 
 class TestParamFile:

@@ -153,16 +153,9 @@ class TestMixing:
         F, F2, _ = random_one_row_pair(params_vi, rng)
         assert mrp.mix_policies(F, F2, 0.0) == F
         assert mrp.mix_policies(F, F2, 1.0) == F2
-        mid = mrp.mix_policies(F, F2, 0.5, require_one_row_diff=True)
+        mid = mrp.mix_policies(F, F2, 0.5)
         k = F.differing_rows(F2)[0]
         assert np.allclose(mid.f[k], 0.5 * (F.f[k] + F2.f[k]))
-
-    def test_row_diff_flag(self, params_vi, rng):
-        F = random_policy(params_vi, rng)
-        F2 = random_policy(params_vi, rng)
-        if len(F.differing_rows(F2)) > 1:
-            with pytest.raises(errors.RowDiffCountMismatch):
-                mrp.mix_policies(F, F2, 0.5, require_one_row_diff=True)
 
     def test_epsilon_prime_endpoints_and_monotone(self, params_vi, rng):
         for _ in range(50):
