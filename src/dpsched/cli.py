@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import EnumerationTooLarge, ModelError
 from .model import Policy, load_params, validate_params
 from .lp import build_lp, recover_policy, solve_simplex, sweep, sweep_to_csv
-from .pareto import algorithm1, cloud_to_csv, deterministic_cloud, lower_convex_hull
+from .pareto import algorithm1, cloud_to_csv, deterministic_cloud
 from .sim import simulate
 from .verify import run_battery
 
@@ -119,7 +119,6 @@ def cmd_verify(args) -> int:
         params,
         seed=args.seed,
         trials=args.trials,
-        collinearity_tol=args.tol,
         sim_slots=args.slots,
     )
     for r in results:
@@ -169,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--tol", type=float, default=1e-9, help="mixing-geometry tolerance")
     p.add_argument("--slots", type=int, default=1_000_000, help="simulation slots")
     p.set_defaults(func=cmd_verify)
 

@@ -47,7 +47,8 @@ class SingularChain(DpschedError, RuntimeError):
 
 
 class RowDiffCountMismatch(DpschedError, ValueError):
-    """One-row-difference precondition violated."""
+    """One-row-difference precondition violated, or no state has the two
+    feasible actions a one-row pair needs."""
 
 
 class DegenerateSegment(DpschedError, RuntimeError):

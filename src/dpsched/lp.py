@@ -8,14 +8,14 @@ x by its state mass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSolution, IterationLimit
+from . import mrp
+from .errors import DegenerateSolution, IterationLimit, SingularChain
 from .model import ModelParams, Policy, feasibility_mask, feasible_actions
-from .mrp import StationaryDistribution
 
 FEAS_TOL = 1e-9
 REDUCED_COST_TOL = 1e-9
@@ -114,9 +114,9 @@ def build_lp(params: ModelParams, p_th: float) -> LpProblem:
     )
 
 
-def occupation_measure(params: ModelParams, policy: Policy, pi: StationaryDistribution) -> np.ndarray:
+def occupation_measure(params: ModelParams, policy: Policy, pi: np.ndarray) -> np.ndarray:
     """x[k, m] = pi_k * f[k, m] over the masked variable order."""
-    return (pi.pi[:, None] * policy.f)[feasibility_mask(params)]
+    return (pi[:, None] * policy.f)[feasibility_mask(params)]
 
 
 def _pivot(T: np.ndarray, b: np.ndarray, row: int, col: int) -> None:
@@ -288,11 +288,8 @@ def recover_policy(params: ModelParams, sol: LpSolution) -> Policy:
         # which makes the balance system singular.  Fall back to draining
         # those states with their largest feasible action, which always moves
         # toward the states the LP solution occupies.
-        from .errors import SingularChain
-        from .mrp import build_transition_enumerative, stationary_distribution
-
         try:
-            stationary_distribution(build_transition_enumerative(params, policy))
+            mrp.stationary_distribution(mrp.build_transition_enumerative(params, policy))
         except SingularChain:
             for k in unreachable:
                 f[k, :] = 0.0

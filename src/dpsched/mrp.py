@@ -4,13 +4,18 @@ Builds the transition matrix of a policy, solves the stationary
 distribution, computes the average-power and average-delay rewards, and
 implements the one-row mixing analysis (reward interpolation weight and
 segment slope in the (power, delay) plane).
+
+Transition matrices and stationary distributions are plain read-only
+ndarrays.  Every policy is scored by one path: build the transition
+matrix, factor and solve its normalized balance system, then take the
+rewards of the stationary distribution.
 """
 from __future__ import annotations
 
 import warnings
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -25,45 +30,6 @@ STATIONARITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class TransitionMatrix:
-    """Column-stochastic transition matrix of the backlog chain.
-
-    matrix[j, i] is the probability of moving from state i to state j,
-    so each column indexes a source state and sums to 1.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @property
-    def n_states(self) -> int:
-        return self.matrix.shape[0]
-
-    def column_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
-
-    def to_csv(self) -> str:
-        return "\n".join(
-            ",".join(f"{v:.17g}" for v in row) for row in self.matrix
-        ) + "\n"
-
-
-@dataclass(frozen=True)
-class StationaryDistribution:
-    """Long-run occupancy of the backlog states."""
-
-    pi: np.ndarray
-
-    def __post_init__(self):
-        self.pi.setflags(write=False)
-
-    def to_csv(self) -> str:
-        return ",".join(f"{v:.17g}" for v in self.pi) + "\n"
-
-
-@dataclass(frozen=True)
 class DelayPowerPoint:
     """Reward pair of a policy: average power and average delay (slots)."""
 
@@ -72,34 +38,40 @@ class DelayPowerPoint:
     policy: Optional[Policy] = None
     thresholds: Optional[tuple[int, ...]] = None
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.power, self.delay)
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-def build_transition_enumerative(params: ModelParams, policy: Policy) -> TransitionMatrix:
+def build_transition_enumerative(params: ModelParams, policy: Policy) -> np.ndarray:
     """Transition matrix by direct enumeration of (action, arrival) events.
 
-    From state i, transmitting m bits leads to i-m without an arrival
-    (probability 1-alpha) and to i-m+A with one (probability alpha).
+    Returns the read-only (K+1)x(K+1) column-stochastic matrix lam:
+    lam[j, i] is the probability of moving from state i to state j, so
+    each column indexes a source state and sums to 1.  From state i,
+    transmitting m bits leads to i-m without an arrival (probability
+    1-alpha) and to i-m+A with one (probability alpha).
     """
     K, A, alpha = params.K, params.A, params.alpha
     lam = np.zeros((K + 1, K + 1))
-    f = policy.f
-    for i in range(K + 1):
-        for m in range(params.M + 1):
-            p = f[i, m]
-            if p == 0.0:
-                continue
-            lam[i - m, i] += (1 - alpha) * p
-            lam[i - m + A, i] += alpha * p
-    return TransitionMatrix(lam)
+    i, m = np.nonzero(policy.f)
+    p = policy.f[i, m]
+    # all no-arrival terms, then all arrival terms: each entry sums the
+    # same terms in the same order as a loop over (i, m)
+    np.add.at(lam, (i - m, i), (1 - alpha) * p)
+    np.add.at(lam, (i - m + A, i), alpha * p)
+    return _read_only(lam)
 
 
-def build_transition_piecewise(params: ModelParams, policy: Policy) -> TransitionMatrix:
+def build_transition_piecewise(params: ModelParams, policy: Policy) -> np.ndarray:
     """Transition matrix by the six-case closed-form rule.
 
-    Cases are selected on the jump i-j and the target state j; kept as a
-    literal transcription so it can cross-check the enumerative builder.
+    Returns the same read-only column-stochastic matrix as
+    `build_transition_enumerative` (lam[j, i] is the probability of moving
+    from state i to state j).  Cases are selected on the jump i-j and the
+    target state j; kept as a literal transcription so it can cross-check
+    the enumerative builder.
     """
     K, A, M, alpha = params.K, params.A, params.M, params.alpha
     f = policy.f
@@ -118,15 +90,15 @@ def build_transition_piecewise(params: ModelParams, policy: Policy) -> Transitio
             elif -A <= d < 0 and j >= A:
                 lam[j, i] = alpha * f[i, d + A]
             # else zero
-    return TransitionMatrix(lam)
+    return _read_only(lam)
 
 
-def _solve_balance(T: TransitionMatrix):
+def _solve_balance(lam: np.ndarray):
     """Stationary solve of the normalized balance system H pi = e_0, where H
-    stacks a ones row over the first K rows of (Lambda - I).  Returns H, its
-    LU factors (dense LU with partial pivoting) and the cleaned pi."""
-    n = T.n_states
-    H = np.vstack([np.ones((1, n)), (T.matrix - np.eye(n))[: n - 1, :]])
+    stacks a ones row over the first K rows of (lam - I).  Returns the LU
+    factors of H (dense LU with partial pivoting) and the cleaned pi."""
+    n = lam.shape[0]
+    H = np.vstack([np.ones((1, n)), (lam - np.eye(n))[: n - 1, :]])
     with warnings.catch_warnings():
         # exact singularity is detected below via the pivot threshold
         warnings.simplefilter("ignore")
@@ -138,23 +110,23 @@ def _solve_balance(T: TransitionMatrix):
         )
     e0 = np.zeros(n)
     e0[0] = 1.0
-    return H, lu_piv, _clean_pi(T, lu_solve(lu_piv, e0, check_finite=False))
+    return lu_piv, _clean_pi(lam, lu_solve(lu_piv, e0, check_finite=False))
 
 
-def stationary_distribution(T: TransitionMatrix) -> StationaryDistribution:
-    """Solve for the stationary distribution via the normalized balance
-    system (dense LU with partial pivoting)."""
-    return StationaryDistribution(_solve_balance(T)[2])
+def stationary_distribution(lam: np.ndarray) -> np.ndarray:
+    """Read-only stationary distribution of the transition matrix lam, from
+    the normalized balance system (dense LU with partial pivoting)."""
+    return _read_only(_solve_balance(lam)[1])
 
 
-def _clean_pi(T: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
+def _clean_pi(lam: np.ndarray, pi: np.ndarray) -> np.ndarray:
     if np.any(pi < -SINGULAR_TOL):
         raise SingularChain(
             f"stationary solve produced negative mass {pi.min()}"
         )
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
-    residual = np.max(np.abs(T.matrix @ pi - pi))
+    residual = np.max(np.abs(lam @ pi - pi))
     if residual > STATIONARITY_TOL:
         raise SingularChain(f"stationarity residual {residual} exceeds tolerance")
     return pi
@@ -165,68 +137,51 @@ def power_reward_vector(params: ModelParams, policy: Policy) -> np.ndarray:
     return policy.f @ params.power_array
 
 
-def average_power(params: ModelParams, policy: Policy, pi: StationaryDistribution) -> float:
-    return float(power_reward_vector(params, policy) @ pi.pi)
+def average_power(params: ModelParams, policy: Policy, pi: np.ndarray) -> float:
+    return float(power_reward_vector(params, policy) @ pi)
 
 
-def average_delay(params: ModelParams, pi: StationaryDistribution) -> float:
+def average_delay(params: ModelParams, pi: np.ndarray) -> float:
     """Average delay in slots by Little's law: mean backlog over the
     arrival rate alpha*A, minus the one-slot arrival itself."""
     states = np.arange(params.K + 1, dtype=float)
-    d = float(states @ pi.pi) / (params.alpha * params.A) - 1.0
+    d = float(states @ pi) / (params.alpha * params.A) - 1.0
     if d < -STATIONARITY_TOL:
         raise SingularChain(f"negative average delay {d}")
     return max(d, 0.0)
 
 
-class _ChainSolve:
-    """Factorized balance system of one policy, with lazily built inverse."""
-
-    __slots__ = ("H", "lu_piv", "pi", "p_vec", "point", "_h_inv")
-
-    def __init__(self, params: ModelParams, policy: Policy):
-        T = build_transition_enumerative(params, policy)
-        self.H, self.lu_piv, self.pi = _solve_balance(T)
-        self.p_vec = power_reward_vector(params, policy)
-        sd = StationaryDistribution(self.pi.copy())
-        self.point = DelayPowerPoint(
-            power=average_power(params, policy, sd),
-            delay=average_delay(params, sd),
-            policy=policy,
-        )
-        self._h_inv = None
-
-    @property
-    def h_inv(self) -> np.ndarray:
-        if self._h_inv is None:
-            self._h_inv = lu_solve(self.lu_piv, np.eye(self.H.shape[0]), check_finite=False)
-        return self._h_inv
+def _solve(params: ModelParams, policy: Policy):
+    """Score one policy: its transition matrix, the LU factors of its
+    balance system and its reward point."""
+    lam = build_transition_enumerative(params, policy)
+    lu_piv, pi = _solve_balance(lam)
+    point = DelayPowerPoint(
+        power=average_power(params, policy, pi),
+        delay=average_delay(params, pi),
+        policy=policy,
+    )
+    return lam, lu_piv, point
 
 
-class EvalCache:
-    """Per-computation cache of chain solves, keyed by policy entries.
+class EvalCache(dict):
+    """Per-computation cache of reward points, `Policy.key()` ->
+    `DelayPowerPoint`; it keeps no matrices or factors.
 
     Confine one instance to one frontier computation; do not share across
     threads.
     """
 
-    def __init__(self):
-        self._solves: dict[bytes, _ChainSolve] = {}
-
-    def solve(self, params: ModelParams, policy: Policy) -> _ChainSolve:
-        key = policy.key()
-        hit = self._solves.get(key)
-        if hit is None:
-            hit = _ChainSolve(params, policy)
-            self._solves[key] = hit
-        return hit
-
 
 def evaluate(params: ModelParams, policy: Policy, cache: Optional[EvalCache] = None) -> DelayPowerPoint:
     """Average (power, delay) reward pair of a policy."""
-    if cache is not None:
-        return cache.solve(params, policy).point
-    return _ChainSolve(params, policy).point
+    if cache is None:
+        return _solve(params, policy)[2]
+    key = policy.key()
+    point = cache.get(key)
+    if point is None:
+        point = cache[key] = _solve(params, policy)[2]
+    return point
 
 
 def mix_policies(F: Policy, F2: Policy, epsilon: float) -> Policy:
@@ -239,18 +194,25 @@ def mix_policies(F: Policy, F2: Policy, epsilon: float) -> Policy:
 
 
 def _one_row_pair_data(params: ModelParams, F: Policy, F2: Policy, cache: Optional[EvalCache]):
+    """Row k where F and F2 differ, their reward points, delta_k, zeta_k and
+    v = H_F^-1 delta_k, from one factorization of F's balance matrix."""
     rows = F.differing_rows(F2)
     if len(rows) != 1:
         raise RowDiffCountMismatch(
             f"policies differ in {len(rows)} rows, expected exactly 1"
         )
     k = rows[0]
-    cache = cache or EvalCache()
-    sa = cache.solve(params, F)
-    sb = cache.solve(params, F2)
-    delta_k = sb.H[:, k] - sa.H[:, k]
-    zeta_k = sb.p_vec[k] - sa.p_vec[k]
-    return k, sa, sb, delta_k, zeta_k
+    lam_a, lu_a, point_a = _solve(params, F)
+    if cache is not None:
+        point_a = cache.setdefault(F.key(), point_a)
+    point_b = evaluate(params, F2, cache)
+    # H_F2 - H_F is zero outside column k; its ones row cancels too
+    K = params.K
+    delta_k = np.zeros(K + 1)
+    delta_k[1:] = build_transition_enumerative(params, F2)[:K, k] - lam_a[:K, k]
+    zeta_k = power_reward_vector(params, F2)[k] - power_reward_vector(params, F)[k]
+    v = lu_solve(lu_a, delta_k, check_finite=False)
+    return k, point_a, point_b, delta_k, float(zeta_k), v
 
 
 @dataclass(frozen=True)
@@ -259,21 +221,21 @@ class MixingAnalysis:
 
     The reward pair of the epsilon-mixture equals the epsilon'-weighted
     combination of the endpoint reward pairs, where epsilon' depends on
-    the inner product of h_k (row k of the inverse balance matrix of the
-    first policy) with delta_k (the only nonzero column of the balance
-    matrix difference).
+    the coupling h_k . delta_k: h_k is row k of the inverse balance matrix
+    of the first policy and delta_k the only nonzero column of the balance
+    matrix difference.  v = H^-1 delta_k, so the coupling is v[k].
     """
 
     k: int
     delta_k: np.ndarray
     zeta_k: float
-    h_k: np.ndarray
+    v: np.ndarray
     endpoint_a: DelayPowerPoint
     endpoint_b: DelayPowerPoint
 
     @property
     def coupling(self) -> float:
-        return float(self.h_k @ self.delta_k)
+        return float(self.v[self.k])
 
     def epsilon_prime(self, epsilon: float) -> float:
         u = self.coupling
@@ -294,14 +256,14 @@ def mixing_analysis(
     F2: Policy,
     cache: Optional[EvalCache] = None,
 ) -> MixingAnalysis:
-    k, sa, sb, delta_k, zeta_k = _one_row_pair_data(params, F, F2, cache)
+    k, point_a, point_b, delta_k, zeta_k, v = _one_row_pair_data(params, F, F2, cache)
     return MixingAnalysis(
         k=k,
         delta_k=delta_k,
-        zeta_k=float(zeta_k),
-        h_k=sa.h_inv[k, :].copy(),
-        endpoint_a=sa.point,
-        endpoint_b=sb.point,
+        zeta_k=zeta_k,
+        v=v,
+        endpoint_a=point_a,
+        endpoint_b=point_b,
     )
 
 
@@ -319,16 +281,15 @@ def segment_slope(
     F2: Policy,
     cache: Optional[EvalCache] = None,
 ) -> SegmentSlope:
-    k, sa, sb, delta_k, zeta_k = _one_row_pair_data(params, F, F2, cache)
-    dp = sb.point.power - sa.point.power
+    k, point_a, point_b, delta_k, zeta_k, v = _one_row_pair_data(params, F, F2, cache)
+    dp = point_b.power - point_a.power
     if abs(dp) < 1e-12:
         raise DegenerateSegment(
-            f"endpoint powers coincide ({sa.point.power}); slope undefined"
+            f"endpoint powers coincide ({point_a.power}); slope undefined"
         )
-    v = lu_solve(sa.lu_piv, delta_k, check_finite=False)
     states = np.arange(params.K + 1, dtype=float)
     closed = float(states @ v) / (
-        params.alpha * params.A * (float(sa.p_vec @ v) - zeta_k)
+        params.alpha * params.A * (float(power_reward_vector(params, F) @ v) - zeta_k)
     )
-    fd = (sb.point.delay - sa.point.delay) / dp
+    fd = (point_b.delay - point_a.delay) / dp
     return SegmentSlope(closed_form=closed, finite_difference=fd)

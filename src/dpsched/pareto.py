@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import SingularChain
-from .model import ModelParams, Policy, ThresholdPolicy, threshold_to_policy
+from .model import ModelParams, ThresholdPolicy, threshold_to_policy
 from .mrp import DelayPowerPoint, EvalCache, evaluate
 from .policies import (
     DEFAULT_ENUMERATION_CAP,

@@ -126,8 +126,8 @@ def test_5_transition_equivalence():
     for params in param_sets:
         for _ in range(100):
             pol = random_policy(params, rng)
-            a = mrp.build_transition_enumerative(params, pol).matrix
-            b = mrp.build_transition_piecewise(params, pol).matrix
+            a = mrp.build_transition_enumerative(params, pol)
+            b = mrp.build_transition_piecewise(params, pol)
             worst = max(worst, float(np.max(np.abs(a - b))))
     ok = worst <= 1e-15
     report(
@@ -149,7 +149,7 @@ def test_6_threshold_structure():
         # reachable states under the vertex policy
         pi = mrp.stationary_distribution(
             mrp.build_transition_enumerative(PARAMS_VI, v.policy)
-        ).pi
+        )
         acts = v.policy.action_map()
         for k in range(PARAMS_VI.K + 1):
             if pi[k] > 1e-12 and acts[k] > PARAMS_VI.A:
@@ -176,7 +176,7 @@ def test_7_simulation_agreement():
         want = mrp.evaluate(PARAMS_VI, pol)
         pi = mrp.stationary_distribution(
             mrp.build_transition_enumerative(PARAMS_VI, pol)
-        ).pi
+        )
         got = simulate(PARAMS_VI, pol, slots=1_000_000, seed=9000 + i)
         assert got.overflow_violations == got.underflow_violations == 0
         worst_rel = max(worst_rel, abs(got.empirical_power - want.power) / want.power)

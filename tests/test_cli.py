@@ -146,3 +146,13 @@ class TestVerify:
         lines = [l for l in out.splitlines() if l]
         assert len(lines) == 6
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_q0_has_no_mixing_pairs(self, capsys):
+        rc = main(["verify", "--alpha", "0.5", "--A", "2", "--M", "2", "--Q", "0",
+                   "--power", "0,1,3", "--trials", "3", "--slots", "20000"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        (line,) = [l for l in out.splitlines() if "mixing-geometry" in l]
+        assert line.startswith("PASS")
+        assert "worst=0.000e+00" in line
+        assert "no state has two feasible actions (0 pairs)" in line

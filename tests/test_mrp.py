@@ -15,13 +15,13 @@ def immediate_transmit(params_vi) -> Policy:
 class TestTransitionBuilders:
     def test_state_zero_transitions(self, params_vi, rng):
         pol = random_policy(params_vi, rng)
-        lam = mrp.build_transition_enumerative(params_vi, pol).matrix
+        lam = mrp.build_transition_enumerative(params_vi, pol)
         # state 0 only stays (no arrival) or jumps by A (arrival)
         assert lam[0, 0] == pytest.approx(0.6)
         assert lam[2, 0] == pytest.approx(0.4)
 
     def test_two_state_chain(self, params_vi):
-        lam = mrp.build_transition_enumerative(params_vi, immediate_transmit(params_vi)).matrix
+        lam = mrp.build_transition_enumerative(params_vi, immediate_transmit(params_vi))
         assert lam[0, 0] == pytest.approx(0.6)
         assert lam[2, 0] == pytest.approx(0.4)
         assert lam[0, 2] == pytest.approx(0.6)
@@ -30,12 +30,12 @@ class TestTransitionBuilders:
     def test_columns_sum_to_one(self, params_vi, rng):
         for _ in range(20):
             pol = random_policy(params_vi, rng)
-            cols = mrp.build_transition_enumerative(params_vi, pol).column_sums()
+            cols = mrp.build_transition_enumerative(params_vi, pol).sum(axis=0)
             assert np.max(np.abs(cols - 1.0)) <= 1e-15
 
     def test_piecewise_case_values(self, params_vi, rng):
         pol = random_policy(params_vi, rng)
-        lam = mrp.build_transition_piecewise(params_vi, pol).matrix
+        lam = mrp.build_transition_piecewise(params_vi, pol)
         # jump of 2 from state 5 to 3 can only happen without an arrival
         assert lam[3, 5] == pytest.approx(0.6 * pol.f[5, 2])
         # self-loop at the empty state
@@ -44,8 +44,8 @@ class TestTransitionBuilders:
     def test_construction_equivalence(self, params_vi, rng):
         for _ in range(100):
             pol = random_policy(params_vi, rng)
-            a = mrp.build_transition_enumerative(params_vi, pol).matrix
-            b = mrp.build_transition_piecewise(params_vi, pol).matrix
+            a = mrp.build_transition_enumerative(params_vi, pol)
+            b = mrp.build_transition_piecewise(params_vi, pol)
             assert np.max(np.abs(a - b)) <= 1e-15
 
     def test_construction_equivalence_random_params(self, rng):
@@ -53,15 +53,39 @@ class TestTransitionBuilders:
             params = random_params(rng)
             for _ in range(20):
                 pol = random_policy(params, rng)
-                a = mrp.build_transition_enumerative(params, pol).matrix
-                b = mrp.build_transition_piecewise(params, pol).matrix
+                a = mrp.build_transition_enumerative(params, pol)
+                b = mrp.build_transition_piecewise(params, pol)
                 assert np.max(np.abs(a - b)) <= 1e-15
+
+    def test_enumerative_matches_event_loop_exactly(self, params_vi, rng):
+        # the scatters must add each entry's terms in the order of a loop
+        # over (state, action) events, so results are bit-identical
+        for params in [params_vi] + [random_params(rng) for _ in range(3)]:
+            for _ in range(20):
+                pol = random_policy(params, rng)
+                ref = np.zeros((params.K + 1, params.K + 1))
+                for i in range(params.K + 1):
+                    for m in range(params.M + 1):
+                        p = pol.f[i, m]
+                        if p != 0.0:
+                            ref[i - m, i] += (1 - params.alpha) * p
+                            ref[i - m + params.A, i] += params.alpha * p
+                lam = mrp.build_transition_enumerative(params, pol)
+                assert np.array_equal(lam, ref)
+
+    def test_returned_arrays_are_read_only(self, params_vi, rng):
+        pol = random_policy(params_vi, rng)
+        lam = mrp.build_transition_enumerative(params_vi, pol)
+        for a in (lam, mrp.build_transition_piecewise(params_vi, pol),
+                  mrp.stationary_distribution(lam)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
 
 class TestStationary:
     def test_two_state_chain(self, params_vi):
         T = mrp.build_transition_enumerative(params_vi, immediate_transmit(params_vi))
-        pi = mrp.stationary_distribution(T).pi
+        pi = mrp.stationary_distribution(T)
         expected = np.zeros(8)
         expected[0], expected[2] = 0.6, 0.4
         assert np.max(np.abs(pi - expected)) < 1e-14
@@ -72,23 +96,23 @@ class TestStationary:
         pol = threshold_to_policy(params, ThresholdPolicy((0, 1)))
         pi = mrp.stationary_distribution(
             mrp.build_transition_enumerative(params, pol)
-        ).pi
+        )
         assert pi[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_stationarity_residual(self, params_vi, rng):
         for _ in range(20):
             pol = random_policy(params_vi, rng)
             T = mrp.build_transition_enumerative(params_vi, pol)
-            pi = mrp.stationary_distribution(T).pi
-            assert np.max(np.abs(T.matrix @ pi - pi)) <= 1e-10
+            pi = mrp.stationary_distribution(T)
+            assert np.max(np.abs(T @ pi - pi)) <= 1e-10
             assert abs(pi.sum() - 1.0) <= 1e-12
 
     def test_eigenvector_oracle(self, params_vi, rng):
         # independent route: eigenvector of the transition matrix
         pol = random_policy(params_vi, rng)
         T = mrp.build_transition_enumerative(params_vi, pol)
-        pi = mrp.stationary_distribution(T).pi
-        w, v = np.linalg.eig(T.matrix)
+        pi = mrp.stationary_distribution(T)
+        w, v = np.linalg.eig(T)
         i = int(np.argmin(np.abs(w - 1.0)))
         ref = np.real(v[:, i])
         ref = ref / ref.sum()
@@ -115,12 +139,12 @@ class TestRewards:
         assert pt.delay == pytest.approx(0.0, abs=1e-12)
 
     def test_point_mass_delay(self, params_vi):
-        pi = mrp.StationaryDistribution(np.eye(8)[7])
+        pi = np.eye(8)[7]
         assert mrp.average_delay(params_vi, pi) == pytest.approx(7.75)
 
     def test_empty_state_costs_nothing(self, params_vi, rng):
         pol = random_policy(params_vi, rng)
-        pi = mrp.StationaryDistribution(np.eye(8)[0])
+        pi = np.eye(8)[0]
         assert mrp.average_power(params_vi, pol, pi) == 0.0
 
     def test_power_linear_delay_invariant_in_table(self, params_vi, rng):
@@ -177,6 +201,20 @@ class TestMixing:
                 want_p, want_d = ana.predicted_point(float(eps))
                 assert abs(got.power - want_p) <= 1e-9
                 assert abs(got.delay - want_d) <= 1e-9
+
+    def test_cache_keeps_reward_points_only(self, params_vi, rng):
+        cache = mrp.EvalCache()
+        F, F2, _ = random_one_row_pair(params_vi, rng)
+        mrp.mixing_analysis(params_vi, F, F2, cache)
+        mrp.segment_slope(params_vi, F, F2, cache)
+        assert set(cache) == {F.key(), F2.key()}
+        assert all(type(v) is mrp.DelayPowerPoint for v in cache.values())
+        assert mrp.evaluate(params_vi, F2, cache) is cache[F2.key()]
+
+    def test_no_pair_without_a_two_action_state(self, rng):
+        params = validate_params(0.5, 2, 2, 0, [0, 1, 3])
+        with pytest.raises(errors.RowDiffCountMismatch, match="two feasible actions"):
+            random_one_row_pair(params, rng)
 
     def test_collinearity(self, params_vi, rng):
         cache = mrp.EvalCache()

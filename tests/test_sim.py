@@ -46,7 +46,7 @@ class TestAnalyticAgreement:
             want = mrp.evaluate(params_vi, pol)
             pi = mrp.stationary_distribution(
                 mrp.build_transition_enumerative(params_vi, pol)
-            ).pi
+            )
             got = simulate(params_vi, pol, slots=400_000, seed=100 + i)
             assert got.overflow_violations == got.underflow_violations == 0
             assert got.empirical_power == pytest.approx(want.power, rel=0.03)
