@@ -1,10 +1,12 @@
 """Occupation-measure linear program.
 
 Minimizes average delay subject to a power budget over variables
-x[k, m] = pi_k * f[k, m], with the cut-balance equalities, normalization,
-and the overflow/underflow mask.  Solved by a dense two-phase simplex
-with Bland's rule; an optimal policy is recovered by dividing each row of
-x by its state mass.
+x[k, m] = pi_k * f[k, m], with one cut-balance equality per state boundary,
+normalization, and the overflow/underflow mask.  The cut-balance rows are
+built from three interval masks on the states each action can reach; the
+program is solved by a dense two-phase tableau simplex with Bland's rule,
+one vectorised row update per pivot and at most MAX_PIVOTS pivots.  An
+optimal policy is recovered by dividing each row of x by its state mass.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .model import ModelParams, Policy, feasibility_mask, feasible_actions
 
 FEAS_TOL = 1e-9
 REDUCED_COST_TOL = 1e-9
-DEFAULT_MAX_PIVOTS = 1_000_000
+MAX_PIVOTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,6 @@ class LpProblem:
     a_power: np.ndarray
     A_eq: np.ndarray
     b_eq: np.ndarray
-    eq_scale: float
 
     @property
     def n_vars(self) -> int:
@@ -46,43 +47,39 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """A failed solve (infeasible | unbounded) carries only its status and
+    pivot count."""
+
     status: str  # optimal | infeasible | unbounded
-    x: Optional[np.ndarray]
-    delay: Optional[float]
-    power: Optional[float]
-    reduced_costs: Optional[np.ndarray]
     iterations: int
+    x: Optional[np.ndarray] = None
+    delay: Optional[float] = None
+    power: Optional[float] = None
+    reduced_costs: Optional[np.ndarray] = None
     equilibrium_residual: float = float("nan")
     normalization_residual: float = float("nan")
 
 
-def equilibrium_matrix(params: ModelParams, var_index: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Cut-balance equality rows, one per state boundary k = 1..K.
+def equilibrium_matrix(params: ModelParams, ks: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """Cut-balance equality rows, one per state boundary k = 1..K, over the
+    variables (ks[j], ms[j]).
 
     Upward flow across the boundary below k (an arrival outrunning the
     transmission) balances downward flow (transmissions past the boundary,
-    with or without an arrival).
+    with or without an arrival).  From state r under action m the next state
+    is low = r-m without an arrival and high = r-m+A with one, so the
+    coefficient of (r, m) in row k is +alpha if r < k <= high, -(1-alpha) if
+    low < k <= min(r, high), -1 if high < k <= r, and 0 otherwise.
     """
-    K, A, M, alpha = params.K, params.A, params.M, params.alpha
-    col = {km: j for j, km in enumerate(var_index)}
-    rows = np.zeros((K, len(var_index)))
-    for k in range(1, K + 1):
-        row = rows[k - 1]
-        for l in range(max(0, k - A), k):
-            for m in range(0, l + A - k + 1):
-                j = col.get((l, m))
-                if j is not None:
-                    row[j] += alpha
-        for r in range(k, min(k + M - 1, K) + 1):
-            for m in range(r - k + 1, min(r - k + A, M) + 1):
-                j = col.get((r, m))
-                if j is not None:
-                    row[j] -= 1 - alpha
-            for m in range(r - k + A + 1, M + 1):
-                j = col.get((r, m))
-                if j is not None:
-                    row[j] -= 1.0
-    return rows
+    alpha = params.alpha
+    k = np.arange(1, params.K + 1)[:, None]
+    low = ks - ms
+    high = low + params.A
+    return np.select(
+        [(ks < k) & (k <= high), (low < k) & (k <= ks) & (k <= high), (high < k) & (k <= ks)],
+        # alpha - 1 is -(1 - alpha) exactly, with +0.0 at alpha = 1
+        [alpha, alpha - 1.0, -1.0],
+    )
 
 
 def build_lp(params: ModelParams, p_th: float) -> LpProblem:
@@ -91,26 +88,19 @@ def build_lp(params: ModelParams, p_th: float) -> LpProblem:
         raise ValueError(f"power budget must be nonnegative, got {p_th}")
     # row-major nonzero order is the lexicographic (state, action) order
     ks, ms = np.nonzero(feasibility_mask(params))
-    var_index = tuple(zip(ks.tolist(), ms.tolist()))
-    n = len(var_index)
-    c = ks / (params.alpha * params.A)
-    a_power = params.power_array[ms]
-    eq = equilibrium_matrix(params, var_index)
     # small-alpha instances scale the balance rows to keep pivots healthy
     scale = 1.0 / params.alpha if params.alpha < 0.1 else 1.0
-    rows = [eq * scale, np.ones((1, n))]
-    A_eq = np.vstack(rows)
+    A_eq = np.vstack([equilibrium_matrix(params, ks, ms) * scale, np.ones((1, len(ks)))])
     b_eq = np.zeros(params.K + 1)
     b_eq[-1] = 1.0
     return LpProblem(
         params=params,
         p_th=float(p_th),
-        var_index=var_index,
-        c=c,
-        a_power=a_power,
+        var_index=tuple(zip(ks.tolist(), ms.tolist())),
+        c=ks / (params.alpha * params.A),
+        a_power=params.power_array[ms],
         A_eq=A_eq,
         b_eq=b_eq,
-        eq_scale=scale,
     )
 
 
@@ -120,38 +110,32 @@ def occupation_measure(params: ModelParams, policy: Policy, pi: np.ndarray) -> n
 
 
 def _pivot(T: np.ndarray, b: np.ndarray, row: int, col: int) -> None:
+    """Gauss-Jordan pivot on T[row, col]; rows with a zero in the pivot
+    column are left untouched."""
     piv = T[row, col]
     T[row, :] /= piv
     b[row] /= piv
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            factor = T[r, col]
-            T[r, :] -= factor * T[row, :]
-            b[r] -= factor * b[row]
+    factor = T[:, col].copy()
+    factor[row] = 0.0
+    rows = np.flatnonzero(factor)
+    T[rows] -= factor[rows, None] * T[row]
+    b[rows] -= factor[rows] * b[row]
 
 
 def _simplex_phase(
-    T: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    basis: list[int],
-    banned: frozenset[int],
-    max_iter: int,
-    start_iter: int,
+    T: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int], n_enter: int, pivots: int
 ) -> tuple[str, int]:
-    """Bland-rule simplex on an explicit tableau; returns (status, pivots)."""
-    it = start_iter
+    """Bland-rule simplex on an explicit tableau, entering only columns
+    below n_enter; `pivots` counts the pivots of earlier phases, so that
+    MAX_PIVOTS caps the whole solve.  Returns (status, pivots)."""
     while True:
         reduced = c - c[basis] @ T
-        enter = -1
-        for j in range(T.shape[1]):
-            if j in banned or j in basis:
-                continue
-            if reduced[j] < -REDUCED_COST_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal", it
+        eligible = reduced < -REDUCED_COST_TOL
+        eligible[basis] = False
+        eligible[n_enter:] = False
+        if not eligible.any():
+            return "optimal", pivots
+        enter = int(np.argmax(eligible))
         col = T[:, enter]
         leave = -1
         best_ratio = np.inf
@@ -165,15 +149,15 @@ def _simplex_phase(
                     best_ratio = ratio
                     leave = i
         if leave < 0:
-            return "unbounded", it
+            return "unbounded", pivots
         _pivot(T, b, leave, enter)
         basis[leave] = enter
-        it += 1
-        if it > max_iter:
-            raise IterationLimit(f"simplex exceeded {max_iter} pivots")
+        pivots += 1
+        if pivots > MAX_PIVOTS:
+            raise IterationLimit(f"simplex exceeded {MAX_PIVOTS} pivots")
 
 
-def solve_simplex(lp: LpProblem, max_iter: int = DEFAULT_MAX_PIVOTS) -> LpSolution:
+def solve_simplex(lp: LpProblem) -> LpSolution:
     """Two-phase dense simplex with Bland's anti-cycling rule."""
     n = lp.n_vars
     # standard form: power row gets a slack, equalities as-is
@@ -185,27 +169,19 @@ def solve_simplex(lp: LpProblem, max_iter: int = DEFAULT_MAX_PIVOTS) -> LpSoluti
     A = np.hstack([A, slack])
     c = np.concatenate([lp.c, [0.0]])
     # nonnegative right-hand side for phase 1
-    for i in range(m_rows):
-        if b[i] < 0:
-            A[i, :] *= -1
-            b[i] *= -1
+    negative = b < 0
+    A[negative] *= -1
+    b[negative] *= -1
     n_total = A.shape[1]
     # phase 1: artificial basis
     T = np.hstack([A, np.eye(m_rows)]).astype(float)
     b1 = b.astype(float).copy()
     c1 = np.concatenate([np.zeros(n_total), np.ones(m_rows)])
     basis = list(range(n_total, n_total + m_rows))
-    status, iters = _simplex_phase(T, b1, c1, basis, frozenset(), max_iter, 0)
+    status, iters = _simplex_phase(T, b1, c1, basis, T.shape[1], 0)
     phase1_obj = float(c1[basis] @ b1)
     if status != "optimal" or phase1_obj > FEAS_TOL:
-        return LpSolution(
-            status="infeasible",
-            x=None,
-            delay=None,
-            power=None,
-            reduced_costs=None,
-            iterations=iters,
-        )
+        return LpSolution(status="infeasible", iterations=iters)
     # drive leftover zero-valued artificials out of the basis when possible
     for i, bi in enumerate(basis):
         if bi >= n_total:
@@ -214,23 +190,13 @@ def solve_simplex(lp: LpProblem, max_iter: int = DEFAULT_MAX_PIVOTS) -> LpSoluti
                     _pivot(T, b1, i, j)
                     basis[i] = j
                     break
-    banned = frozenset(range(n_total, n_total + m_rows))
-    # phase 2
+    # phase 2: artificials may no longer enter
     c2 = np.concatenate([c, np.zeros(m_rows)])
-    status, iters = _simplex_phase(T, b1, c2, basis, banned, max_iter, iters)
+    status, iters = _simplex_phase(T, b1, c2, basis, n_total, iters)
     if status == "unbounded":
-        return LpSolution(
-            status="unbounded",
-            x=None,
-            delay=None,
-            power=None,
-            reduced_costs=None,
-            iterations=iters,
-        )
-    x_full = np.zeros(n_total)
-    for i, bi in enumerate(basis):
-        if bi < n_total:
-            x_full[bi] = b1[i]
+        return LpSolution(status="unbounded", iterations=iters)
+    x_full = np.zeros(T.shape[1])
+    x_full[basis] = b1
     x = x_full[:n]
     reduced = (c2 - c2[basis] @ T)[:n_total]
     delay = float(lp.c @ x) - 1.0
@@ -326,37 +292,4 @@ def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
     for pt in points:
         d = f"{pt.delay:.17g}" if pt.delay is not None else ""
         lines.append(f"{pt.p_th:.17g},{d},{pt.status}")
-    return "\n".join(lines) + "\n"
-
-
-def to_mps(lp: LpProblem, name: str = "DPSCHED") -> str:
-    """Fixed-format MPS rendering for external verification."""
-    lines = [f"NAME          {name}", "ROWS", " N  DELAY", " L  POWER"]
-    n_eq = lp.A_eq.shape[0]
-    for i in range(n_eq):
-        tag = "NORM" if i == n_eq - 1 else f"EQ{i + 1}"
-        lines.append(f" E  {tag}")
-    lines.append("COLUMNS")
-
-    def fmt(col: str, row: str, val: float) -> str:
-        return f"    {col:<10}{row:<10}{val:.12g}"
-
-    for j, (k, m) in enumerate(lp.var_index):
-        col = f"X{k}_{m}"
-        if lp.c[j] != 0.0:
-            lines.append(fmt(col, "DELAY", lp.c[j]))
-        if lp.a_power[j] != 0.0:
-            lines.append(fmt(col, "POWER", lp.a_power[j]))
-        for i in range(n_eq):
-            if lp.A_eq[i, j] != 0.0:
-                tag = "NORM" if i == n_eq - 1 else f"EQ{i + 1}"
-                lines.append(fmt(col, tag, lp.A_eq[i, j]))
-    lines.append("RHS")
-    lines.append(fmt("RHS", "POWER", lp.p_th))
-    for i in range(n_eq):
-        if lp.b_eq[i] != 0.0:
-            tag = "NORM" if i == n_eq - 1 else f"EQ{i + 1}"
-            lines.append(fmt("RHS", tag, lp.b_eq[i]))
-    lines.append("BOUNDS")
-    lines.append("ENDATA")
     return "\n".join(lines) + "\n"

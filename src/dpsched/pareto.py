@@ -222,7 +222,7 @@ def algorithm1(params: ModelParams) -> ParetoCurve:
         # Neighbors with the exact same reward pair only reassign unreachable
         # states: they are alternative representations of the current vertex,
         # so their own neighbors must be explored too (transitively).
-        candidates: dict[tuple[int, ...], tuple[float, float, ThresholdPolicy]] = {}
+        candidates: dict[tuple[int, ...], tuple[DelayPowerPoint, ThresholdPolicy]] = {}
         pending = list(current.values())
         while pending:
             tp = pending.pop()
@@ -234,24 +234,21 @@ def algorithm1(params: ModelParams) -> ParetoCurve:
                     current[nb.thresholds] = nb
                     pending.append(nb)
                     continue
-                candidates[nb.thresholds] = (pt.power, pt.delay, nb)
+                candidates[nb.thresholds] = (pt, nb)
         accepted = [
-            (p, d, nb)
-            for (p, d, nb) in candidates.values()
-            if d >= d_p - slope_tol and p < p_p - 1e-12
+            (pt, nb)
+            for (pt, nb) in candidates.values()
+            if pt.delay >= d_p - slope_tol and pt.power < p_p - 1e-12
         ]
         if not accepted:
             break
-        slopes = [(max(d - d_p, 0.0) / (p_p - p), p, d, nb) for p, d, nb in accepted]
-        s_min = min(s for s, _, _, _ in slopes)
-        tied = [(s, p, d, nb) for (s, p, d, nb) in slopes if s <= s_min + slope_tol]
+        slopes = [(max(pt.delay - d_p, 0.0) / (p_p - pt.power), pt, nb) for pt, nb in accepted]
+        s_min = min(s for s, _, _ in slopes)
+        tied = [(pt, nb) for (s, pt, nb) in slopes if s <= s_min + slope_tol]
         # vertex representative: least power, then lexicographic thresholds
-        _, p_c, d_c, best = min(
-            tied, key=lambda t: (t[1], t[3].thresholds)
-        )
-        cur_pt = _threshold_point(params, best, cache)
+        cur_pt, _ = min(tied, key=lambda t: (t[0].power, t[1].thresholds))
         walk.append(cur_pt)
-        current = {nb.thresholds: nb for (_, _, _, nb) in tied}
+        current = {nb.thresholds: nb for (_, nb) in tied}
     return ParetoCurve(vertices=tuple(_drop_collinear(walk)))
 
 

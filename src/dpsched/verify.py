@@ -15,7 +15,7 @@ from .errors import RowDiffCountMismatch
 from .model import ModelParams, Policy, feasible_actions
 from . import mrp
 from .lp import build_lp, occupation_measure, solve_simplex
-from .pareto import algorithm1, brute_force_frontier
+from .pareto import ParetoCurve, algorithm1, brute_force_frontier
 from .sim import simulate
 
 
@@ -123,7 +123,7 @@ def check_collinearity(
     return CheckResult("mixing-geometry", worst <= tol, worst, tol)
 
 
-def curves_match(a, b, tol: float = 1e-9) -> float:
+def curves_match(a, b) -> float:
     """Worst componentwise vertex discrepancy between two curves."""
     if len(a.vertices) != len(b.vertices):
         return float("inf")
@@ -133,18 +133,21 @@ def curves_match(a, b, tol: float = 1e-9) -> float:
     return worst
 
 
-def check_frontier_equivalence(params: ModelParams, tol: float = 1e-9) -> CheckResult:
-    walk = algorithm1(params)
+def check_frontier_equivalence(
+    params: ModelParams, walk: ParetoCurve, tol: float = 1e-9
+) -> CheckResult:
+    """The walk's frontier `walk` against brute force."""
     brute = brute_force_frontier(params)
-    worst = curves_match(walk, brute, tol)
+    worst = curves_match(walk, brute)
     detail = f"({len(walk.vertices)} vs {len(brute.vertices)} vertices)"
     return CheckResult("frontier-equivalence", worst <= tol, worst, tol, detail)
 
 
 def check_lp_overlap(
-    params: ModelParams, n_budgets: int = 20, tol: float = 1e-6
+    params: ModelParams, curve: ParetoCurve, n_budgets: int = 20, tol: float = 1e-6
 ) -> CheckResult:
-    curve = algorithm1(params)
+    """LP optima at budgets across the walk's frontier `curve` against its
+    interpolation."""
     budgets = np.linspace(curve.min_power, curve.max_power, n_budgets)
     worst = 0.0
     for p_th in budgets:
@@ -183,18 +186,19 @@ def check_simulation(
     worst = 0.0
     for i in range(trials):
         pol = random_policy(params, rng)
-        want = mrp.evaluate(params, pol)
         pi = mrp.stationary_distribution(mrp.build_transition_enumerative(params, pol))
+        want_power = mrp.average_power(params, pol, pi)
+        want_delay = mrp.average_delay(params, pi)
         got = simulate(params, pol, slots=slots, seed=seed + i)
         if got.overflow_violations or got.underflow_violations:
             return CheckResult(
                 "simulation-agreement", False, float("inf"), rel_tol, "buffer violation"
             )
-        p_err = abs(got.empirical_power - want.power) / want.power
-        if want.delay < 0.05:
-            d_err = abs(got.empirical_delay - want.delay) / 0.01 * rel_tol
+        p_err = abs(got.empirical_power - want_power) / want_power
+        if want_delay < 0.05:
+            d_err = abs(got.empirical_delay - want_delay) / 0.01 * rel_tol
         else:
-            d_err = abs(got.empirical_delay - want.delay) / want.delay
+            d_err = abs(got.empirical_delay - want_delay) / want_delay
         tv = 0.5 * float(np.sum(np.abs(np.array(got.state_occupancy) - pi)))
         worst = max(worst, p_err, d_err, tv / tv_tol * rel_tol)
     return CheckResult("simulation-agreement", worst <= rel_tol, worst, rel_tol)
@@ -208,10 +212,11 @@ def run_battery(
     sim_trials: int = 3,
 ) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
+    walk = algorithm1(params)
     return [
         check_transition_equivalence(params, trials, rng),
-        check_frontier_equivalence(params),
-        check_lp_overlap(params),
+        check_frontier_equivalence(params, walk),
+        check_lp_overlap(params, walk),
         check_collinearity(params, trials, rng),
         check_lp_consistency(params, trials, rng),
         check_simulation(params, sim_trials, rng, slots=sim_slots, seed=seed),

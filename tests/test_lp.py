@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from dpsched import errors, mrp
+from dpsched import errors, lp as lp_module, mrp
 from dpsched.lp import (
     LpProblem,
     build_lp,
+    equilibrium_matrix,
     occupation_measure,
     recover_policy,
     solve_simplex,
     sweep,
     sweep_to_csv,
-    to_mps,
 )
-from dpsched.model import validate_params
+from dpsched.model import Policy, feasibility_mask, validate_params
 from dpsched.pareto import algorithm1
 from dpsched.verify import random_policy
 
@@ -34,6 +34,35 @@ class TestBuildLp:
         with pytest.raises(ValueError):
             build_lp(params_vi, -0.5)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(alpha=0.4, A=2, M=3, Q=5, power=[0, 1, 4, 9]),
+            dict(alpha=0.05, A=2, M=3, Q=5, power=[0, 1, 4, 9]),
+            dict(alpha=0.3, A=1, M=2, Q=4, power=[0, 1, 4]),
+            dict(alpha=0.5, A=2, M=3, Q=0, power=[0, 1, 4, 9]),
+        ],
+        ids=["reference", "alpha0.05", "A1", "Q0"],
+    )
+    def test_cut_rows_are_suffix_sums_of_global_balance(self, kw):
+        # Under a policy that sends all of state r's mass through action m,
+        # the net flow across the boundary below k is the mass that the
+        # global-balance column lam[:, r] - e_r moves into states >= k.
+        params = validate_params(**kw)
+        ks, ms = np.nonzero(feasibility_mask(params))
+        eq = equilibrium_matrix(params, ks, ms)
+        assert eq.shape == (params.K, len(ks))
+        base = np.zeros((params.K + 1, params.M + 1))
+        base[np.arange(params.K + 1), np.minimum(np.arange(params.K + 1), params.M)] = 1.0
+        for j, (r, m) in enumerate(zip(ks, ms)):
+            f = base.copy()
+            f[r] = 0.0
+            f[r, m] = 1.0
+            lam = mrp.build_transition_enumerative(params, Policy(params, f))
+            net = lam[:, r] - np.eye(params.K + 1)[r]
+            suffix = np.cumsum(net[::-1])[::-1]
+            assert np.max(np.abs(eq[:, j] - suffix[1:])) <= 1e-15, (r, m)
+
 
 class TestSimplexCore:
     def test_textbook_lp(self, params_vi):
@@ -47,7 +76,6 @@ class TestSimplexCore:
             a_power=np.array([1.0, 2.0, 0.0]),
             A_eq=np.array([[1.0, 1.0, 1.0]]),
             b_eq=np.array([2.0]),
-            eq_scale=1.0,
         )
         sol = solve_simplex(lp)
         assert sol.status == "optimal"
@@ -63,6 +91,20 @@ class TestSimplexCore:
         assert sol.status == "optimal"
         assert sol.delay == pytest.approx(0.0, abs=1e-9)
         assert sol.power <= 1.6 + 1e-9
+
+    def test_pivot_cap_covers_both_phases(self, params_vi, monkeypatch):
+        # at p_th=1.0 both phases pivot (16 + 2), so a cap of one pivot
+        # less than the total trips only if it counts the phases together
+        pivots = solve_simplex(build_lp(params_vi, 1.0)).iterations
+        monkeypatch.setattr(lp_module, "MAX_PIVOTS", pivots)
+        assert solve_simplex(build_lp(params_vi, 1.0)).iterations == pivots
+        monkeypatch.setattr(lp_module, "MAX_PIVOTS", pivots - 1)
+        with pytest.raises(errors.IterationLimit):
+            solve_simplex(build_lp(params_vi, 1.0))
+        monkeypatch.setattr(lp_module, "MAX_PIVOTS", 3)
+        (point,) = sweep(params_vi, [1.0])
+        assert point.status == "iteration_limit"
+        assert point.delay is None and point.solution is None
 
     def test_certificates(self, params_vi):
         for p_th in (0.85, 1.0, 1.3, 1.6, 3.0):
@@ -136,12 +178,3 @@ class TestSweep:
         assert lines[0] == "p_th,delay,status"
         assert lines[1].endswith("infeasible")
         assert lines[2].endswith("optimal")
-
-
-class TestMps:
-    def test_structure(self, params_vi):
-        text = to_mps(build_lp(params_vi, 1.6))
-        assert text.startswith("NAME")
-        assert "ROWS" in text and "COLUMNS" in text and text.rstrip().endswith("ENDATA")
-        assert " N  DELAY" in text and " L  POWER" in text
-        assert " E  NORM" in text
