@@ -87,8 +87,6 @@ def cmd_pareto(args) -> int:
 def cmd_lp(args) -> int:
     params = _load_model(args)
     if args.pth is not None:
-        if args.pth < 0:
-            raise ModelError(f"power budget must be nonnegative, got {args.pth}")
         sol = solve_simplex(build_lp(params, args.pth))
         delay = f"{sol.delay:.6f}" if sol.delay is not None else "nan"
         print(f"p_th={args.pth:.6f} delay={delay} status={sol.status}")

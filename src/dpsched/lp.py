@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import mrp
-from .errors import DegenerateSolution, IterationLimit, SingularChain
-from .model import ModelParams, Policy, feasibility_mask, feasible_actions
+from .errors import DegenerateSolution, IterationLimit, ModelError, SingularChain
+from .model import ModelParams, Policy, _complete_actions, _feasible, feasibility_mask
 
 FEAS_TOL = 1e-9
 REDUCED_COST_TOL = 1e-9
@@ -85,7 +85,7 @@ def equilibrium_matrix(params: ModelParams, ks: np.ndarray, ms: np.ndarray) -> n
 def build_lp(params: ModelParams, p_th: float) -> LpProblem:
     """Assemble the transformed program for a given power budget."""
     if p_th < 0:
-        raise ValueError(f"power budget must be nonnegative, got {p_th}")
+        raise ModelError(f"power budget must be nonnegative, got {p_th}")
     # row-major nonzero order is the lexicographic (state, action) order
     ks, ms = np.nonzero(feasibility_mask(params))
     # small-alpha instances scale the balance rows to keep pivots healthy
@@ -218,37 +218,38 @@ def solve_simplex(lp: LpProblem) -> LpSolution:
 def recover_policy(params: ModelParams, sol: LpSolution) -> Policy:
     """Invert x[k, m] = pi_k * f[k, m] back to a policy.
 
-    Rows with no stationary mass (unreachable states) are completed with
-    the smallest feasible action not below the previous row's largest
-    action, so the returned matrix is a fully specified policy.
+    Rows with no stationary mass (unreachable states) are completed by
+    `model._complete_actions`, carrying each reachable row's largest
+    supported action, so the returned matrix is a fully specified policy.
     """
     if sol.status != "optimal" or sol.x is None:
         raise DegenerateSolution(f"cannot recover a policy from status {sol.status}")
+    states = np.arange(params.K + 1)
     x = np.zeros((params.K + 1, params.M + 1))
     x[feasibility_mask(params)] = sol.x
     x[x < 0.0] = 0.0
     pi = x.sum(axis=1)
+    reach = pi > 1e-12
+    rows = x[reach] / pi[reach, None]
+    sums = np.zeros(params.K + 1)
+    sums[reach] = rows.sum(axis=1)
+    top = np.zeros(params.K + 1, dtype=int)
+    top[reach] = params.M - np.argmax(rows[:, ::-1] > 1e-12, axis=1)
+    acts = _complete_actions(params, top, reach)
+    bad = np.flatnonzero(
+        np.where(reach, np.abs(sums - 1.0) > 1e-8, ~_feasible(params, states, acts))
+    )
+    if bad.size:
+        k = int(bad[0])
+        if reach[k]:
+            raise DegenerateSolution(f"recovered row {k} sums to {sums[k]}")
+        raise DegenerateSolution(f"no feasible completion action at state {k}")
     f = np.zeros_like(x)
-    unreachable = []
-    prev_action = 0
-    for k in range(params.K + 1):
-        if pi[k] > 1e-12:
-            row = x[k] / pi[k]
-            s = row.sum()
-            if abs(s - 1.0) > 1e-8:
-                raise DegenerateSolution(f"recovered row {k} sums to {s}")
-            f[k] = row / s
-            prev_action = int(np.max(np.nonzero(row > 1e-12)[0]))
-        else:
-            unreachable.append(k)
-            acts = feasible_actions(params, k)
-            m = max(prev_action, acts.start)
-            if m not in acts:
-                raise DegenerateSolution(f"no feasible completion action at state {k}")
-            f[k, m] = 1.0
-            prev_action = m
+    f[reach] = rows / sums[reach, None]
+    unreachable = states[~reach]
+    f[unreachable, acts[unreachable]] = 1.0
     policy = Policy(params, f)
-    if unreachable:
+    if unreachable.size:
         # The completion above can leave an unreachable state idling into a
         # second closed class (e.g. state 1 between reachable states 0 and 2),
         # which makes the balance system singular.  Fall back to draining
@@ -257,9 +258,8 @@ def recover_policy(params: ModelParams, sol: LpSolution) -> Policy:
         try:
             mrp.stationary_distribution(mrp.build_transition_enumerative(params, policy))
         except SingularChain:
-            for k in unreachable:
-                f[k, :] = 0.0
-                f[k, feasible_actions(params, k)[-1]] = 1.0
+            f[unreachable] = 0.0
+            f[unreachable, np.minimum(unreachable, params.M)] = 1.0
             policy = Policy(params, f)
     return policy
 

@@ -186,10 +186,9 @@ class Policy:
     def __repr__(self) -> str:
         return f"Policy(K={self.params.K}, M={self.params.M})"
 
-    def differing_rows(self, other: "Policy", tol: float = 0.0) -> list[int]:
-        """Indices of rows where the two matrices differ (beyond tol)."""
-        diff = np.abs(self.f - other.f).max(axis=1)
-        return [int(k) for k in np.nonzero(diff > tol)[0]]
+    def differing_rows(self, other: "Policy") -> list[int]:
+        """Indices of rows where the two matrices differ."""
+        return np.flatnonzero((self.f != other.f).any(axis=1)).tolist()
 
     def is_deterministic(self, tol: float = PROB_TOL) -> bool:
         return bool(np.all(self.f.max(axis=1) > 1 - tol))
@@ -223,8 +222,7 @@ class ThresholdPolicy:
 
     thresholds[-1] is implicitly -1 and thresholds[0] must be 0 (state 0 has
     no choice but to stay silent, and state 1 must transmit).  States above
-    thresholds[M] are completed by `threshold_to_policy`: each uncovered
-    state gets the smallest feasible action not below its predecessor's.
+    thresholds[M] are completed by `_complete_actions`.
 
     At most one threshold may randomize: with randomized_index m*, state
     thresholds[m*] transmits m* bits with probability `weight` and m*+1 bits
@@ -264,13 +262,30 @@ class ThresholdPolicy:
         return self.randomized_index is None
 
 
+def _complete_actions(params: ModelParams, acts: np.ndarray, assigned: np.ndarray) -> np.ndarray:
+    """Complete a state -> action map over the states not `assigned`: those
+    past thresholds[M], or those an LP solution gives no mass.
+
+    An unassigned state k takes max(a, k-Q), where a = acts[j] for the last
+    assigned state j < k (0 if there is none).  As k-Q is nondecreasing in
+    k, this is the smallest action not below the previous state's that
+    avoids overflow.  The result may exceed min(k, M); callers check
+    feasibility.
+    """
+    if assigned.all():
+        return acts
+    states = np.arange(params.K + 1)
+    last = np.maximum.accumulate(np.where(assigned, states, -1))
+    carried = np.where(last >= 0, acts[last], 0)
+    return np.where(assigned, acts, np.maximum(carried, states - params.Q))
+
+
 def threshold_action_map(params: ModelParams, tp: ThresholdPolicy) -> list[int]:
     """Expand a threshold vector to a full state -> action map.
 
     States covered by the intervals (thresholds[m-1], thresholds[m]] get
-    action m; states beyond thresholds[M] get the smallest feasible action
-    that is >= the previous state's action (completion of unreachable
-    states, leaving the reward pair unchanged).
+    action m; states beyond thresholds[M] are completed by
+    `_complete_actions`.
     """
     if tp.M != params.M:
         raise InfeasibleThresholds(
@@ -281,11 +296,7 @@ def threshold_action_map(params: ModelParams, tp: ThresholdPolicy) -> list[int]:
     if ts[-1] > K:
         raise InfeasibleThresholds(f"threshold {ts[ts > K][0]} exceeds K={K}")
     states = np.arange(K + 1)
-    acts = np.searchsorted(ts, states)
-    # the completion's lower bound max(0, k-Q) is nondecreasing in k, so
-    # carrying the previous action forward reduces to one maximum
-    tail = ts[-1] + 1
-    acts[tail:] = np.maximum(acts[ts[-1]], states[tail:] - params.Q)
+    acts = _complete_actions(params, np.searchsorted(ts, states), states <= ts[-1])
     ok = _feasible(params, states, acts)
     if not ok.all():
         k = int(np.argmin(ok))

@@ -193,28 +193,6 @@ def mix_policies(F: Policy, F2: Policy, epsilon: float) -> Policy:
     return Policy(F.params, (1 - epsilon) * F.f + epsilon * F2.f)
 
 
-def _one_row_pair_data(params: ModelParams, F: Policy, F2: Policy, cache: Optional[EvalCache]):
-    """Row k where F and F2 differ, their reward points, delta_k, zeta_k and
-    v = H_F^-1 delta_k, from one factorization of F's balance matrix."""
-    rows = F.differing_rows(F2)
-    if len(rows) != 1:
-        raise RowDiffCountMismatch(
-            f"policies differ in {len(rows)} rows, expected exactly 1"
-        )
-    k = rows[0]
-    lam_a, lu_a, point_a = _solve(params, F)
-    if cache is not None:
-        point_a = cache.setdefault(F.key(), point_a)
-    point_b = evaluate(params, F2, cache)
-    # H_F2 - H_F is zero outside column k; its ones row cancels too
-    K = params.K
-    delta_k = np.zeros(K + 1)
-    delta_k[1:] = build_transition_enumerative(params, F2)[:K, k] - lam_a[:K, k]
-    zeta_k = power_reward_vector(params, F2)[k] - power_reward_vector(params, F)[k]
-    v = lu_solve(lu_a, delta_k, check_finite=False)
-    return k, point_a, point_b, delta_k, float(zeta_k), v
-
-
 @dataclass(frozen=True)
 class MixingAnalysis:
     """Closed-form geometry of mixing two policies differing in row k.
@@ -224,6 +202,11 @@ class MixingAnalysis:
     the coupling h_k . delta_k: h_k is row k of the inverse balance matrix
     of the first policy and delta_k the only nonzero column of the balance
     matrix difference.  v = H^-1 delta_k, so the coupling is v[k].
+
+    By the same rank-one update, the mixture's delay and power changes are
+    one common factor times delay_direction = states . v and
+    power_direction = alpha*A*(r_F . v - zeta_k), where r_F is the first
+    policy's per-state power; so the segment slope is their ratio.
     """
 
     k: int
@@ -232,6 +215,8 @@ class MixingAnalysis:
     v: np.ndarray
     endpoint_a: DelayPowerPoint
     endpoint_b: DelayPowerPoint
+    delay_direction: float
+    power_direction: float
 
     @property
     def coupling(self) -> float:
@@ -249,6 +234,25 @@ class MixingAnalysis:
             (1 - w) * pa.delay + w * pb.delay,
         )
 
+    def _power_gap(self) -> float:
+        dp = self.endpoint_b.power - self.endpoint_a.power
+        if abs(dp) < 1e-12:
+            raise DegenerateSegment(
+                f"endpoint powers coincide ({self.endpoint_a.power}); slope undefined"
+            )
+        return dp
+
+    @property
+    def slope(self) -> float:
+        """Closed-form slope (delay per unit power) of the segment."""
+        self._power_gap()
+        return self.delay_direction / self.power_direction
+
+    @property
+    def chord_slope(self) -> float:
+        """Finite-difference slope between the two endpoint reward pairs."""
+        return (self.endpoint_b.delay - self.endpoint_a.delay) / self._power_gap()
+
 
 def mixing_analysis(
     params: ModelParams,
@@ -256,7 +260,25 @@ def mixing_analysis(
     F2: Policy,
     cache: Optional[EvalCache] = None,
 ) -> MixingAnalysis:
-    k, point_a, point_b, delta_k, zeta_k, v = _one_row_pair_data(params, F, F2, cache)
+    """Mixing geometry of F and F2 from one factorization of F's balance
+    matrix; raises RowDiffCountMismatch unless they differ in exactly one row."""
+    rows = F.differing_rows(F2)
+    if len(rows) != 1:
+        raise RowDiffCountMismatch(
+            f"policies differ in {len(rows)} rows, expected exactly 1"
+        )
+    k = rows[0]
+    lam_a, lu_a, point_a = _solve(params, F)
+    if cache is not None:
+        point_a = cache.setdefault(F.key(), point_a)
+    point_b = evaluate(params, F2, cache)
+    # H_F2 - H_F is zero outside column k; its ones row cancels too
+    K = params.K
+    delta_k = np.zeros(K + 1)
+    delta_k[1:] = build_transition_enumerative(params, F2)[:K, k] - lam_a[:K, k]
+    power_a = power_reward_vector(params, F)
+    zeta_k = float(power_reward_vector(params, F2)[k] - power_a[k])
+    v = lu_solve(lu_a, delta_k, check_finite=False)
     return MixingAnalysis(
         k=k,
         delta_k=delta_k,
@@ -264,32 +286,6 @@ def mixing_analysis(
         v=v,
         endpoint_a=point_a,
         endpoint_b=point_b,
+        delay_direction=float(np.arange(K + 1, dtype=float) @ v),
+        power_direction=params.alpha * params.A * (float(power_a @ v) - zeta_k),
     )
-
-
-@dataclass(frozen=True)
-class SegmentSlope:
-    """Slope (delay per unit power) of the segment traced by one-row mixing."""
-
-    closed_form: float
-    finite_difference: float
-
-
-def segment_slope(
-    params: ModelParams,
-    F: Policy,
-    F2: Policy,
-    cache: Optional[EvalCache] = None,
-) -> SegmentSlope:
-    k, point_a, point_b, delta_k, zeta_k, v = _one_row_pair_data(params, F, F2, cache)
-    dp = point_b.power - point_a.power
-    if abs(dp) < 1e-12:
-        raise DegenerateSegment(
-            f"endpoint powers coincide ({point_a.power}); slope undefined"
-        )
-    states = np.arange(params.K + 1, dtype=float)
-    closed = float(states @ v) / (
-        params.alpha * params.A * (float(power_reward_vector(params, F) @ v) - zeta_k)
-    )
-    fd = (point_b.delay - point_a.delay) / dp
-    return SegmentSlope(closed_form=closed, finite_difference=fd)

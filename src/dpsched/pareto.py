@@ -21,6 +21,7 @@ from .policies import (
     DEFAULT_ENUMERATION_CAP,
     enumerate_deterministic,
     initial_threshold_policy,
+    is_threshold,
     neighbors_increase_threshold,
 )
 
@@ -131,14 +132,14 @@ def _perp_distance(a: DelayPowerPoint, b: DelayPowerPoint, c: DelayPowerPoint) -
     return abs(ux * vy - uy * vx) / norm
 
 
-def _drop_collinear(points: list[DelayPowerPoint], tol: float = COLLINEAR_TOL) -> list[DelayPowerPoint]:
+def _drop_collinear(points: list[DelayPowerPoint]) -> list[DelayPowerPoint]:
     out = list(points)
     # prune interior points lying on the chord of their neighbors
     changed = True
     while changed and len(out) > 2:
         changed = False
         for i in range(1, len(out) - 1):
-            if _perp_distance(out[i - 1], out[i], out[i + 1]) <= tol:
+            if _perp_distance(out[i - 1], out[i], out[i + 1]) <= COLLINEAR_TOL:
                 del out[i]
                 changed = True
                 break
@@ -282,8 +283,6 @@ def brute_force_frontier(
 
 def cloud_to_csv(params: ModelParams, points: Sequence[DelayPowerPoint]) -> str:
     """CSV of a deterministic point cloud, flagging threshold policies."""
-    from .policies import is_threshold
-
     lines = ["power,delay,actions,is_threshold"]
     for pt in points:
         acts = ""

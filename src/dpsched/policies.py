@@ -19,6 +19,7 @@ from .model import (
     Policy,
     ThresholdPolicy,
     _last_state_at_most,
+    complete_thresholds,
     feasible_actions,
     threshold_action_map,
     threshold_to_policy,
@@ -56,50 +57,27 @@ def enumerate_deterministic(
 def is_threshold(params: ModelParams, policy: Policy) -> Optional[ThresholdPolicy]:
     """Recognize a policy as threshold-based, or return None.
 
-    Accepted policies have a nondecreasing deterministic action map, with
-    state 1 transmitting (the zero-action threshold is pinned to state 0),
-    and at most one fractional row that splits between adjacent actions.
+    The candidate takes each row's first supported action as its level and
+    randomizes the first fractional row between that level and the next
+    action.  `ThresholdPolicy` and `threshold_to_policy` reject candidates
+    no threshold vector can express, and the policy is accepted only if the
+    candidate rebuilds it to within 1e-9 (so at most one row is fractional).
     """
     f = policy.f
-    K, M = params.K, params.M
     det_tol = 1e-9
-    # level[k]: deterministic action, or the lower split action for the
-    # (at most one) fractional row.
-    levels: list[int] = []
-    frac_state = frac_m = None
-    frac_w = 0.0
-    for k in range(K + 1):
-        row = f[k]
-        top = int(np.argmax(row))
-        if row[top] > 1 - det_tol:
-            levels.append(top)
-            continue
-        support = np.nonzero(row > det_tol)[0]
-        if frac_state is not None or len(support) != 2:
-            return None
-        lo, hi = int(support[0]), int(support[1])
-        if hi != lo + 1:
-            return None
-        frac_state, frac_m, frac_w = k, lo, float(row[lo])
-        levels.append(lo)
-    if any(b < a for a, b in zip(levels, levels[1:])):
-        return None
-    if K >= 1 and levels[1] == 0:
-        return None  # state 1 idles: not representable with the 0-threshold at 0
-    if frac_state is not None and any(
-        levels[k] <= frac_m for k in range(frac_state + 1, K + 1)
-    ):
-        return None  # states past the split must use the higher action
-    ts = _last_state_at_most(levels, M)
+    frac = np.flatnonzero(f.max(axis=1) <= 1 - det_tol)
+    levels = np.argmax(f > det_tol, axis=1)
+    ts = _last_state_at_most(levels, params.M)
     try:
-        if frac_state is not None:
-            tp = ThresholdPolicy(ts, randomized_index=frac_m, weight=frac_w)
+        if frac.size:
+            m = int(levels[frac[0]])
+            tp = ThresholdPolicy(ts, randomized_index=m, weight=float(f[frac[0], m]))
         else:
             tp = ThresholdPolicy(ts)
         rebuilt = threshold_to_policy(params, tp)
     except InfeasibleThresholds:
         return None
-    if np.max(np.abs(rebuilt.f - policy.f)) > 1e-9:
+    if np.max(np.abs(rebuilt.f - f)) > det_tol:
         return None
     return tp
 
@@ -108,8 +86,6 @@ def initial_threshold_policy(params: ModelParams) -> ThresholdPolicy:
     """Zero-delay starting point of the frontier walk: transmit every
     arrival immediately (threshold m capped at min(m, A)), completed to
     full state coverage."""
-    from .model import complete_thresholds
-
     raw = ThresholdPolicy(
         tuple(min(m, params.A) for m in range(params.M + 1))
     )
@@ -121,8 +97,9 @@ def neighbors_increase_threshold(
 ) -> list[ThresholdPolicy]:
     """All legal variants of tp with exactly one threshold raised by 1.
 
-    The zero-action threshold stays pinned at 0 and the raised vector must
-    stay nondecreasing, within [0, K], and induce a feasible policy.
+    The zero-action threshold stays pinned at 0; `ThresholdPolicy` and
+    `threshold_action_map` reject raised vectors that are not
+    nondecreasing, exceed K or induce an infeasible policy.
     """
     if not tp.is_deterministic():
         raise InfeasibleThresholds("neighbor generation requires a deterministic policy")
@@ -131,10 +108,6 @@ def neighbors_increase_threshold(
     for m in range(1, len(ts)):
         cand = list(ts)
         cand[m] += 1
-        if cand[m] > params.K:
-            continue
-        if m + 1 < len(cand) and cand[m] > cand[m + 1]:
-            continue
         try:
             nb = ThresholdPolicy(tuple(cand))
             threshold_action_map(params, nb)

@@ -18,6 +18,18 @@ from .lp import build_lp, occupation_measure, solve_simplex
 from .pareto import ParetoCurve, algorithm1, brute_force_frontier
 from .sim import simulate
 
+# Gates of the checks, and the fixed sizes of their samples.
+TRANSITION_TOL = 1e-15
+COLLINEARITY_TOL = 1e-9
+MIXING_GRID = 11
+FRONTIER_TOL = 1e-9
+LP_OVERLAP_BUDGETS = 20
+LP_OVERLAP_TOL = 1e-6
+LP_EQUALITY_TOL = 1e-12
+SIM_TRIALS = 3
+SIM_REL_TOL = 0.02
+SIM_TV_TOL = 0.01
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -72,7 +84,7 @@ def random_one_row_pair(
 
 
 def check_transition_equivalence(
-    params: ModelParams, trials: int, rng: np.random.Generator, tol: float = 1e-15
+    params: ModelParams, trials: int, rng: np.random.Generator
 ) -> CheckResult:
     worst = 0.0
     for _ in range(trials):
@@ -80,25 +92,21 @@ def check_transition_equivalence(
         a = mrp.build_transition_enumerative(params, pol)
         b = mrp.build_transition_piecewise(params, pol)
         worst = max(worst, float(np.max(np.abs(a - b))))
-    return CheckResult("transition-equivalence", worst <= tol, worst, tol)
+    return CheckResult("transition-equivalence", worst <= TRANSITION_TOL, worst, TRANSITION_TOL)
 
 
 def check_collinearity(
-    params: ModelParams,
-    trials: int,
-    rng: np.random.Generator,
-    tol: float = 1e-9,
-    grid: int = 11,
+    params: ModelParams, trials: int, rng: np.random.Generator
 ) -> CheckResult:
     """Mixing two one-row-differing policies traces the chord between their
     reward pairs, with the closed-form interpolation weight and slope."""
     worst = 0.0
-    eps_grid = np.linspace(0.0, 1.0, grid)
+    eps_grid = np.linspace(0.0, 1.0, MIXING_GRID)
     for _ in range(trials):
         try:
             F, F2, _ = random_one_row_pair(params, rng)
         except RowDiffCountMismatch as exc:
-            return CheckResult("mixing-geometry", True, 0.0, tol, f"{exc} (0 pairs)")
+            return CheckResult("mixing-geometry", True, 0.0, COLLINEARITY_TOL, f"{exc} (0 pairs)")
         cache = mrp.EvalCache()
         ana = mrp.mixing_analysis(params, F, F2, cache)
         worst = max(worst, abs(ana.epsilon_prime(0.0)), abs(ana.epsilon_prime(1.0) - 1.0))
@@ -113,14 +121,13 @@ def check_collinearity(
             want_p, want_d = ana.predicted_point(float(eps))
             worst = max(worst, abs(got.power - want_p), abs(got.delay - want_d))
         try:
-            sl = mrp.segment_slope(params, F, F2, cache)
             # scale by the slope magnitude: steep segments (tiny power gap)
             # amplify solver rounding in the finite difference
-            err = abs(sl.closed_form - sl.finite_difference)
-            worst = max(worst, err / max(1.0, abs(sl.finite_difference)))
+            chord = ana.chord_slope
+            worst = max(worst, abs(ana.slope - chord) / max(1.0, abs(chord)))
         except mrp.DegenerateSegment:
             pass
-    return CheckResult("mixing-geometry", worst <= tol, worst, tol)
+    return CheckResult("mixing-geometry", worst <= COLLINEARITY_TOL, worst, COLLINEARITY_TOL)
 
 
 def curves_match(a, b) -> float:
@@ -133,35 +140,30 @@ def curves_match(a, b) -> float:
     return worst
 
 
-def check_frontier_equivalence(
-    params: ModelParams, walk: ParetoCurve, tol: float = 1e-9
-) -> CheckResult:
+def check_frontier_equivalence(params: ModelParams, walk: ParetoCurve) -> CheckResult:
     """The walk's frontier `walk` against brute force."""
     brute = brute_force_frontier(params)
     worst = curves_match(walk, brute)
     detail = f"({len(walk.vertices)} vs {len(brute.vertices)} vertices)"
-    return CheckResult("frontier-equivalence", worst <= tol, worst, tol, detail)
+    return CheckResult("frontier-equivalence", worst <= FRONTIER_TOL, worst, FRONTIER_TOL, detail)
 
 
-def check_lp_overlap(
-    params: ModelParams, curve: ParetoCurve, n_budgets: int = 20, tol: float = 1e-6
-) -> CheckResult:
+def check_lp_overlap(params: ModelParams, curve: ParetoCurve) -> CheckResult:
     """LP optima at budgets across the walk's frontier `curve` against its
     interpolation."""
-    budgets = np.linspace(curve.min_power, curve.max_power, n_budgets)
+    budgets = np.linspace(curve.min_power, curve.max_power, LP_OVERLAP_BUDGETS)
     worst = 0.0
     for p_th in budgets:
         sol = solve_simplex(build_lp(params, float(p_th)))
         if sol.status != "optimal":
-            return CheckResult(
-                "lp-curve-overlap", False, float("inf"), tol, f"status {sol.status} at {p_th}"
-            )
+            detail = f"status {sol.status} at {p_th}"
+            return CheckResult("lp-curve-overlap", False, float("inf"), LP_OVERLAP_TOL, detail)
         worst = max(worst, abs(sol.delay - curve.interpolate(float(p_th))))
-    return CheckResult("lp-curve-overlap", worst <= tol, worst, tol)
+    return CheckResult("lp-curve-overlap", worst <= LP_OVERLAP_TOL, worst, LP_OVERLAP_TOL)
 
 
 def check_lp_consistency(
-    params: ModelParams, trials: int, rng: np.random.Generator, tol: float = 1e-12
+    params: ModelParams, trials: int, rng: np.random.Generator
 ) -> CheckResult:
     """Occupation measures of valid policies satisfy the LP equalities."""
     lp = build_lp(params, p_th=0.0)
@@ -171,7 +173,7 @@ def check_lp_consistency(
         pi = mrp.stationary_distribution(mrp.build_transition_enumerative(params, pol))
         x = occupation_measure(params, pol, pi)
         worst = max(worst, float(np.max(np.abs(lp.A_eq @ x - lp.b_eq))))
-    return CheckResult("lp-equalities", worst <= tol, worst, tol)
+    return CheckResult("lp-equalities", worst <= LP_EQUALITY_TOL, worst, LP_EQUALITY_TOL)
 
 
 def check_simulation(
@@ -180,8 +182,6 @@ def check_simulation(
     rng: np.random.Generator,
     slots: int = 1_000_000,
     seed: int = 1234,
-    rel_tol: float = 0.02,
-    tv_tol: float = 0.01,
 ) -> CheckResult:
     worst = 0.0
     for i in range(trials):
@@ -192,16 +192,16 @@ def check_simulation(
         got = simulate(params, pol, slots=slots, seed=seed + i)
         if got.overflow_violations or got.underflow_violations:
             return CheckResult(
-                "simulation-agreement", False, float("inf"), rel_tol, "buffer violation"
+                "simulation-agreement", False, float("inf"), SIM_REL_TOL, "buffer violation"
             )
         p_err = abs(got.empirical_power - want_power) / want_power
         if want_delay < 0.05:
-            d_err = abs(got.empirical_delay - want_delay) / 0.01 * rel_tol
+            d_err = abs(got.empirical_delay - want_delay) / 0.01 * SIM_REL_TOL
         else:
             d_err = abs(got.empirical_delay - want_delay) / want_delay
         tv = 0.5 * float(np.sum(np.abs(np.array(got.state_occupancy) - pi)))
-        worst = max(worst, p_err, d_err, tv / tv_tol * rel_tol)
-    return CheckResult("simulation-agreement", worst <= rel_tol, worst, rel_tol)
+        worst = max(worst, p_err, d_err, tv / SIM_TV_TOL * SIM_REL_TOL)
+    return CheckResult("simulation-agreement", worst <= SIM_REL_TOL, worst, SIM_REL_TOL)
 
 
 def run_battery(
@@ -209,7 +209,6 @@ def run_battery(
     seed: int = 7,
     trials: int = 25,
     sim_slots: int = 1_000_000,
-    sim_trials: int = 3,
 ) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     walk = algorithm1(params)
@@ -219,5 +218,5 @@ def run_battery(
         check_lp_overlap(params, walk),
         check_collinearity(params, trials, rng),
         check_lp_consistency(params, trials, rng),
-        check_simulation(params, sim_trials, rng, slots=sim_slots, seed=seed),
+        check_simulation(params, SIM_TRIALS, rng, slots=sim_slots, seed=seed),
     ]

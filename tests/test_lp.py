@@ -12,7 +12,7 @@ from dpsched.lp import (
     sweep,
     sweep_to_csv,
 )
-from dpsched.model import Policy, feasibility_mask, validate_params
+from dpsched.model import Policy, feasibility_mask, feasible_actions, validate_params
 from dpsched.pareto import algorithm1
 from dpsched.verify import random_policy
 
@@ -159,6 +159,90 @@ class TestRecoverPolicy:
         sol = solve_simplex(build_lp(params_vi, 0.0))
         with pytest.raises(errors.DegenerateSolution):
             recover_policy(params_vi, sol)
+
+
+def reference_recover_policy(params, sol):
+    """Per-state recovery: reachable rows are x[k] / pi_k; each unreachable
+    state takes the smallest feasible action not below the previous state's
+    largest supported action; if that chain is singular, every unreachable
+    state takes its largest feasible action.  Returns (policy, fell_back)."""
+    x = np.zeros((params.K + 1, params.M + 1))
+    x[feasibility_mask(params)] = sol.x
+    x[x < 0.0] = 0.0
+    pi = x.sum(axis=1)
+    f = np.zeros_like(x)
+    unreachable = []
+    prev_action = 0
+    for k in range(params.K + 1):
+        acts = feasible_actions(params, k)
+        if pi[k] > 1e-12:
+            row = x[k] / pi[k]
+            s = row.sum()
+            if abs(s - 1.0) > 1e-8:
+                raise errors.DegenerateSolution(f"recovered row {k} sums to {s}")
+            f[k] = row / s
+            prev_action = int(np.max(np.nonzero(row > 1e-12)[0]))
+        else:
+            unreachable.append(k)
+            m = max(prev_action, acts.start)
+            if m not in acts:
+                raise errors.DegenerateSolution(f"no feasible completion action at state {k}")
+            f[k, m] = 1.0
+            prev_action = m
+    policy = Policy(params, f)
+    if not unreachable:
+        return policy, False
+    try:
+        mrp.stationary_distribution(mrp.build_transition_enumerative(params, policy))
+    except errors.SingularChain:
+        for k in unreachable:
+            f[k, :] = 0.0
+            f[k, feasible_actions(params, k)[-1]] = 1.0
+        return Policy(params, f), True
+    return policy, False
+
+
+# The reference instance and its alpha=0.05, A=1 and Q=0 variants.
+RECOVERY_INSTANCES = [
+    validate_params(0.4, 2, 3, 5, [0, 1, 4, 9]),
+    validate_params(0.05, 2, 3, 5, [0, 1, 4, 9]),
+    validate_params(0.4, 1, 3, 5, [0, 1, 4, 9]),
+    validate_params(0.4, 2, 3, 0, [0, 1, 4, 9]),
+]
+
+
+@pytest.mark.parametrize("params", RECOVERY_INSTANCES, ids=["reference", "alpha0.05", "A1", "Q0"])
+def test_recover_policy_matches_per_state_reference(params, rng):
+    """LP optima, and occupation measures of random policies with the mass
+    of a random set of states removed (some entries pushed slightly below
+    zero), recovered bit-identically to the per-state reference."""
+    ks = np.nonzero(feasibility_mask(params))[0]
+    sols = [solve_simplex(build_lp(params, p_th)) for p_th in np.linspace(0.5, 2.0, 7)]
+    for _ in range(60):
+        pol = random_policy(params, rng)
+        if rng.random() < 0.5:
+            pol = Policy(params, np.eye(params.M + 1)[pol.f.argmax(axis=1)])
+        try:
+            pi = mrp.stationary_distribution(mrp.build_transition_enumerative(params, pol))
+        except errors.SingularChain:
+            continue
+        x = occupation_measure(params, pol, pi)
+        x[(rng.random(params.K + 1) < rng.random())[ks]] = 0.0
+        x[rng.integers(len(x))] -= 1e-14
+        sols.append(lp_module.LpSolution(status="optimal", iterations=0, x=x))
+    for sol in sols:
+        if sol.status == "optimal":
+            want, _ = reference_recover_policy(params, sol)
+            assert recover_policy(params, sol).f.tobytes() == want.f.tobytes()
+
+
+def test_recover_policy_singular_fallback(params_vi):
+    # the zero-delay optimum occupies states 0 and 2 only; completing state 1
+    # with action 0 closes {1, 3} off from them
+    sol = solve_simplex(build_lp(params_vi, 1.6))
+    want, fell_back = reference_recover_policy(params_vi, sol)
+    assert fell_back
+    assert recover_policy(params_vi, sol).f.tobytes() == want.f.tobytes()
 
 
 class TestSweep:

@@ -206,7 +206,7 @@ class TestMixing:
         cache = mrp.EvalCache()
         F, F2, _ = random_one_row_pair(params_vi, rng)
         mrp.mixing_analysis(params_vi, F, F2, cache)
-        mrp.segment_slope(params_vi, F, F2, cache)
+        mrp.mixing_analysis(params_vi, F, F2, cache)
         assert set(cache) == {F.key(), F2.key()}
         assert all(type(v) is mrp.DelayPowerPoint for v in cache.values())
         assert mrp.evaluate(params_vi, F2, cache) is cache[F2.key()]
@@ -237,25 +237,35 @@ class TestSegmentSlope:
         count = 0
         while count < 50:
             F, F2, _ = random_one_row_pair(params_vi, rng)
+            ana = mrp.mixing_analysis(params_vi, F, F2)
             try:
-                s = mrp.segment_slope(params_vi, F, F2)
+                slope, chord = ana.slope, ana.chord_slope
             except errors.DegenerateSegment:
                 continue
-            err = abs(s.closed_form - s.finite_difference)
-            assert err / max(1.0, abs(s.finite_difference)) <= 1e-9
+            assert abs(slope - chord) / max(1.0, abs(chord)) <= 1e-9
             count += 1
 
     def test_symmetric(self, params_vi, rng):
         F, F2, _ = random_one_row_pair(params_vi, rng)
-        a = mrp.segment_slope(params_vi, F, F2)
-        b = mrp.segment_slope(params_vi, F2, F)
-        assert a.closed_form == pytest.approx(b.closed_form, abs=1e-9)
+        a = mrp.mixing_analysis(params_vi, F, F2)
+        b = mrp.mixing_analysis(params_vi, F2, F)
+        assert a.slope == pytest.approx(b.slope, abs=1e-9)
 
     def test_identical_policies_degenerate(self, params_vi, rng):
         F = random_policy(params_vi, rng)
         with pytest.raises(errors.RowDiffCountMismatch):
-            mrp.segment_slope(params_vi, F, F)
+            mrp.mixing_analysis(params_vi, F, F)
         # same rewards with a genuine one-row difference is also degenerate
         f2 = F.f.copy()
         F2 = Policy(params_vi, f2)
         assert F2 == F
+
+    def test_unreachable_row_pair_has_no_slope(self, params_vi):
+        F = immediate_transmit(params_vi)
+        f2 = F.f.copy()
+        f2[7, :] = 0.0
+        f2[7, 3] = 1.0  # state 7 unreachable under F
+        ana = mrp.mixing_analysis(params_vi, F, Policy(params_vi, f2))
+        for slope in ("slope", "chord_slope"):
+            with pytest.raises(errors.DegenerateSegment):
+                getattr(ana, slope)

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from dpsched import errors
-from dpsched.model import ThresholdPolicy, feasible_actions, threshold_to_policy, validate_params
+from dpsched.model import (
+    Policy,
+    ThresholdPolicy,
+    feasible_actions,
+    threshold_to_policy,
+    validate_params,
+)
 from dpsched.policies import (
     count_deterministic,
     enumerate_deterministic,
@@ -114,6 +120,72 @@ class TestIsThreshold:
                         continue
                     assert got is not None
                     assert threshold_to_policy(params_vi, got) == pol
+
+
+# The reference instance and its Q=0 and A=1 variants.
+RECOGNITION_INSTANCES = [
+    validate_params(0.4, 2, 3, 5, [0, 1, 4, 9]),
+    validate_params(0.4, 2, 3, 0, [0, 1, 4, 9]),
+    validate_params(0.4, 1, 3, 5, [0, 1, 4, 9]),
+]
+
+
+def reference_is_threshold(params, policy):
+    """Per-state recognition: a nondecreasing deterministic action map with
+    state 1 transmitting, and at most one fractional row that splits between
+    adjacent actions, every later state using the higher one; the
+    thresholds must rebuild the policy to within 1e-9."""
+    f, K, M = policy.f, params.K, params.M
+    levels, frac = [], None
+    for k in range(K + 1):
+        top = int(np.argmax(f[k]))
+        if f[k, top] > 1 - 1e-9:
+            levels.append(top)
+            continue
+        support = [m for m in range(M + 1) if f[k, m] > 1e-9]
+        if frac is not None or len(support) != 2 or support[1] != support[0] + 1:
+            return None
+        frac = (k, support[0], float(f[k, support[0]]))
+        levels.append(support[0])
+    if any(b < a for a, b in zip(levels, levels[1:])) or levels[1] == 0:
+        return None
+    if frac is not None and any(levels[k] <= frac[1] for k in range(frac[0] + 1, K + 1)):
+        return None
+    ts = tuple(max((k for k in range(K + 1) if levels[k] <= m), default=-1) for m in range(M + 1))
+    try:
+        if frac is None:
+            tp = ThresholdPolicy(ts)
+        else:
+            tp = ThresholdPolicy(ts, randomized_index=frac[1], weight=frac[2])
+        rebuilt = threshold_to_policy(params, tp)
+    except errors.InfeasibleThresholds:
+        return None
+    return tp if np.max(np.abs(rebuilt.f - policy.f)) <= 1e-9 else None
+
+
+@pytest.mark.parametrize("params", RECOGNITION_INSTANCES, ids=["reference", "Q0", "A1"])
+def test_is_threshold_matches_per_state_reference(params, rng):
+    """Every deterministic policy, every adjacent one-row split of one (the
+    lower action weighted 0.25, so it is not the row's largest entry) and
+    random policies with many fractional rows."""
+    n_threshold = n_split_threshold = 0
+    for det in enumerate_deterministic(params):
+        cands = [det]
+        for k, a in enumerate(det.action_map()):
+            if a + 1 in feasible_actions(params, k):
+                f = det.f.copy()
+                f[k, a], f[k, a + 1] = 0.25, 0.75
+                cands.append(Policy(params, f))
+        for i, pol in enumerate(cands):
+            want = reference_is_threshold(params, pol)
+            assert is_threshold(params, pol) == want
+            n_threshold += want is not None
+            n_split_threshold += want is not None and i > 0
+    for _ in range(50):
+        pol = random_policy(params, rng)
+        assert is_threshold(params, pol) == reference_is_threshold(params, pol)
+    assert n_threshold > 0
+    assert n_split_threshold > 0 or params.Q == 0
 
 
 class TestWalkMoves:
