@@ -17,7 +17,7 @@ import numpy as np
 
 from . import mrp
 from .errors import DegenerateSolution, IterationLimit, ModelError, SingularChain
-from .model import ModelParams, Policy, _complete_actions, _feasible, feasibility_mask
+from .model import ModelParams, Policy, _complete_actions, feasibility_mask
 
 FEAS_TOL = 1e-9
 REDUCED_COST_TOL = 1e-9
@@ -221,6 +221,9 @@ def recover_policy(params: ModelParams, sol: LpSolution) -> Policy:
     Rows with no stationary mass (unreachable states) are completed by
     `model._complete_actions`, carrying each reachable row's largest
     supported action, so the returned matrix is a fully specified policy.
+    Each reachable row is divided by its own mass, so it sums to 1 within
+    rounding; the completion max(a, k-Q) never exceeds min(k, M), as
+    a <= min(j, M) for an earlier state j and k-Q <= A <= M.
     """
     if sol.status != "optimal" or sol.x is None:
         raise DegenerateSolution(f"cannot recover a policy from status {sol.status}")
@@ -231,21 +234,11 @@ def recover_policy(params: ModelParams, sol: LpSolution) -> Policy:
     pi = x.sum(axis=1)
     reach = pi > 1e-12
     rows = x[reach] / pi[reach, None]
-    sums = np.zeros(params.K + 1)
-    sums[reach] = rows.sum(axis=1)
     top = np.zeros(params.K + 1, dtype=int)
     top[reach] = params.M - np.argmax(rows[:, ::-1] > 1e-12, axis=1)
     acts = _complete_actions(params, top, reach)
-    bad = np.flatnonzero(
-        np.where(reach, np.abs(sums - 1.0) > 1e-8, ~_feasible(params, states, acts))
-    )
-    if bad.size:
-        k = int(bad[0])
-        if reach[k]:
-            raise DegenerateSolution(f"recovered row {k} sums to {sums[k]}")
-        raise DegenerateSolution(f"no feasible completion action at state {k}")
     f = np.zeros_like(x)
-    f[reach] = rows / sums[reach, None]
+    f[reach] = rows / rows.sum(axis=1)[:, None]
     unreachable = states[~reach]
     f[unreachable, acts[unreachable]] = 1.0
     policy = Policy(params, f)

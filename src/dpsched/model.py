@@ -327,9 +327,12 @@ def complete_thresholds(params: ModelParams, tp: ThresholdPolicy) -> ThresholdPo
     return ThresholdPolicy(_last_state_at_most(threshold_action_map(params, tp), params.M))
 
 
-def threshold_to_policy(params: ModelParams, tp: ThresholdPolicy) -> Policy:
-    """Materialize a ThresholdPolicy as a full Policy matrix."""
-    acts = threshold_action_map(params, tp)
+def threshold_to_policy(
+    params: ModelParams, tp: ThresholdPolicy, actions: Optional[list[int]] = None
+) -> Policy:
+    """Materialize a ThresholdPolicy as a full Policy matrix.  `actions`,
+    if given, is tp's `threshold_action_map`, already computed."""
+    acts = threshold_action_map(params, tp) if actions is None else actions
     f = np.zeros((params.K + 1, params.M + 1))
     f[np.arange(params.K + 1), acts] = 1.0
     if tp.randomized_index is not None:

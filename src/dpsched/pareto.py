@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -188,9 +188,12 @@ def lower_convex_hull(points: Sequence[DelayPowerPoint]) -> ParetoCurve:
 
 
 def _threshold_point(
-    params: ModelParams, tp: ThresholdPolicy, cache: EvalCache
+    params: ModelParams,
+    tp: ThresholdPolicy,
+    cache: EvalCache,
+    actions: Optional[list[int]] = None,
 ) -> DelayPowerPoint:
-    policy = threshold_to_policy(params, tp)
+    policy = threshold_to_policy(params, tp, actions)
     try:
         base = evaluate(params, policy, cache)
     except SingularChain as exc:
@@ -227,10 +230,10 @@ def algorithm1(params: ModelParams) -> ParetoCurve:
         pending = list(current.values())
         while pending:
             tp = pending.pop()
-            for nb in neighbors_increase_threshold(params, tp):
+            for nb, acts in neighbors_increase_threshold(params, tp).items():
                 if nb.thresholds in current or nb.thresholds in candidates:
                     continue
-                pt = _threshold_point(params, nb, cache)
+                pt = _threshold_point(params, nb, cache, acts)
                 if abs(pt.power - p_p) <= POINT_TOL and abs(pt.delay - d_p) <= POINT_TOL:
                     current[nb.thresholds] = nb
                     pending.append(nb)

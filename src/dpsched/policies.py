@@ -94,8 +94,10 @@ def initial_threshold_policy(params: ModelParams) -> ThresholdPolicy:
 
 def neighbors_increase_threshold(
     params: ModelParams, tp: ThresholdPolicy
-) -> list[ThresholdPolicy]:
-    """All legal variants of tp with exactly one threshold raised by 1.
+) -> dict[ThresholdPolicy, list[int]]:
+    """All legal variants of tp with exactly one threshold raised by 1, in
+    order of the raised index, each mapped to its `threshold_action_map`
+    (which `threshold_to_policy` takes as given, so no vector is mapped twice).
 
     The zero-action threshold stays pinned at 0; `ThresholdPolicy` and
     `threshold_action_map` reject raised vectors that are not
@@ -103,15 +105,14 @@ def neighbors_increase_threshold(
     """
     if not tp.is_deterministic():
         raise InfeasibleThresholds("neighbor generation requires a deterministic policy")
-    out = []
+    out = {}
     ts = tp.thresholds
     for m in range(1, len(ts)):
         cand = list(ts)
         cand[m] += 1
         try:
             nb = ThresholdPolicy(tuple(cand))
-            threshold_action_map(params, nb)
+            out[nb] = threshold_action_map(params, nb)
         except InfeasibleThresholds:
             continue
-        out.append(nb)
     return out

@@ -235,7 +235,9 @@ class TestFeasibilityBookkeeping:
                 except errors.InfeasibleThresholds:
                     continue
                 want.append(nb)
-            assert neighbors_increase_threshold(params, ThresholdPolicy(ts)) == want
+            got = neighbors_increase_threshold(params, ThresholdPolicy(ts))
+            assert list(got) == want
+            assert all(acts == threshold_action_map(params, nb) for nb, acts in got.items())
 
     def test_lp_variables_in_lexicographic_feasible_order(self, params):
         want = tuple(

@@ -1,11 +1,70 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from dpsched import errors, mrp
-from dpsched.model import Policy, ThresholdPolicy, threshold_to_policy, validate_params
+from dpsched.model import (
+    Policy,
+    ThresholdPolicy,
+    feasible_actions,
+    threshold_to_policy,
+    validate_params,
+)
+from dpsched.pareto import algorithm1
+from dpsched.policies import enumerate_deterministic, policy_from_actions
 from dpsched.verify import random_one_row_pair, random_policy
 
 from conftest import random_params
+
+
+def balance_matrix(lam):
+    """The normalized balance system H: a ones row over (lam - I)[:K]."""
+    n = lam.shape[0]
+    return np.vstack([np.ones((1, n)), (lam - np.eye(n))[: n - 1, :]])
+
+
+def dense_factor(lam):
+    """Reference: dense LU with partial pivoting of H, singular below
+    SINGULAR_TOL (the solve `mrp` used before the banded one)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lu_piv = lu_factor(balance_matrix(lam), check_finite=False)
+    if np.min(np.abs(np.diag(lu_piv[0]))) < mrp.SINGULAR_TOL:
+        raise errors.SingularChain("dense pivot below SINGULAR_TOL")
+    return lu_piv
+
+
+def dense_stationary(lam):
+    e0 = np.zeros(lam.shape[0])
+    e0[0] = 1.0
+    return mrp._clean_pi(lam, lu_solve(dense_factor(lam), e0, check_finite=False))
+
+
+def verdict(solve, lam):
+    """pi, or None if the solve raises SingularChain."""
+    try:
+        return solve(lam)
+    except errors.SingularChain:
+        return None
+
+
+def random_deterministic(params, rng):
+    acts = [int(rng.choice(feasible_actions(params, k))) for k in range(params.K + 1)]
+    return policy_from_actions(params, acts)
+
+
+REFERENCE = dict(A=2, M=3, Q=5, power=[0, 1, 4, 9])
+# alpha at both ends, A=1, M=A and Q=0, around the reference instance
+EDGE_INSTANCES = {
+    "alpha0.01": validate_params(alpha=0.01, **REFERENCE),
+    "alpha0.37": validate_params(alpha=0.37, **REFERENCE),
+    "alpha1": validate_params(alpha=1.0, **REFERENCE),
+    "A1": validate_params(0.4, 1, 3, 5, [0, 1, 4, 9]),
+    "M=A": validate_params(0.4, 2, 2, 5, [0, 1, 3]),
+    "Q0": validate_params(0.4, 2, 3, 0, [0, 1, 4, 9]),
+}
 
 
 def immediate_transmit(params_vi) -> Policy:
@@ -269,3 +328,89 @@ class TestSegmentSlope:
         for slope in ("slope", "chord_slope"):
             with pytest.raises(errors.DegenerateSegment):
                 getattr(ana, slope)
+
+
+class TestBandedSolve:
+    """The banded factorization against the dense LU of H it replaced."""
+
+    @pytest.mark.parametrize("Q, singular", [(5, 539), (6, 2795)])
+    def test_brute_force_verdicts_and_pi_match_dense(self, Q, singular):
+        params = validate_params(alpha=0.4, **dict(REFERENCE, Q=Q))
+        count = 0
+        for pol in enumerate_deterministic(params):
+            lam = mrp.build_transition_enumerative(params, pol)
+            want = verdict(dense_stationary, lam)
+            got = verdict(mrp.stationary_distribution, lam)
+            assert (got is None) == (want is None)
+            if want is None:
+                count += 1
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-14
+        assert count == singular
+
+    @pytest.mark.parametrize("name", EDGE_INSTANCES)
+    def test_random_policy_verdicts_and_pi_match_dense(self, name, rng):
+        params = EDGE_INSTANCES[name]
+        pols = [random_policy(params, rng) for _ in range(100)]
+        # near alpha=0.01 a deterministic chain can be so close to
+        # decomposable that neither LU can tell it from a singular one
+        if params.alpha > 0.01:
+            pols += [random_deterministic(params, rng) for _ in range(300)]
+        for pol in pols:
+            lam = mrp.build_transition_enumerative(params, pol)
+            want = verdict(dense_stationary, lam)
+            got = verdict(mrp.stationary_distribution, lam)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_band_storage_holds_h_times_d(self, rng):
+        for params in list(EDGE_INSTANCES.values()) + [random_params(rng) for _ in range(3)]:
+            pol = random_policy(params, rng)
+            lam = mrp.build_transition_enumerative(params, pol)
+            n = params.K + 1
+            D = np.eye(n) - np.eye(n, k=1)  # pi = D z, z the tail sums
+            want = balance_matrix(lam) @ D
+            ab = mrp._balance_band(lam, params.A, params.M)
+            kl, ku = params.A + 1, params.M
+            assert ab.shape == (2 * kl + ku + 1, n)
+            assert not ab[:kl].any()  # fill-in space of gbtrf
+            got = np.zeros((n, n))
+            for r in range(n):
+                for k in range(max(0, r - kl), min(n, r + ku + 1)):
+                    got[r, k] = ab[kl + ku + r - k, k]
+            assert np.array_equal(got, want)
+
+    def test_mixing_solve_matches_dense(self, rng):
+        instances = [p for name, p in EDGE_INSTANCES.items() if name != "Q0"]  # Q=0: no pair
+        for params in instances + [random_params(rng) for _ in range(3)]:
+            for _ in range(10):
+                F, F2, _ = random_one_row_pair(params, rng)
+                ana = mrp.mixing_analysis(params, F, F2)
+                lam = mrp.build_transition_enumerative(params, F)
+                want = lu_solve(dense_factor(lam), ana.delta_k, check_finite=False)
+                assert np.max(np.abs(ana.v - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_walk_vertex_against_40_digit_solve(self):
+        mpmath = pytest.importorskip("mpmath")
+        params = validate_params(0.5, 3, 5, 40, [0, 1, 4, 9, 16, 25])  # ladder K=43
+        vertex = algorithm1(params).vertices[-1]
+        lam = mrp.build_transition_enumerative(params, vertex.policy)
+        n = params.K + 1
+        with mpmath.workdps(40):
+            H = mpmath.matrix(balance_matrix(lam).tolist())
+            e0 = mpmath.matrix([1] + [0] * (n - 1))
+            pi = mpmath.lu_solve(H, e0)
+            r = mrp.power_reward_vector(params, vertex.policy)
+            power = mpmath.fsum(mpmath.mpf(r[k]) * pi[k] for k in range(n))
+            delay = mpmath.fsum(k * pi[k] for k in range(n)) / (params.alpha * params.A) - 1
+
+            def error(p):
+                return max(
+                    float(abs(mrp.average_power(params, vertex.policy, p) - power) / power),
+                    float(abs(mrp.average_delay(params, p) - delay) / delay),
+                )
+
+            banded = error(mrp.stationary_distribution(lam))
+            dense = error(dense_stationary(lam))
+        assert banded <= dense

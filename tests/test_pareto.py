@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from dpsched import model, policies
 from dpsched.model import validate_params
 from dpsched.mrp import DelayPowerPoint
 from dpsched.pareto import (
@@ -91,6 +93,25 @@ class TestCurveInvariants:
         assert len(doc["vertices"]) == len(curve.vertices)
         assert len(doc["segments"]) == len(curve.vertices) - 1
         assert doc["vertices"][0]["thresholds"] == [0, 1, 7, 7]
+
+    def test_walk_maps_raised_vectors_only_in_neighbor_generation(self, monkeypatch):
+        # the walk builds each raised vector's policy from the action map
+        # neighbor generation made, instead of mapping the vector again
+        outside = Counter()
+        original = model.threshold_action_map
+
+        def counting(params, tp):
+            outside[tp.thresholds] += 1
+            return original(params, tp)
+
+        params = validate_params(0.5, 3, 5, 19, [0, 1, 4, 9, 16, 25])  # ladder K=22
+        start = policies.initial_threshold_policy(params).thresholds
+        monkeypatch.setattr(model, "threshold_action_map", counting)
+        assert len(algorithm1(params).vertices) == 28
+        # only the starting vector: its raw form once to complete it, and
+        # the completed vector once for its policy
+        assert outside[start] == 1
+        assert sum(outside.values()) == 2
 
 
 class TestFrontierEquivalence:
