@@ -126,8 +126,6 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _load_model(args)
-    if args.slots < 1:
-        raise ModelError(f"--slots must be >= 1, got {args.slots}")
     policy = Policy.from_csv(params, Path(args.policy).read_text())
     res = simulate(params, policy, slots=args.slots, seed=args.seed, trace_path=args.trace)
     print(f"slots={res.slots} burn_in={res.burn_in} seed={res.seed}")
@@ -136,6 +134,10 @@ def cmd_simulate(args) -> int:
     print(
         f"overflow_violations={res.overflow_violations} "
         f"underflow_violations={res.underflow_violations}"
+    )
+    print(
+        f"power_halfwidth={res.power_halfwidth:.9f} "
+        f"delay_halfwidth={res.delay_halfwidth:.9f}"
     )
     return 0
 

@@ -116,6 +116,9 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "empirical_delay=0.000000000" in out
         assert "overflow_violations=0" in out
+        # the 95% half-widths follow the existing lines
+        assert out.splitlines()[-1].startswith("power_halfwidth=")
+        assert " delay_halfwidth=0.000000000" in out
 
     def test_missing_policy_file(self, capsys):
         assert main(["simulate", *VI_FLAGS, "--policy", "/nonexistent.csv", "--slots", "10"]) == 2
@@ -126,6 +129,7 @@ class TestSimulate:
         path = tmp_path / "policy.csv"
         path.write_text(pol.to_csv())
         assert main(["simulate", *VI_FLAGS, "--policy", str(path), "--slots", "0"]) == 2
+        assert capsys.readouterr().err == "error: slots must be >= 1, got 0\n"
 
 
 class TestErrors:
@@ -146,6 +150,14 @@ class TestVerify:
         lines = [l for l in out.splitlines() if l]
         assert len(lines) == 6
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_bad_slots(self, capsys):
+        # a usage error, not a failed check: exit 2 with one error line
+        rc = main(["verify", *VI_FLAGS, "--trials", "3", "--slots", "0"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == "error: slots must be >= 1, got 0"
 
     def test_q0_has_no_mixing_pairs(self, capsys):
         rc = main(["verify", "--alpha", "0.5", "--A", "2", "--M", "2", "--Q", "0",

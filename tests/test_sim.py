@@ -1,10 +1,149 @@
+from bisect import bisect_right
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpsched import mrp
-from dpsched.model import ThresholdPolicy, threshold_to_policy, validate_params
-from dpsched.sim import simulate
+from dpsched.errors import ModelError
+from dpsched.model import (
+    Policy,
+    ThresholdPolicy,
+    feasible_actions,
+    threshold_to_policy,
+    validate_params,
+)
+from dpsched.pareto import algorithm1
+from dpsched.sim import Z_95, simulate
 from dpsched.verify import random_policy
+
+# fields the per-slot loop below computes; every one must match it exactly
+LOOP_FIELDS = (
+    "slots",
+    "burn_in",
+    "seed",
+    "empirical_power",
+    "empirical_delay",
+    "state_occupancy",
+    "overflow_violations",
+    "underflow_violations",
+)
+
+
+def loop_simulate(params, policy, slots, seed, trace_path=None):
+    """Reference: the per-slot loop that `simulate` replaces, kept verbatim
+    (same streams, draw rule, burn-in, counters and trace) to check that
+    the block-parallel path is the same sample path bit for bit."""
+    alpha, A, Q, K = params.alpha, params.A, params.Q, params.K
+    power = list(params.power)
+    ss = np.random.SeedSequence(seed)
+    arr_ss, tx_ss = ss.spawn(2)
+    arrivals = (
+        np.random.Generator(np.random.PCG64(arr_ss)).random(slots) < alpha
+    ).astype(np.int64).tolist()
+    draws = np.random.Generator(np.random.PCG64(tx_ss)).random(slots).tolist()
+    cum_rows = []
+    for k in range(K + 1):
+        actions = [m for m in range(params.M + 1) if policy.f[k, m] > 0.0]
+        cums = np.cumsum([policy.f[k, m] for m in actions]).tolist()
+        cums[-1] = 1.0
+        cum_rows.append((cums, actions))
+    burn = min(slots // 10, 10_000)
+    q = 0
+    q_sum = 0.0
+    power_sum = 0.0
+    counts = [0] * (K + 1)
+    overflow = underflow = 0
+    trace_rows = []
+    trace_cap = min(slots, 100_000) if trace_path is not None else 0
+    for n in range(slots):
+        a = arrivals[n]
+        t = q + A * a
+        cums, actions = cum_rows[t]
+        s = actions[min(bisect_right(cums, draws[n]), len(actions) - 1)]
+        if n >= burn:
+            q_sum += q
+            power_sum += power[s]
+            counts[t] += 1
+        if n < trace_cap:
+            trace_rows.append(f"{n},{a},{t},{s},{q}")
+        q_next = q + A * a - s
+        if q_next < 0:
+            underflow += 1
+            q_next = 0
+        elif q_next > Q:
+            overflow += 1
+            q_next = Q
+        q = q_next
+    if trace_path is not None:
+        Path(trace_path).write_text("n,a,t,s,q\n" + "\n".join(trace_rows) + "\n")
+    n_eff = slots - burn
+    total = sum(counts)
+    return dict(
+        slots=slots,
+        burn_in=burn,
+        seed=seed,
+        empirical_power=power_sum / n_eff,
+        empirical_delay=(q_sum / n_eff) / (alpha * A),
+        state_occupancy=tuple(cnt / total for cnt in counts),
+        overflow_violations=overflow,
+        underflow_violations=underflow,
+    )
+
+
+def assert_same_path(params, policy, slots, seed):
+    got = simulate(params, policy, slots, seed)
+    want = loop_simulate(params, policy, slots, seed)
+    assert {f: repr(getattr(got, f)) for f in LOOP_FIELDS} == {
+        f: repr(v) for f, v in want.items()
+    }
+    return got
+
+
+def unchecked_policy(params, rng):
+    """Random row-stochastic policy over the nonzero actions, mask not
+    enforced: state 0 always underflows and full states can overflow.  No
+    state sends 0 bits at no power, so padding slots past the end would
+    show in every statistic."""
+    f = np.zeros((params.K + 1, params.M + 1))
+    f[:, 1:] = rng.dirichlet(np.ones(params.M), size=params.K + 1)
+    return Policy(params, f, validate=False)
+
+
+def rarely_merging_policy(slots):
+    """Two backlog states whose lanes merge only on an arrival that draws
+    the rarer action in state 2, at a rate tuned so that about one block of
+    floor(sqrt(slots)) slots is left unmerged at the end of the block pass."""
+    params = validate_params(0.5, 1, 2, 1, [0, 1, 3])
+    L = int(np.sqrt(slots))
+    eps = np.log(L) / (params.alpha * L)
+    f = np.zeros((3, 3))
+    f[0, 0] = f[1, 0] = 1.0
+    f[2, 1], f[2, 2] = eps, 1.0 - eps
+    return params, Policy(params, f)
+
+
+def swap_policy():
+    """alpha = 1, A = 1, Q = 1: backlog 0 -> 1 -> 0 -> ...  The slot map is
+    a bijection, so the lanes of the block pass never merge."""
+    params = validate_params(1.0, 1, 2, 1, [0, 1, 3])
+    f = np.zeros((3, 3))
+    f[0, 0] = f[1, 0] = f[2, 2] = 1.0
+    return params, Policy(params, f)
+
+
+EXACT_INSTANCES = {
+    "reference": (0.4, 2, 3, 5, [0, 1, 4, 9]),
+    "Q0": (0.5, 2, 2, 0, [0, 1, 3]),
+    "A1-alpha0.05": (0.05, 1, 3, 4, [0, 1, 2.5, 4.5]),
+    "alpha0.01": (0.01, 2, 3, 5, [0, 1, 4, 9]),
+    "alpha0.99": (0.99, 2, 3, 5, [0, 1.3, 3.7, 8.2]),
+    "alpha1": (1.0, 2, 3, 5, [0, 1, 4, 9]),
+}
+# 7, 1001 and 12345 are not multiples of floor(sqrt(slots)); the burn-in
+# cap of 10^4 binds from 10^5 slots on
+EXACT_SLOTS = (1, 2, 7, 50, 500, 1001, 12345, 100_000, 200_000)
 
 
 class TestDeterminism:
@@ -31,6 +170,7 @@ class TestExactCases:
         assert res.empirical_delay == pytest.approx(0.0, abs=1e-12)
         assert res.state_occupancy[1] == pytest.approx(1.0, abs=1e-12)
         assert res.overflow_violations == res.underflow_violations == 0
+        assert res.power_halfwidth == res.delay_halfwidth == 0.0
 
     def test_immediate_transmit_zero_delay(self, params_vi):
         pol = threshold_to_policy(params_vi, ThresholdPolicy((0, 1, 7, 7)))
@@ -86,8 +226,162 @@ class TestValidation:
         pol = random_policy(params_vi, rng)
         with pytest.raises(ValueError):
             simulate(params_vi, pol, slots=0, seed=0)
+        with pytest.raises(ModelError, match="slots must be >= 1, got -3"):
+            simulate(params_vi, pol, slots=-3, seed=0)
 
     def test_burn_in_rule(self, params_vi, rng):
         pol = random_policy(params_vi, rng)
         assert simulate(params_vi, pol, slots=50, seed=0).burn_in == 5
         assert simulate(params_vi, pol, slots=300_000, seed=0).burn_in == 10_000
+
+
+class TestSamePathAsLoop:
+    """The block-parallel simulator reproduces the per-slot loop exactly."""
+
+    @pytest.mark.parametrize("slots", EXACT_SLOTS)
+    @pytest.mark.parametrize("name", sorted(EXACT_INSTANCES))
+    def test_random_policies(self, name, slots):
+        params = validate_params(*EXACT_INSTANCES[name])
+        rng = np.random.default_rng([slots, len(name)])
+        assert_same_path(params, random_policy(params, rng), slots, int(rng.integers(2**32)))
+
+    @pytest.mark.parametrize("slots", (7, 1001, 12345))
+    def test_violation_counters(self, slots):
+        params = validate_params(0.9, 2, 3, 5, [0, 1, 4, 9])
+        pol = unchecked_policy(params, np.random.default_rng(slots))
+        got = assert_same_path(params, pol, slots, seed=slots)
+        if slots > 1000:
+            assert got.overflow_violations > 0 and got.underflow_violations > 0
+
+    @pytest.mark.parametrize("slots", (2, 7, 50, 12345, 100_000))
+    def test_lanes_that_never_merge(self, slots):
+        params, pol = swap_policy()
+        got = assert_same_path(params, pol, slots, seed=3)
+        occ = got.state_occupancy
+        assert occ[0] == 0.0 and occ[1] + occ[2] == 1.0
+        assert round(abs(occ[1] - occ[2]) * (slots - got.burn_in)) <= 1
+
+    @pytest.mark.parametrize("slots", (400, 2500, 10_000))
+    def test_one_block_left_unmerged(self, slots):
+        # lanes may only be dropped once every block's lanes have met
+        params, pol = rarely_merging_policy(slots)
+        for seed in range(20):
+            assert_same_path(params, pol, slots, seed)
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_draw_equal_to_a_threshold(self, params_vi, seed, tmp_path):
+        # a state picks its r-th action when exactly r of its cumulative
+        # probabilities are <= the draw; put a draw on a threshold
+        slots = 500
+        arr_ss, tx_ss = np.random.SeedSequence(seed).spawn(2)
+        arrives = np.random.Generator(np.random.PCG64(arr_ss)).random(slots) < params_vi.alpha
+        draws = np.random.Generator(np.random.PCG64(tx_ss)).random(slots)
+        n = int(np.argmax(arrives))  # backlog 0 until here, so t = A
+        f = np.zeros((params_vi.K + 1, params_vi.M + 1))
+        for k in range(params_vi.K + 1):
+            acts = feasible_actions(params_vi, k)
+            if len(acts) > 1:
+                f[k, acts[0]], f[k, acts[1]] = draws[n], 1.0 - draws[n]
+            else:
+                f[k, acts[0]] = 1.0
+        pol = Policy(params_vi, f)
+        assert pol.f[params_vi.A, 0] == draws[n]
+        path = tmp_path / "trace.csv"
+        assert_same_path(params_vi, pol, slots, seed)
+        simulate(params_vi, pol, slots, seed, trace_path=path)
+        row = path.read_text().splitlines()[n + 1]
+        assert row == f"{n},1,{params_vi.A},1,0"
+
+    @pytest.mark.parametrize("slots", (1, 7, 500, 100_000, 150_000))
+    def test_trace_bytes(self, params_vi, slots, tmp_path):
+        pol = random_policy(params_vi, np.random.default_rng(slots))
+        simulate(params_vi, pol, slots, 5, trace_path=tmp_path / "new.csv")
+        loop_simulate(params_vi, pol, slots, 5, trace_path=tmp_path / "loop.csv")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "loop.csv").read_bytes()
+        assert new.count(b"\n") == min(slots, 100_000) + 1
+
+
+@pytest.fixture(scope="module")
+def ladder_curves():
+    return {
+        K: algorithm1(validate_params(0.5, 3, 5, K - 3, [0, 1, 4, 9, 16, 25]))
+        for K in (22, 203)
+    }
+
+
+@pytest.mark.parametrize("K", (22, 203))
+def test_walk_vertices_same_path(ladder_curves, K):
+    vertices = ladder_curves[K].vertices
+    params = vertices[0].policy.params
+    for v in (vertices[0], vertices[len(vertices) // 2], vertices[-1]):
+        assert_same_path(params, v.policy, 20_000, seed=K)
+
+
+def _edge_params(family, alpha, eps, A, extra_m, Q):
+    if family == "alpha->0":
+        alpha = eps
+    elif family == "alpha->1":
+        alpha = 1.0 - eps if eps > 1e-3 else 1.0
+    elif family == "Q=0":
+        Q = 0
+    elif family == "M=A":
+        extra_m = 0
+    elif family == "A=1":
+        A = 1
+    M = A + extra_m
+    power = [0.0] + [m * m + 0.25 * m for m in range(1, M + 1)]
+    return validate_params(alpha, A, M, Q, power)
+
+
+@given(
+    family=st.sampled_from(["alpha->0", "alpha->1", "Q=0", "M=A", "A=1"]),
+    alpha=st.floats(0.05, 0.95),
+    eps=st.floats(1e-4, 0.02),
+    A=st.integers(1, 3),
+    extra_m=st.integers(0, 2),
+    Q=st.integers(0, 6),
+    slots=st.integers(1, 5000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_edge_instances_same_path(family, alpha, eps, A, extra_m, Q, slots, seed):
+    """alpha near 0 and 1 (alpha = 1 included), Q = 0, M = A and A = 1."""
+    params = _edge_params(family, alpha, eps, A, extra_m, Q)
+    pol = random_policy(params, np.random.default_rng(seed))
+    assert_same_path(params, pol, slots, seed)
+
+
+class TestConfidenceHalfwidth:
+    def test_batch_means_from_trace(self, params_vi, rng, tmp_path):
+        pol = random_policy(params_vi, rng)
+        slots = 50_000
+        res = simulate(params_vi, pol, slots, 8, trace_path=tmp_path / "t.csv")
+        rows = np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1, dtype=int)
+        L = 223  # floor(sqrt(50000))
+        post = rows[res.burn_in:]
+        n_batch = len(post) // L
+        batches = post[: n_batch * L].reshape(n_batch, L, 5)
+        power = np.asarray(params_vi.power)[batches[:, :, 3]].mean(axis=1)
+        delay = batches[:, :, 4].mean(axis=1) / (params_vi.alpha * params_vi.A)
+        for got, means in ((res.power_halfwidth, power), (res.delay_halfwidth, delay)):
+            want = Z_95 * np.std(means, ddof=1) / np.sqrt(n_batch)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_nan_below_two_batches(self, params_vi, rng):
+        pol = random_policy(params_vi, rng)
+        res = simulate(params_vi, pol, 1, 0)
+        assert np.isnan(res.power_halfwidth) and np.isnan(res.delay_halfwidth)
+        assert res == simulate(params_vi, pol, 1, 0)
+
+    def test_interval_covers_exact_value(self, params_vi, rng):
+        pol = random_policy(params_vi, rng)
+        want = mrp.evaluate(params_vi, pol)
+        hits = 0
+        for seed in range(20):
+            res = simulate(params_vi, pol, 20_000, seed)
+            hits += abs(res.empirical_power - want.power) <= res.power_halfwidth
+            hits += abs(res.empirical_delay - want.delay) <= res.delay_halfwidth
+        # were the 40 intervals independent with 95% coverage, 33 or fewer
+        # hits would have probability 0.34%
+        assert hits >= 34
