@@ -1,15 +1,16 @@
 """Markov reward process for the backlog chain t[n].
 
-Builds the transition matrix of a policy, solves the stationary
-distribution, computes the average-power and average-delay rewards, and
+Builds the transition matrices of policies, solves their stationary
+distributions, computes the average-power and average-delay rewards, and
 implements the one-row mixing analysis (reward interpolation weight and
 segment slope in the (power, delay) plane).
 
 Transition matrices and stationary distributions are plain read-only
-ndarrays.  Every policy is scored by one path: build the transition
-matrix, factor its normalized balance system H once (`lu_factor`), solve
-it with one step of iterative refinement, then take the rewards of the
-stationary distribution.
+ndarrays.  Every policy is scored by one path, which takes a stack of N
+policy matrices at once (N=1 for a single policy): build the (N, K+1, K+1)
+transition matrices, factor their normalized balance systems H
+(`lu_factor`), solve them with one step of iterative refinement, then take
+the rewards of the stationary distributions (`score_stack`).
 
 From state i the chain moves only to i-m or i-m+A (0 <= m <= M), so
 lam - I has A sub- and M super-diagonals and only the ones row of H is
@@ -18,6 +19,21 @@ factors as a band matrix (LAPACK gbtrf/gbtrs, partial pivoting within
 the band) in O(K (A+M) A) time and O(K (A+M)) memory, against O(K^3)
 and O(K^2) dense.  The
 same factors give the mixing solve H^-1 delta_k.
+
+The N balance systems of a stack are laid side by side as one
+block-diagonal band of N(K+1) columns with the same kl and ku, so one
+gbtrf and one gbtrs call serve the whole stack.  This is exact: the band
+entries that cross blocks are exact zeros, so partial pivoting never picks
+a row of another block (gbtf2 takes the first entry of largest magnitude,
+and skips the update of a column whose pivot is exactly zero), and the
+rank-one updates add exact zeros outside the block; each block's factors
+and pivots are bit for bit those of its own factorization.  The solve is
+the exception: a zero pivot gives inf, and 0*inf = NaN in the back
+substitution would cross into the previous block.  So the chains with a
+pivot below SINGULAR_TOL are removed from the factors before any solve.
+The residuals and reward dot products are stacked `matmul` products, which
+call the same BLAS gemv or dot per chain as an unstacked product does
+(`einsum` and elementwise sums round differently).
 
 A chain is classified singular when a pivot of the banded LU falls below
 SINGULAR_TOL.  On the brute-force instances (alpha=0.4, A=2, M=3, Q=5 and
@@ -32,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -63,23 +79,51 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def build_transition_enumerative(params: ModelParams, policy: Policy) -> np.ndarray:
+def _matrix(policy: Union[Policy, np.ndarray]) -> np.ndarray:
+    return policy.f if isinstance(policy, Policy) else policy
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x per chain of a stack: one BLAS gemv each, as unstacked."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b per row of a stack: one BLAS dot each, as unstacked."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+@lru_cache(maxsize=16)
+def _scatter_index(n: int, actions: int, chains: int) -> np.ndarray:
+    """For each entry f[c, i, m] of a stack of `chains` policy matrices
+    (row-major), the flat index of lam[c, i-m, i] in the stack of n x n
+    transition matrices (meaningful where m <= i)."""
+    c, i, m = np.ogrid[:chains, :n, :actions]
+    return _read_only(((c * n + i - m) * n + i).ravel())
+
+
+def build_transition_enumerative(
+    params: ModelParams, policy: Union[Policy, np.ndarray]
+) -> np.ndarray:
     """Transition matrix by direct enumeration of (action, arrival) events.
 
-    Returns the read-only (K+1)x(K+1) column-stochastic matrix lam:
+    Takes a Policy or a stack of policy matrices (N, K+1, M+1).  Returns the
+    read-only (K+1)x(K+1) (or (N, K+1, K+1)) column-stochastic matrix lam:
     lam[j, i] is the probability of moving from state i to state j, so
     each column indexes a source state and sums to 1.  From state i,
     transmitting m bits leads to i-m without an arrival (probability
     1-alpha) and to i-m+A with one (probability alpha).
     """
     K, A, alpha = params.K, params.A, params.alpha
-    lam = np.zeros((K + 1, K + 1))
-    i, m = np.nonzero(policy.f)
-    p = policy.f[i, m]
-    # all no-arrival terms, then all arrival terms: each entry sums the
-    # same terms in the same order as a loop over (i, m)
-    np.add.at(lam, (i - m, i), (1 - alpha) * p)
-    np.add.at(lam, (i - m + A, i), alpha * p)
+    f = _matrix(policy)
+    lam = np.zeros(f.shape[:-1] + (K + 1,))
+    q = np.flatnonzero(f)  # the nonzero f[c, i, m], in row-major order
+    p = f.take(q)
+    to = _scatter_index(K + 1, f.shape[-1], f.size // f.shape[-1] // (K + 1)).take(q)
+    # all no-arrival terms, then all arrival terms (A rows further down):
+    # each entry sums the same terms in the same order as a loop over (i, m)
+    np.add.at(lam.reshape(-1), to, (1 - alpha) * p)
+    np.add.at(lam.reshape(-1), to + A * (K + 1), alpha * p)
     return _read_only(lam)
 
 
@@ -113,95 +157,135 @@ def build_transition_piecewise(params: ModelParams, policy: Policy) -> np.ndarra
 
 
 @lru_cache(maxsize=16)
-def _band_gather(n: int, lower: int, upper: int):
-    """Where the band of H's rows 1..n-1 sits in a flattened n x n lam with
-    `lower` sub- and `upper` super-diagonals.
+def _band_gather(n: int, lower: int, upper: int, chains: int):
+    """Where the band of H's rows 1..n-1 sits in a flattened stack of
+    `chains` n x n lam with `lower` sub- and `upper` super-diagonals.
 
-    Entry [t, k] is H[k - upper + t, k] for t = 0..lower+upper+1: the flat
-    index of lam[k - upper - 1 + t, k], a 0/1 mask of the lam rows 0..n-2
-    that H keeps, and the -1 of (lam - I) on its diagonal.
+    Entry [t, c, k] is H[k - upper + t, k] of chain c, for t =
+    0..lower+upper+1: the flat index of lam[c, k - upper - 1 + t, k], and
+    (the same for every chain) a 0/1 mask of the lam rows 0..n-2 that H
+    keeps and the -1 of (lam - I) on its diagonal.
     """
-    t = np.arange(lower + upper + 2)[:, None]
+    t = np.arange(lower + upper + 2)[:, None, None]
     k = np.arange(n)
     j = k - upper - 1 + t
     keep = (j >= 0) & (j <= n - 2)
-    arrays = np.where(keep, j * n + k, 0), keep.astype(float), (keep & (j == k)).astype(float)
+    flat = np.where(keep, j * n + k, 0) + np.arange(chains)[:, None] * (n * n)
+    arrays = flat, keep.astype(float), (keep & (j == k)).astype(float)
     return tuple(_read_only(a) for a in arrays)  # cached: shared by every caller
 
 
 @dataclass(frozen=True)
 class BandLU:
-    """Banded LU factors of the balance system H of lam, taken through the
-    tail-sum substitution pi = D z (`lu_factor`)."""
+    """Banded LU factors of the balance systems H of a stack of chains,
+    taken through the tail-sum substitution pi = D z (`lu_factor`).
+
+    `chains` holds the stack indices of the chains factored (those whose
+    pivots all pass SINGULAR_TOL), and lam their transition matrices."""
 
     lam: np.ndarray
     ab: np.ndarray
     piv: np.ndarray
     kl: int
     ku: int
+    chains: np.ndarray
 
 
 def _balance_band(lam: np.ndarray, lower: int, upper: int) -> np.ndarray:
-    """H D in LAPACK band storage for `lu_factor`: with kl = lower+1 and
-    ku = upper, ab[kl + ku + r - k, k] = (H D)[r, k], and the top kl rows
-    are the fill-in space of gbtrf."""
-    n = lam.shape[0]
+    """H D of every chain of lam (one n x n matrix or a stack (N, n, n)) in
+    LAPACK band storage, the chains side by side as one block-diagonal band:
+    with kl = lower+1 and ku = upper, ab[kl + ku + r - k, c n + k] =
+    (H D)[r, k] of chain c, and the top kl rows are the fill-in space of
+    gbtrf."""
+    n = lam.shape[-1]
     kl, ku = lower + 1, upper
-    flat, keep, eye = _band_gather(n, lower, upper)
-    # band of H: h[t, k] = H[k - ku + t, k]; (H D)[r, k] = H[r, k] - H[r, k-1]
+    flat, keep, eye = _band_gather(n, lower, upper, lam.size // (n * n))
+    # band of H: h[t, c, k] = H[k - ku + t, k] of chain c;
+    # (H D)[r, k] = H[r, k] - H[r, k-1], within each chain
     h = lam.take(flat) * keep - eye
-    ab = np.zeros((2 * kl + ku + 1, n), order="F")
-    ab[kl:] = h
-    ab[kl:-1, 1:] -= h[1:, :-1]
-    ab[kl + ku, 0] = 1.0  # the ones row of H times D
+    h[:-1, :, 1:] -= h[1:, :, :-1]  # numpy reads the overlapping right side first
+    ab = np.zeros((2 * kl + ku + 1, h.shape[1] * n), order="F")
+    ab[kl:] = h.reshape(len(h), -1)
+    ab[kl + ku, ::n] = 1.0  # the ones row of H times D
     return ab
 
 
 def lu_factor(lam: np.ndarray, lower: int, upper: int) -> BandLU:
-    """Factor the normalized balance system H (a ones row over the first K
-    rows of lam - I) of a transition matrix with `lower` sub- and `upper`
-    super-diagonals.
+    """Factor the normalized balance systems H (a ones row over the first K
+    rows of lam - I) of a transition matrix, or of a stack (N, n, n) of them,
+    with `lower` sub- and `upper` super-diagonals.
 
     With z_k = sum_{j>=k} pi_j, pi = D z for the unit upper bidiagonal D
     (pi_k = z_k - z_{k+1}); the ones row of H D is e_0, so H D is banded
     with kl = lower+1 sub- and ku = upper super-diagonals and factors by
     LAPACK's dgbtrf (partial pivoting within the band) in O(K (kl+ku) kl).
-    Raises SingularChain if a pivot of U is below SINGULAR_TOL.
+    The stack is factored as one block-diagonal band; a chain with a pivot
+    of U below SINGULAR_TOL is removed from the factors, so that no solve
+    sees it (`BandLU.chains` lists the chains kept).
     """
+    n = lam.shape[-1]
+    lam = lam.reshape(-1, n, n)
     kl, ku = lower + 1, upper
     ab, piv, _ = dgbtrf(_balance_band(lam, lower, upper), kl, ku, overwrite_ab=1)
-    if np.min(np.abs(ab[kl + ku])) < SINGULAR_TOL:  # the diagonal of U
-        raise SingularChain(
-            "balance system is numerically singular (pivot below "
-            f"{SINGULAR_TOL}); the chain likely has multiple recurrent classes"
-        )
-    return BandLU(lam, ab, piv, kl, ku)
+    pivots = np.abs(ab[kl + ku]).reshape(-1, n).min(axis=1)  # the diagonal of U
+    chains = np.flatnonzero(pivots >= SINGULAR_TOL)
+    if chains.size < pivots.size:
+        ab = ab[:, (chains[:, None] * n + np.arange(n)).ravel()]
+        # pivots are global row numbers: shift each kept block to its new place
+        shift = (chains - np.arange(chains.size))[:, None] * n
+        piv = (piv.reshape(-1, n)[chains] - shift).ravel()
+        lam = lam[chains]
+    return BandLU(lam, ab, piv, kl, ku, chains)
 
 
 def lu_solve(lu: BandLU, b: np.ndarray) -> np.ndarray:
-    """x = H^-1 b from the factors of H D: solve for z, then x = D z."""
-    z, _ = dgbtrs(lu.ab, lu.kl, lu.ku, b, lu.piv)
+    """x = H^-1 b for every chain of the factors, with b of shape (chains, n)
+    (or (n,) for one chain): solve for z, then x = D z."""
+    if not lu.chains.size:
+        return b.copy()  # gbtrs rejects an empty band
+    z, _ = dgbtrs(lu.ab, lu.kl, lu.ku, b.ravel(), lu.piv)
+    z = z.reshape(b.shape)
     x = z.copy()
-    x[:-1] -= z[1:]
+    x[..., :-1] -= z[..., 1:]
     return x
 
 
-def _refined_solve(lu: BandLU, b: np.ndarray) -> np.ndarray:
-    """H^-1 b with one step of iterative refinement against H itself."""
-    x = lu_solve(lu, b)
-    r = b.copy()
-    r[0] -= x.sum()
-    r[1:] -= lu.lam[:-1] @ x - x[:-1]
-    return x + lu_solve(lu, r)
+def _stationary(lu: BandLU) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary solves H pi = e_0 of the factored chains, each with one step
+    of iterative refinement against H itself; cleaned by `_clean_pi`, whose
+    mask of failed chains comes with them."""
+    e0 = np.zeros((lu.chains.size, lu.lam.shape[-1]))
+    e0[:, 0] = 1.0
+    x = lu_solve(lu, e0)
+    r = np.empty_like(x)  # e_0 - H x
+    r[:, 0] = 1.0 - x.sum(axis=1)
+    r[:, 1:] = x[:, :-1] - _matvec(lu.lam[:, :-1], x)
+    return _clean_pi(lu.lam, x + lu_solve(lu, r))
 
 
-def _solve_balance(lam: np.ndarray, lower: int, upper: int):
-    """Stationary solve of the normalized balance system H pi = e_0.  Returns
-    the banded factors of H and the cleaned pi."""
-    lu = lu_factor(lam, lower, upper)
-    e0 = np.zeros(lam.shape[0])
-    e0[0] = 1.0
-    return lu, _clean_pi(lam, _refined_solve(lu, e0))
+def _clean_pi(lam: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clip and normalize the stationary solves pi (chains, n) of the stack
+    lam.  Returns them with the mask of the chains that fail: mass below
+    -SINGULAR_TOL or a stationarity residual above STATIONARITY_TOL."""
+    failed = (pi < -SINGULAR_TOL).any(axis=1)
+    pi = np.maximum(pi, 0.0)
+    pi = pi / pi.sum(axis=1, keepdims=True)  # sum(pi) = z_0 = 1: never 0
+    failed |= np.abs(_matvec(lam, pi) - pi).max(axis=1) > STATIONARITY_TOL
+    return pi, failed
+
+
+def _singular(lu: BandLU) -> SingularChain:
+    """The error of a one-chain solve that failed."""
+    if not lu.chains.size:
+        return SingularChain(
+            "balance system is numerically singular (pivot below "
+            f"{SINGULAR_TOL}); the chain likely has multiple recurrent classes"
+        )
+    return SingularChain(
+        f"stationary solve has mass below {-SINGULAR_TOL}, a stationarity "
+        f"residual above {STATIONARITY_TOL} or a delay below {-STATIONARITY_TOL}; "
+        "the chain likely has multiple recurrent classes"
+    )
 
 
 def _bandwidths(lam: np.ndarray) -> tuple[int, int]:
@@ -213,54 +297,74 @@ def _bandwidths(lam: np.ndarray) -> tuple[int, int]:
 def stationary_distribution(lam: np.ndarray) -> np.ndarray:
     """Read-only stationary distribution of the transition matrix lam, from
     the banded factors of its normalized balance system."""
-    return _read_only(_solve_balance(lam, *_bandwidths(lam))[1])
+    lu = lu_factor(lam, *_bandwidths(lam))
+    pi, failed = _stationary(lu)
+    if not lu.chains.size or failed[0]:
+        raise _singular(lu)
+    return _read_only(pi[0])
 
 
-def _clean_pi(lam: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    if np.any(pi < -SINGULAR_TOL):
-        raise SingularChain(
-            f"stationary solve produced negative mass {pi.min()}"
-        )
-    pi = np.clip(pi, 0.0, None)
-    pi = pi / pi.sum()
-    residual = np.max(np.abs(lam @ pi - pi))
-    if residual > STATIONARITY_TOL:
-        raise SingularChain(f"stationarity residual {residual} exceeds tolerance")
-    return pi
-
-
-def power_reward_vector(params: ModelParams, policy: Policy) -> np.ndarray:
-    """Per-state expected transmission power."""
-    return policy.f @ params.power_array
+def power_reward_vector(params: ModelParams, policy: Union[Policy, np.ndarray]) -> np.ndarray:
+    """Per-state expected transmission power (per chain of a stack)."""
+    return _matrix(policy) @ params.power_array
 
 
 def average_power(params: ModelParams, policy: Policy, pi: np.ndarray) -> float:
-    return float(power_reward_vector(params, policy) @ pi)
+    return float(_dot(power_reward_vector(params, policy), pi))
+
+
+@lru_cache(maxsize=16)
+def _states(n: int) -> np.ndarray:
+    return _read_only(np.arange(n, dtype=float)[:, None])  # a column
+
+
+def _delays(params: ModelParams, pi: np.ndarray) -> np.ndarray:
+    """Average delays in slots of pi (one distribution or a stack) by
+    Little's law: mean backlog over the arrival rate alpha*A, minus the
+    one-slot arrival itself; not yet clipped at 0."""
+    backlog = (pi[..., None, :] @ _states(params.K + 1))[..., 0, 0]  # a BLAS dot each
+    return backlog / (params.alpha * params.A) - 1.0
 
 
 def average_delay(params: ModelParams, pi: np.ndarray) -> float:
-    """Average delay in slots by Little's law: mean backlog over the
-    arrival rate alpha*A, minus the one-slot arrival itself."""
-    states = np.arange(params.K + 1, dtype=float)
-    d = float(states @ pi) / (params.alpha * params.A) - 1.0
+    d = float(_delays(params, pi))
     if d < -STATIONARITY_TOL:
         raise SingularChain(f"negative average delay {d}")
     return max(d, 0.0)
 
 
-def _solve(params: ModelParams, policy: Policy):
-    """Score one policy: the banded LU factors of its balance system (which
-    carry its transition matrix) and its reward point.  From state i the
+def score_stack(params: ModelParams, f: np.ndarray):
+    """Score a stack of policy matrices f (N, K+1, M+1) through one
+    block-diagonal factorization of their balance systems.
+
+    Returns the factors of the chains that pass the pivot test, the indices
+    into f of the chains that pass every check, and those chains' average
+    powers and delays.  The other chains are singular.  From state i a
     chain moves only to i-m or i-m+A, so lam has A sub- and M
-    super-diagonals."""
-    lam = build_transition_enumerative(params, policy)
-    lu, pi = _solve_balance(lam, params.A, params.M)
-    point = DelayPowerPoint(
-        power=average_power(params, policy, pi),
-        delay=average_delay(params, pi),
-        policy=policy,
-    )
-    return lu, point
+    super-diagonals.
+    """
+    lu = lu_factor(build_transition_enumerative(params, f), params.A, params.M)
+    pi, failed = _stationary(lu)
+    delay = _delays(params, pi)
+    failed |= delay < -STATIONARITY_TOL
+    if lu.chains.size < len(f):
+        f = f[lu.chains]
+    power = _dot(power_reward_vector(params, f), pi)
+    delay = np.maximum(delay, 0.0)
+    if failed.any():
+        kept = ~failed
+        return lu, lu.chains[kept], power[kept], delay[kept]
+    return lu, lu.chains, power, delay
+
+
+def _solve(params: ModelParams, policy: Policy):
+    """Score one policy (the one-chain stack): the banded LU factors of its
+    balance system (which carry its transition matrix) and its reward
+    point."""
+    lu, chains, power, delay = score_stack(params, policy.f[None])
+    if not chains.size:
+        raise _singular(lu)
+    return lu, DelayPowerPoint(power=power.item(), delay=delay.item(), policy=policy)
 
 
 class EvalCache(dict):
@@ -374,7 +478,7 @@ def mixing_analysis(
     # H_F2 - H_F is zero outside column k; its ones row cancels too
     K = params.K
     delta_k = np.zeros(K + 1)
-    delta_k[1:] = build_transition_enumerative(params, F2)[:K, k] - lu_a.lam[:K, k]
+    delta_k[1:] = build_transition_enumerative(params, F2)[:K, k] - lu_a.lam[0, :K, k]
     power_a = power_reward_vector(params, F)
     zeta_k = float(power_reward_vector(params, F2)[k] - power_a[k])
     v = lu_solve(lu_a, delta_k)

@@ -16,13 +16,14 @@ import numpy as np
 
 from .errors import SingularChain
 from .model import ModelParams, ThresholdPolicy, threshold_to_policy
-from .mrp import DelayPowerPoint, EvalCache, evaluate
+from .mrp import DelayPowerPoint, EvalCache, evaluate, score_stack
 from .policies import (
     DEFAULT_ENUMERATION_CAP,
     enumerate_deterministic,
     initial_threshold_policy,
     is_threshold,
     neighbors_increase_threshold,
+    policy_from_actions,
 )
 
 log = logging.getLogger(__name__)
@@ -256,32 +257,53 @@ def algorithm1(params: ModelParams) -> ParetoCurve:
     return ParetoCurve(vertices=tuple(_drop_collinear(walk)))
 
 
+def _score_deterministic(
+    params: ModelParams, cap: int
+) -> tuple[list[DelayPowerPoint], np.ndarray, int]:
+    """Score every deterministic policy, a block of `enumerate_deterministic`
+    at a time (`score_stack`).  Returns the reward points of the policies
+    whose chains pass every check (without policies), their action maps as
+    one (points, K+1) array, and the number of singular chains skipped."""
+    points: list[DelayPowerPoint] = []
+    maps = []
+    skipped = 0
+    for acts in enumerate_deterministic(params, cap=cap):
+        f = np.zeros(acts.shape + (params.M + 1,))
+        np.put_along_axis(f, acts[..., None], 1.0, axis=-1)
+        _, kept, power, delay = score_stack(params, f)
+        points += map(DelayPowerPoint, power.tolist(), delay.tolist())
+        maps.append(acts[kept])
+        skipped += len(acts) - kept.size
+    if skipped:
+        log.warning("skipped %d deterministic policies with singular chains", skipped)
+    return points, np.concatenate(maps), skipped
+
+
 def deterministic_cloud(
     params: ModelParams, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[list[DelayPowerPoint], int]:
-    """Reward pairs of every deterministic policy; singular chains are
-    skipped and counted."""
-    points: list[DelayPowerPoint] = []
-    skipped = 0
-    for policy in enumerate_deterministic(params, cap=cap):
-        try:
-            pt = evaluate(params, policy)
-        except SingularChain:
-            skipped += 1
-            continue
-        points.append(pt)
-    if skipped:
-        log.warning("skipped %d deterministic policies with singular chains", skipped)
-    return points, skipped
+    """Reward pairs of every deterministic policy, each with its policy;
+    singular chains are skipped and counted."""
+    points, maps, skipped = _score_deterministic(params, cap)
+    return [
+        DelayPowerPoint(pt.power, pt.delay, policy_from_actions(params, acts))
+        for pt, acts in zip(points, maps)
+    ], skipped
 
 
 def brute_force_frontier(
     params: ModelParams, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> ParetoCurve:
-    """Frontier by exhaustive enumeration: the oracle route."""
-    points, skipped = deterministic_cloud(params, cap=cap)
-    curve = lower_convex_hull(points)
-    return ParetoCurve(vertices=curve.vertices, skipped_singular=skipped)
+    """Frontier by exhaustive enumeration: the oracle route.  The hull is
+    taken over the bare reward points; only its vertices get a policy."""
+    points, maps, skipped = _score_deterministic(params, cap)
+    # the hull's vertices are point objects of the cloud: find their maps
+    row = {id(pt): i for i, pt in enumerate(points)}
+    vertices = tuple(
+        DelayPowerPoint(v.power, v.delay, policy_from_actions(params, maps[row[id(v)]]))
+        for v in lower_convex_hull(points).vertices
+    )
+    return ParetoCurve(vertices=vertices, skipped_singular=skipped)
 
 
 def cloud_to_csv(params: ModelParams, points: Sequence[DelayPowerPoint]) -> str:

@@ -32,3 +32,35 @@ def random_params(rng, max_enum=100_000, max_tries=100):
         if count_deterministic(params) <= max_enum:
             return params
     raise RuntimeError("could not draw parameters within the enumeration budget")
+
+
+def deterministic_policies(params):
+    """Every deterministic policy as a Policy, in enumeration order: each row
+    of each block of `enumerate_deterministic` wrapped by
+    `policy_from_actions`."""
+    from dpsched.policies import enumerate_deterministic, policy_from_actions
+
+    return [policy_from_actions(params, acts)
+            for block in enumerate_deterministic(params) for acts in block]
+
+
+EDGE_FAMILIES = ["alpha->0", "alpha->1", "Q=0", "M=A", "A=1"]
+
+
+def edge_params(family, alpha, eps, A, extra_m, Q):
+    """An instance of one of EDGE_FAMILIES, for Hypothesis: alpha = eps
+    (alpha->0), alpha = 1 - eps or, for eps <= 1e-3, exactly 1 (alpha->1),
+    Q = 0, M = A or A = 1; the other parameters as drawn."""
+    if family == "alpha->0":
+        alpha = eps
+    elif family == "alpha->1":
+        alpha = 1.0 - eps if eps > 1e-3 else 1.0
+    elif family == "Q=0":
+        Q = 0
+    elif family == "M=A":
+        extra_m = 0
+    elif family == "A=1":
+        A = 1
+    M = A + extra_m
+    power = [0.0] + [m * m + 0.25 * m for m in range(1, M + 1)]
+    return validate_params(alpha, A, M, Q, power)

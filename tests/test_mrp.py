@@ -2,7 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from dpsched import errors, mrp
 from dpsched.model import (
@@ -16,7 +18,7 @@ from dpsched.pareto import algorithm1
 from dpsched.policies import enumerate_deterministic, policy_from_actions
 from dpsched.verify import random_one_row_pair, random_policy
 
-from conftest import random_params
+from conftest import EDGE_FAMILIES, deterministic_policies, edge_params, random_params
 
 
 def balance_matrix(lam):
@@ -39,7 +41,11 @@ def dense_factor(lam):
 def dense_stationary(lam):
     e0 = np.zeros(lam.shape[0])
     e0[0] = 1.0
-    return mrp._clean_pi(lam, lu_solve(dense_factor(lam), e0, check_finite=False))
+    pi = lu_solve(dense_factor(lam), e0, check_finite=False)
+    (pi,), (failed,) = mrp._clean_pi(lam[None], pi[None])
+    if failed:
+        raise errors.SingularChain("dense solve fails the checks of _clean_pi")
+    return pi
 
 
 def verdict(solve, lam):
@@ -65,6 +71,81 @@ EDGE_INSTANCES = {
     "M=A": validate_params(0.4, 2, 2, 5, [0, 1, 3]),
     "Q0": validate_params(0.4, 2, 3, 0, [0, 1, 4, 9]),
 }
+
+
+def single_chain_solve(params, policy):
+    """Reference: the one-policy-at-a-time path that the stacked one
+    replaced, kept verbatim: the band of one chain, its own dgbtrf and
+    dgbtrs calls, one refinement step, the checks of `_clean_pi` and the
+    rewards, all with unstacked products.  Returns (power, delay, pi), or
+    None for a singular chain."""
+    lam = mrp.build_transition_enumerative(params, policy)
+    n = lam.shape[0]
+    kl, ku = params.A + 1, params.M
+    t = np.arange(params.A + params.M + 2)[:, None]
+    k = np.arange(n)
+    j = k - params.M - 1 + t  # h[t, k] = H[k - ku + t, k] = (lam - I)[j, k]
+    keep = (j >= 0) & (j <= n - 2)
+    h = lam.take(np.where(keep, j * n + k, 0)) * keep - (keep & (j == k))
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    ab[kl:] = h
+    ab[kl:-1, 1:] -= h[1:, :-1]
+    ab[kl + ku, 0] = 1.0
+    ab, piv, _ = dgbtrf(ab, kl, ku, overwrite_ab=1)
+    if np.min(np.abs(ab[kl + ku])) < mrp.SINGULAR_TOL:
+        return None
+
+    def solve(b):
+        z, _ = dgbtrs(ab, kl, ku, b, piv)
+        x = z.copy()
+        x[:-1] -= z[1:]
+        return x
+
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    x = solve(e0)
+    r = e0.copy()
+    r[0] -= x.sum()
+    r[1:] -= lam[:-1] @ x - x[:-1]
+    pi = x + solve(r)
+    if np.any(pi < -mrp.SINGULAR_TOL):
+        return None
+    pi = np.clip(pi, 0.0, None)
+    pi = pi / pi.sum()
+    if np.max(np.abs(lam @ pi - pi)) > mrp.STATIONARITY_TOL:
+        return None
+    d = float(np.arange(n, dtype=float) @ pi) / (params.alpha * params.A) - 1.0
+    if d < -mrp.STATIONARITY_TOL:
+        return None
+    return float((policy.f @ params.power_array) @ pi), max(d, 0.0), pi
+
+
+def stacked_points(params, policies):
+    """(power, delay) of each policy from one `score_stack` call, or None for
+    the singular ones."""
+    _, kept, power, delay = mrp.score_stack(params, np.stack([p.f for p in policies]))
+    out = [None] * len(policies)
+    for c, pw, d in zip(kept.tolist(), power.tolist(), delay.tolist()):
+        out[c] = (pw, d)
+    return out
+
+
+def assert_stack_matches_single_chains(params, policies):
+    """Bit for bit: the stacked points and verdicts, of the policies and of
+    the policies followed by themselves reversed (so that every chain has
+    neighbours on both sides), against the reference path, one chain at a
+    time; returns the number of singular chains among the policies."""
+    want = [single_chain_solve(params, pol) for pol in policies]
+    want = [None if w is None else w[:2] for w in want]
+    assert stacked_points(params, policies) == want
+    assert stacked_points(params, policies + policies[::-1]) == want + want[::-1]
+    return want.count(None)
+
+
+def smallest_pivot(params, policy):
+    lam = mrp.build_transition_enumerative(params, policy)
+    ab, _, _ = dgbtrf(mrp._balance_band(lam, params.A, params.M), params.A + 1, params.M)
+    return np.min(np.abs(ab[params.A + 1 + params.M]))
 
 
 def immediate_transmit(params_vi) -> Policy:
@@ -337,7 +418,7 @@ class TestBandedSolve:
     def test_brute_force_verdicts_and_pi_match_dense(self, Q, singular):
         params = validate_params(alpha=0.4, **dict(REFERENCE, Q=Q))
         count = 0
-        for pol in enumerate_deterministic(params):
+        for pol in deterministic_policies(params):
             lam = mrp.build_transition_enumerative(params, pol)
             want = verdict(dense_stationary, lam)
             got = verdict(mrp.stationary_distribution, lam)
@@ -414,3 +495,115 @@ class TestBandedSolve:
             banded = error(mrp.stationary_distribution(lam))
             dense = error(dense_stationary(lam))
         assert banded <= dense
+
+
+# The instances of the stacked-path check: the brute-force instances and
+# edge instances around them, with their singular counts.
+STACK_INSTANCES = {
+    "reference": (validate_params(alpha=0.4, **REFERENCE), 539),
+    "Q6": (validate_params(alpha=0.4, **dict(REFERENCE, Q=6)), 2795),
+    "alpha0.01": (validate_params(alpha=0.01, **REFERENCE), 538),
+    "alpha0.99": (validate_params(alpha=0.99, **REFERENCE), 541),
+    "alpha1": (validate_params(alpha=1.0, **REFERENCE), 1986),
+    "A1M3Q6": (validate_params(0.4, 1, 3, 6, [0, 1, 4, 9]), 1574),
+    "Q0": (validate_params(0.4, 2, 3, 0, [0, 1, 4, 9]), 0),
+    "M=A=3": (validate_params(0.4, 3, 3, 6, [0, 1, 4, 9]), 3090),
+}
+
+
+class TestStackedSolve:
+    """A stack of chains, factored as one block-diagonal band, against the
+    same chains scored one at a time."""
+
+    @pytest.mark.parametrize("name", STACK_INSTANCES)
+    def test_every_deterministic_policy(self, name):
+        params, singular = STACK_INSTANCES[name]
+        count = 0
+        for block in enumerate_deterministic(params):
+            pols = [policy_from_actions(params, acts) for acts in block]
+            count += assert_stack_matches_single_chains(params, pols)
+            # one chain alone (the path of `evaluate`) on a sample
+            got = stacked_points(params, pols)
+            for i in range(0, len(pols), 17):
+                assert stacked_points(params, [pols[i]]) == [got[i]]
+        assert count == singular
+
+    def pick(self, params, test, n):
+        """The first n deterministic policies whose smallest pivot passes test."""
+        out = []
+        for pol in deterministic_policies(params):
+            if test(smallest_pivot(params, pol)):
+                out.append(pol)
+                if len(out) == n:
+                    return out
+        raise AssertionError("too few policies")
+
+    def test_zero_pivot_chains_between_nonsingular_ones(self):
+        params = STACK_INSTANCES["alpha1"][0]
+        z1, z2 = self.pick(params, lambda p: p == 0.0, 2)
+        a, b, c = self.pick(params, lambda p: p > 0.01, 3)
+        for stack in ([a, z1, b, z2, c], [z1, a, b], [a, b, z1], [a, z1, z2, b]):
+            assert assert_stack_matches_single_chains(params, stack) == (
+                sum(p is z1 or p is z2 for p in stack))
+
+    def test_rounding_level_pivot_chains_between_nonsingular_ones(self):
+        params = STACK_INSTANCES["reference"][0]
+        t1, t2 = self.pick(params, lambda p: 0.0 < p < 1e-14, 2)
+        a, b, c = self.pick(params, lambda p: p > 0.01, 3)
+        for stack in ([a, t1, b, t2, c], [t1, a, b], [a, t1, t2, b, c]):
+            assert assert_stack_matches_single_chains(params, stack) == (
+                sum(p is t1 or p is t2 for p in stack))
+
+    def test_block_without_a_nonsingular_chain(self):
+        for name, test in (("alpha1", lambda p: p == 0.0),
+                           ("reference", lambda p: 0.0 < p < 1e-14)):
+            params = STACK_INSTANCES[name][0]
+            pols = self.pick(params, test, 3)
+            lam = mrp.build_transition_enumerative(params, np.stack([p.f for p in pols]))
+            lu = mrp.lu_factor(lam, params.A, params.M)
+            assert lu.chains.size == 0
+            assert mrp.lu_solve(lu, np.zeros((0, params.K + 1))).shape == (0, params.K + 1)
+            assert stacked_points(params, pols) == [None] * 3
+            with pytest.raises(errors.SingularChain, match="pivot below"):
+                mrp.evaluate(params, pols[0])
+
+
+@given(
+    family=st.sampled_from(EDGE_FAMILIES),
+    alpha=st.floats(0.05, 0.95),
+    eps=st.floats(1e-4, 0.02),
+    A=st.integers(1, 3),
+    extra_m=st.integers(0, 2),
+    Q=st.integers(0, 6),
+    n_random=st.integers(0, 6),
+    n_deterministic=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_chain_solve_edge_instances(
+    family, alpha, eps, A, extra_m, Q, n_random, n_deterministic, seed
+):
+    """alpha near 0 and 1 (alpha = 1 included), Q = 0, M = A and A = 1: a
+    shuffled stack of randomized and deterministic policies gives, bit for
+    bit, the points, verdicts and pi of each chain solved alone, and pi
+    within 1e-12 of the dense LU wherever both call the chain nonsingular."""
+    params = edge_params(family, alpha, eps, A, extra_m, Q)
+    rng = np.random.default_rng(seed)
+    pols = [random_policy(params, rng) for _ in range(n_random)]
+    pols += [random_deterministic(params, rng) for _ in range(n_deterministic)]
+    pols = [pols[i] for i in rng.permutation(len(pols))]
+    if not pols:
+        return
+    assert_stack_matches_single_chains(params, pols)
+    lam = mrp.build_transition_enumerative(params, np.stack([p.f for p in pols]))
+    lu = mrp.lu_factor(lam, params.A, params.M)
+    pis, failed = mrp._stationary(lu)
+    for c, pi, fail in zip(lu.chains.tolist(), pis, failed):
+        want = single_chain_solve(params, pols[c])
+        if fail:
+            assert want is None
+            continue
+        assert np.array_equal(pi, want[2])
+        dense = verdict(dense_stationary, lam[c])
+        if dense is not None:
+            assert np.max(np.abs(pi - dense)) <= 1e-12

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dpsched import errors
+from dpsched import errors, policies
 from dpsched.model import (
     Policy,
     ThresholdPolicy,
@@ -22,6 +22,8 @@ from dpsched.policies import (
 )
 from dpsched.verify import random_policy
 
+from conftest import deterministic_policies
+
 
 class TestEnumeration:
     def test_reference_count(self, params_vi):
@@ -33,7 +35,7 @@ class TestEnumeration:
 
     def test_enumeration_is_exhaustive_and_unique(self, params_vi):
         seen = set()
-        for pol in enumerate_deterministic(params_vi):
+        for pol in deterministic_policies(params_vi):
             key = tuple(pol.action_map())
             assert key not in seen
             seen.add(key)
@@ -58,7 +60,7 @@ class TestEnumeration:
             if pos < 0:
                 break
         enumerated = {
-            tuple(p.action_map()) for p in enumerate_deterministic(params_vi)
+            tuple(p.action_map()) for p in deterministic_policies(params_vi)
         }
         assert enumerated == odometer
 
@@ -66,9 +68,35 @@ class TestEnumeration:
         with pytest.raises(errors.EnumerationTooLarge):
             list(enumerate_deterministic(params_vi, cap=100))
 
+    @pytest.mark.parametrize("Q", [5, 6])
+    @pytest.mark.parametrize("block_bytes", [None, 8 * 8 * 8 * 7])
+    def test_blocks_concatenate_to_product_order(self, Q, block_bytes, monkeypatch):
+        # default blocks: 9 of 256 at Q=5 (K=7), 45 of 202 and one of 126 at
+        # Q=6 (K=8); then blocks of 7 and 5 policies, with remainders
+        if block_bytes is not None:
+            monkeypatch.setattr(policies, "BLOCK_BYTES", block_bytes)
+        params = validate_params(0.4, 2, 3, Q, [0, 1, 4, 9])
+        size = policies.BLOCK_BYTES // (8 * (params.K + 1) ** 2)
+        blocks = list(enumerate_deterministic(params))
+        assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+        assert len(blocks[-1]) == count_deterministic(params) - size * (len(blocks) - 1)
+        assert all(b.shape[1] == params.K + 1 and b.dtype.kind == "i" for b in blocks)
+        sets = [feasible_actions(params, k) for k in range(params.K + 1)]
+        assert np.concatenate(blocks).tolist() == [list(c) for c in itertools.product(*sets)]
+
+    def test_cap_raises_before_any_block(self, params_vi):
+        blocks = enumerate_deterministic(params_vi, cap=2303)
+        with pytest.raises(errors.EnumerationTooLarge, match="2304"):
+            next(blocks)
+        assert sum(len(b) for b in enumerate_deterministic(params_vi, cap=2304)) == 2304
+
+    def test_q_zero_one_block_of_one_map(self):
+        params = validate_params(0.5, 2, 2, 0, [0, 1, 3])
+        assert [b.tolist() for b in enumerate_deterministic(params)] == [[[0, 1, 2]]]
+
     def test_q_zero_single_policy(self):
         params = validate_params(0.5, 2, 2, 0, [0, 1, 3])
-        pols = list(enumerate_deterministic(params))
+        pols = deterministic_policies(params)
         assert len(pols) == 1
         assert pols[0].action_map() == [0, 1, 2]
 
@@ -169,7 +197,7 @@ def test_is_threshold_matches_per_state_reference(params, rng):
     lower action weighted 0.25, so it is not the row's largest entry) and
     random policies with many fractional rows."""
     n_threshold = n_split_threshold = 0
-    for det in enumerate_deterministic(params):
+    for det in deterministic_policies(params):
         cands = [det]
         for k, a in enumerate(det.action_map()):
             if a + 1 in feasible_actions(params, k):

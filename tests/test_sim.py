@@ -18,6 +18,8 @@ from dpsched.pareto import algorithm1
 from dpsched.sim import Z_95, simulate
 from dpsched.verify import random_policy
 
+from conftest import EDGE_FAMILIES, edge_params
+
 # fields the per-slot loop below computes; every one must match it exactly
 LOOP_FIELDS = (
     "slots",
@@ -318,24 +320,8 @@ def test_walk_vertices_same_path(ladder_curves, K):
         assert_same_path(params, v.policy, 20_000, seed=K)
 
 
-def _edge_params(family, alpha, eps, A, extra_m, Q):
-    if family == "alpha->0":
-        alpha = eps
-    elif family == "alpha->1":
-        alpha = 1.0 - eps if eps > 1e-3 else 1.0
-    elif family == "Q=0":
-        Q = 0
-    elif family == "M=A":
-        extra_m = 0
-    elif family == "A=1":
-        A = 1
-    M = A + extra_m
-    power = [0.0] + [m * m + 0.25 * m for m in range(1, M + 1)]
-    return validate_params(alpha, A, M, Q, power)
-
-
 @given(
-    family=st.sampled_from(["alpha->0", "alpha->1", "Q=0", "M=A", "A=1"]),
+    family=st.sampled_from(EDGE_FAMILIES),
     alpha=st.floats(0.05, 0.95),
     eps=st.floats(1e-4, 0.02),
     A=st.integers(1, 3),
@@ -347,7 +333,7 @@ def _edge_params(family, alpha, eps, A, extra_m, Q):
 @settings(max_examples=60, deadline=None)
 def test_edge_instances_same_path(family, alpha, eps, A, extra_m, Q, slots, seed):
     """alpha near 0 and 1 (alpha = 1 included), Q = 0, M = A and A = 1."""
-    params = _edge_params(family, alpha, eps, A, extra_m, Q)
+    params = edge_params(family, alpha, eps, A, extra_m, Q)
     pol = random_policy(params, np.random.default_rng(seed))
     assert_same_path(params, pol, slots, seed)
 
