@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import EnumerationTooLarge, ModelError
 from .model import Policy, load_params, validate_params
-from .lp import build_lp, recover_policy, solve_simplex, sweep, sweep_to_csv
+from .lp import recover_policy, sweep, sweep_to_csv
 from .pareto import algorithm1, cloud_to_csv, deterministic_cloud
 from .sim import simulate
 from .verify import run_battery
@@ -87,11 +87,11 @@ def cmd_pareto(args) -> int:
 def cmd_lp(args) -> int:
     params = _load_model(args)
     if args.pth is not None:
-        sol = solve_simplex(build_lp(params, args.pth))
-        delay = f"{sol.delay:.6f}" if sol.delay is not None else "nan"
-        print(f"p_th={args.pth:.6f} delay={delay} status={sol.status}")
-        if args.policy_out and sol.status == "optimal":
-            Path(args.policy_out).write_text(recover_policy(params, sol).to_csv())
+        (point,) = sweep(params, [args.pth])
+        delay = f"{point.delay:.6f}" if point.delay is not None else "nan"
+        print(f"p_th={args.pth:.6f} delay={delay} status={point.status}")
+        if args.policy_out and point.status == "optimal":
+            Path(args.policy_out).write_text(recover_policy(params, point.solution).to_csv())
         return 0
     if args.sweep is None:
         raise ModelError("one of --pth or --sweep is required")

@@ -64,5 +64,10 @@ class IterationLimit(DpschedError, RuntimeError):
     """Simplex pivot budget exhausted."""
 
 
+class SimplexBreakdown(DpschedError, RuntimeError):
+    """The simplex lost its numerical footing: a basis with an exactly zero
+    LU pivot, non-finite basic values or duals, or a phase-1 ray."""
+
+
 class DegenerateSolution(DpschedError, RuntimeError):
     """A policy recovered from an LP solution fails row-stochasticity."""

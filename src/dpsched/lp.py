@@ -3,24 +3,85 @@
 Minimizes average delay subject to a power budget over variables
 x[k, m] = pi_k * f[k, m], with one cut-balance equality per state boundary,
 normalization, and the overflow/underflow mask.  The cut-balance rows are
-built from three interval masks on the states each action can reach; the
-program is solved by a dense two-phase tableau simplex with Bland's rule,
-one vectorised row update per pivot and at most MAX_PIVOTS pivots.  An
+built from three interval masks on the states each action can reach.  An
 optimal policy is recovered by dividing each row of x by its state mass.
+
+The program is solved by a two-phase revised simplex on `build_lp`'s arrays
+plus a slack on the power row.  Every pivot factors the (K+2)-square basis
+afresh (LAPACK getrf; Bartels & Golub 1969 on refactoring) and solves for
+the basic solution x_B, the duals y and the entering column (getrs).
+
+- Pricing: Dantzig's rule enters the most negative reduced cost c - y@A.
+  The ratio test runs over the rows whose entry of the entering column
+  exceeds PIVOT_TOL times its largest; among ratios within RATIO_TOL of the
+  least, the largest pivot leaves.
+- Anti-cycling: a step of at most RATIO_TOL is degenerate.  After
+  DEGENERATE_STREAK degenerate pivots in a row, Bland's rule (Bland 1977:
+  lowest entering index, lowest leaving basis index) takes over until a
+  pivot is nondegenerate.
+- Start: one artificial per row, after the rows with a negative right-hand
+  side are negated; phase 1 minimizes their sum.
+- Phase 1 ends once the artificials sum to at most RATIO_TOL, and reports
+  the problem infeasible if their least sum exceeds FEAS_TOL.  Artificials
+  left in the basis at zero are pivoted out where a column allows it.
+- MAX_PIVOTS caps the pivots of both phases together.
+- Breakdown: a basis whose LU has an exactly zero pivot, non-finite basic
+  values or duals, or a phase-1 ray (impossible in exact arithmetic, as the
+  artificials' sum is bounded below by 0) raises SimplexBreakdown.
+
+The solution carries its certificate: the equality and normalization
+residuals, the reduced costs of the final basis (zero on its basic columns,
+as in a tableau, and at least -REDUCED_COST_TOL elsewhere, by the phase's
+exit rule) and its duality gap c@x - y@b, which is the sum over the basic
+columns of the rounding in their reduced costs times x.  The status is
+"optimal" only if x and the power slack are at least -FEAS_TOL, every row's
+residual is at most FEAS_TOL, and the gap is at most REDUCED_COST_TOL
+relative to 1 + |y|@|b| + |c_B|@|x_B|.  Relative, because its rounding grows
+with the terms that cancel: the duals reach 1e10 at P_min of ladder K=83,
+where the gap reads 1.8e-6, and 7e11 at the power of the walk's last vertex
+at K=203.  Otherwise the status is "uncertified", with the same fields for
+inspection.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import mrp
-from .errors import DegenerateSolution, IterationLimit, ModelError, SingularChain
+from .errors import (
+    DegenerateSolution,
+    IterationLimit,
+    ModelError,
+    SimplexBreakdown,
+    SingularChain,
+)
 from .model import ModelParams, Policy, _complete_actions, feasibility_mask
 
+# Phase 1 leaving more than this much artificial mass means infeasible, a
+# reduced cost below -REDUCED_COST_TOL may enter, and the certificate is
+# held to both: the 1e-9 to which acceptance tests 3 and 8 hold the
+# solution's residuals and reduced costs.
 FEAS_TOL = 1e-9
 REDUCED_COST_TOL = 1e-9
+# An entry of the entering column may pivot only above this share of its
+# largest entry.  Basis: on ladder rung K=83 with Bland after 20 degenerate
+# pivots, an absolute 1e-10 let a rounding-level entry pivot and made the
+# next basis exactly singular; the shares 1e-10 to 1e-8 all solve the 50
+# budgets of K=83 to 2e-7 of the walk.
+PIVOT_TOL = 1e-9
+# Ratios this close tie, and a step this short is degenerate.  Absolute:
+# x sums to 1, so the basic values are at most 1 (the power slack at most
+# p_th).
+RATIO_TOL = 1e-12
+# Degenerate pivots in a row before Bland's rule.  Basis, on the ladder
+# (50 budgets per rung, 5,000-pivot cap): 10 leaves 3 budgets at K=83
+# stalled under Bland; 15 leaves 13 stalled at K=203 and 30 leaves 3.  The
+# median at K=22 is 41.5 pivots at 10 or 15 and 58 at 20 to 30.
+DEGENERATE_STREAK = 30
 MAX_PIVOTS = 1_000_000
 
 
@@ -48,9 +109,11 @@ class LpProblem:
 @dataclass(frozen=True)
 class LpSolution:
     """A failed solve (infeasible | unbounded) carries only its status and
-    pivot count."""
+    pivot count.  An optimal or uncertified one carries its certificate: the
+    residuals, the reduced costs c - y@A of the final basis over the
+    variables and the power slack, and the duality gap c@x - y@b."""
 
-    status: str  # optimal | infeasible | unbounded
+    status: str  # optimal | uncertified | infeasible | unbounded
     iterations: int
     x: Optional[np.ndarray] = None
     delay: Optional[float] = None
@@ -58,6 +121,7 @@ class LpSolution:
     reduced_costs: Optional[np.ndarray] = None
     equilibrium_residual: float = float("nan")
     normalization_residual: float = float("nan")
+    duality_gap: float = float("nan")
 
 
 def equilibrium_matrix(params: ModelParams, ks: np.ndarray, ms: np.ndarray) -> np.ndarray:
@@ -109,109 +173,134 @@ def occupation_measure(params: ModelParams, policy: Policy, pi: np.ndarray) -> n
     return (pi[:, None] * policy.f)[feasibility_mask(params)]
 
 
-def _pivot(T: np.ndarray, b: np.ndarray, row: int, col: int) -> None:
-    """Gauss-Jordan pivot on T[row, col]; rows with a zero in the pivot
-    column are left untouched."""
-    piv = T[row, col]
-    T[row, :] /= piv
-    b[row] /= piv
-    factor = T[:, col].copy()
-    factor[row] = 0.0
-    rows = np.flatnonzero(factor)
-    T[rows] -= factor[rows, None] * T[row]
-    b[rows] -= factor[rows] * b[row]
+def _factor(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors and pivots of a basis matrix."""
+    lu, piv, info = dgetrf(B)
+    if info:
+        raise SimplexBreakdown(f"basis LU has an exactly zero pivot (getrf info {info})")
+    return lu, piv
 
 
 def _simplex_phase(
-    T: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int], n_enter: int, pivots: int
-) -> tuple[str, int]:
-    """Bland-rule simplex on an explicit tableau, entering only columns
-    below n_enter; `pivots` counts the pivots of earlier phases, so that
-    MAX_PIVOTS caps the whole solve.  Returns (status, pivots)."""
+    A: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    basis: np.ndarray,
+    n_enter: int,
+    pivots: int,
+    floor: float = -np.inf,
+) -> tuple[str, int, np.ndarray, np.ndarray]:
+    """Revised simplex for min c@x, A@x = b, x >= 0 from `basis` (updated in
+    place), entering only columns below n_enter and stopping as optimal once
+    the objective is at most `floor`.  `pivots` counts the pivots of earlier
+    phases, so that MAX_PIVOTS caps the whole solve.  Returns (status,
+    pivots, x_B, y), with x_B and the duals y of the final basis.
+
+    Every pivot factors the basis afresh.  Dantzig pricing enters the most
+    negative reduced cost, and among ratio ties the largest pivot leaves.
+    After DEGENERATE_STREAK degenerate pivots in a row, Bland's rule (lowest
+    entering index, lowest leaving basis index) takes over until a pivot is
+    nondegenerate.
+    """
+    streak = 0
     while True:
-        reduced = c - c[basis] @ T
-        eligible = reduced < -REDUCED_COST_TOL
-        eligible[basis] = False
-        eligible[n_enter:] = False
-        if not eligible.any():
-            return "optimal", pivots
-        enter = int(np.argmax(eligible))
-        col = T[:, enter]
-        leave = -1
-        best_ratio = np.inf
-        for i in range(T.shape[0]):
-            if col[i] > 1e-10:
-                ratio = b[i] / col[i]
-                if ratio < best_ratio - 1e-12 or (
-                    abs(ratio - best_ratio) <= 1e-12
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded", pivots
-        _pivot(T, b, leave, enter)
+        lu, piv = _factor(A[:, basis])
+        x_B = dgetrs(lu, piv, b)[0]
+        y = dgetrs(lu, piv, c[basis], trans=1)[0]
+        objective = c[basis] @ x_B
+        if objective <= floor:
+            return "optimal", pivots, x_B, y
+        reduced = c[:n_enter] - y @ A[:, :n_enter]
+        reduced[basis[basis < n_enter]] = 0.0
+        bland = streak >= DEGENERATE_STREAK
+        enter = int(np.argmax(reduced < -REDUCED_COST_TOL) if bland else np.argmin(reduced))
+        # a NaN or inf in x_B reaches the objective, and one in y every
+        # nonbasic reduced cost, including the entering one (argmin takes a
+        # NaN first); checking the two scalars costs less than the arrays
+        if not (math.isfinite(objective) and math.isfinite(reduced[enter])):
+            raise SimplexBreakdown("basis solve gave non-finite values")
+        if reduced[enter] >= -REDUCED_COST_TOL:
+            return "optimal", pivots, x_B, y
+        u = dgetrs(lu, piv, A[:, enter])[0]
+        rows = np.flatnonzero(u > PIVOT_TOL * np.max(np.abs(u)))
+        if not rows.size:
+            # a NaN in u empties `rows`
+            if not np.isfinite(u).all():
+                raise SimplexBreakdown("entering column solve gave non-finite values")
+            return "unbounded", pivots, x_B, y
+        ratio = np.maximum(x_B[rows], 0.0) / u[rows]
+        step = ratio.min()
+        tied = rows[ratio <= step + RATIO_TOL]
+        leave = tied[np.argmin(basis[tied])] if bland else tied[np.argmax(u[tied])]
         basis[leave] = enter
         pivots += 1
         if pivots > MAX_PIVOTS:
             raise IterationLimit(f"simplex exceeded {MAX_PIVOTS} pivots")
+        streak = streak + 1 if step <= RATIO_TOL else 0
 
 
 def solve_simplex(lp: LpProblem) -> LpSolution:
-    """Two-phase dense simplex with Bland's anti-cycling rule."""
+    """Two-phase revised simplex from one artificial per row."""
     n = lp.n_vars
-    # standard form: power row gets a slack, equalities as-is
-    A = np.vstack([lp.a_power, lp.A_eq])
+    # standard form: the power row gets a slack, equalities as-is
+    A = np.hstack([np.vstack([lp.a_power, lp.A_eq]), np.eye(len(lp.b_eq) + 1, 1)])
     b = np.concatenate([[lp.p_th], lp.b_eq])
-    m_rows = A.shape[0]
-    slack = np.zeros((m_rows, 1))
-    slack[0, 0] = 1.0
-    A = np.hstack([A, slack])
-    c = np.concatenate([lp.c, [0.0]])
-    # nonnegative right-hand side for phase 1
+    n_total = n + 1
+    # nonnegative right-hand side, one artificial per row
     negative = b < 0
     A[negative] *= -1
     b[negative] *= -1
-    n_total = A.shape[1]
-    # phase 1: artificial basis
-    T = np.hstack([A, np.eye(m_rows)]).astype(float)
-    b1 = b.astype(float).copy()
-    c1 = np.concatenate([np.zeros(n_total), np.ones(m_rows)])
-    basis = list(range(n_total, n_total + m_rows))
-    status, iters = _simplex_phase(T, b1, c1, basis, T.shape[1], 0)
-    phase1_obj = float(c1[basis] @ b1)
-    if status != "optimal" or phase1_obj > FEAS_TOL:
-        return LpSolution(status="infeasible", iterations=iters)
-    # drive leftover zero-valued artificials out of the basis when possible
-    for i, bi in enumerate(basis):
-        if bi >= n_total:
-            for j in range(n_total):
-                if abs(T[i, j]) > 1e-10 and j not in basis:
-                    _pivot(T, b1, i, j)
-                    basis[i] = j
-                    break
-    # phase 2: artificials may no longer enter
-    c2 = np.concatenate([c, np.zeros(m_rows)])
-    status, iters = _simplex_phase(T, b1, c2, basis, n_total, iters)
+    A = np.hstack([A, np.eye(len(b))])
+    basis = np.arange(n_total, A.shape[1])
+    # phase 1: minimise the sum of the artificials; at or below RATIO_TOL
+    # that sum is zero to rounding, and any further pivot only stalls
+    c1 = np.zeros(A.shape[1])
+    c1[n_total:] = 1.0
+    status, pivots, x_B, _ = _simplex_phase(A, b, c1, basis, A.shape[1], 0, RATIO_TOL)
     if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=iters)
-    x_full = np.zeros(T.shape[1])
-    x_full[basis] = b1
+        raise SimplexBreakdown("phase 1 found a ray, though the artificials' sum is at least 0")
+    if c1[basis] @ x_B > FEAS_TOL:
+        return LpSolution(status="infeasible", iterations=pivots)
+    # drive leftover zero-valued artificials out of the basis when possible;
+    # the pivot is measured against the artificial's own entry, 1
+    for i in np.flatnonzero(basis >= n_total):
+        lu, piv = _factor(A[:, basis])
+        row = dgetrs(lu, piv, np.eye(len(b))[:, i], trans=1)[0] @ A[:, :n_total]
+        row[basis[basis < n_total]] = 0.0
+        j = int(np.argmax(np.abs(row)))
+        if abs(row[j]) > PIVOT_TOL:
+            basis[i] = j
+    # phase 2: artificials may no longer enter
+    c2 = np.concatenate([lp.c, np.zeros(A.shape[1] - n)])
+    status, pivots, x_B, y = _simplex_phase(A, b, c2, basis, n_total, pivots)
+    if status == "unbounded":
+        return LpSolution(status="unbounded", iterations=pivots)
+    x_full = np.zeros(A.shape[1])
+    x_full[basis] = x_B
     x = x_full[:n]
-    reduced = (c2 - c2[basis] @ T)[:n_total]
-    delay = float(lp.c @ x) - 1.0
-    power = float(lp.a_power @ x)
+    # the certificate; the gap relative to the terms it cancels
+    A0, x0 = A[:, :n_total], x_full[:n_total]
+    reduced = c2[:n_total] - y @ A0
+    reduced[basis[basis < n_total]] = 0.0
+    gap = float(c2[basis] @ x_B - y @ b)
+    gap_size = 1.0 + np.abs(y) @ np.abs(b) + np.abs(c2[basis]) @ np.abs(x_B)
+    certified = (
+        np.all(x0 >= -FEAS_TOL)
+        and np.all(np.abs(A0 @ x0 - b) <= FEAS_TOL)
+        and abs(gap) <= REDUCED_COST_TOL * gap_size
+    )
     return LpSolution(
-        status="optimal",
+        status="optimal" if certified else "uncertified",
         x=x,
-        delay=delay,
-        power=power,
+        delay=float(lp.c @ x) - 1.0,
+        power=float(lp.a_power @ x),
         reduced_costs=reduced,
-        iterations=iters,
+        iterations=pivots,
         equilibrium_residual=float(
             np.max(np.abs(lp.A_eq @ x - lp.b_eq)) if lp.A_eq.size else 0.0
         ),
         normalization_residual=abs(float(np.sum(x)) - 1.0),
+        duality_gap=gap,
     )
 
 
@@ -266,7 +355,8 @@ class SweepPoint:
 
 
 def sweep(params: ModelParams, budgets: Sequence[float]) -> list[SweepPoint]:
-    """One LP solve per power budget; failures are recorded per budget."""
+    """One LP solve per power budget; failures are recorded per budget, and
+    only an optimal point carries a delay."""
     out = []
     for p_th in budgets:
         try:
@@ -274,9 +364,11 @@ def sweep(params: ModelParams, budgets: Sequence[float]) -> list[SweepPoint]:
         except IterationLimit:
             out.append(SweepPoint(p_th=p_th, status="iteration_limit", delay=None, solution=None))
             continue
-        out.append(
-            SweepPoint(p_th=p_th, status=sol.status, delay=sol.delay, solution=sol)
-        )
+        except SimplexBreakdown:
+            out.append(SweepPoint(p_th=p_th, status="breakdown", delay=None, solution=None))
+            continue
+        delay = sol.delay if sol.status == "optimal" else None
+        out.append(SweepPoint(p_th=p_th, status=sol.status, delay=delay, solution=sol))
     return out
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from dpsched.cli import main
 from dpsched.model import ThresholdPolicy, threshold_to_policy, validate_params
+from dpsched.pareto import algorithm1
 
 VI_FLAGS = ["--alpha", "0.4", "--A", "2", "--M", "3", "--Q", "5", "--power", "0,1,4,9"]
 
@@ -74,6 +75,17 @@ class TestLp:
         assert rc == 0
         assert "status=infeasible" in capsys.readouterr().out
 
+    def test_failed_solve_prints_no_delay(self, capsys, monkeypatch):
+        from dpsched import lp as lp_module
+        from dpsched.errors import SimplexBreakdown
+
+        def breakdown(lp):
+            raise SimplexBreakdown("basis LU has an exactly zero pivot")
+
+        monkeypatch.setattr(lp_module, "solve_simplex", breakdown)
+        assert main(["lp", *VI_FLAGS, "--pth", "1.3"]) == 0
+        assert "delay=nan status=breakdown" in capsys.readouterr().out
+
     def test_policy_out_roundtrips(self, tmp_path, capsys):
         pol_path = tmp_path / "policy.csv"
         rc = main(["lp", *VI_FLAGS, "--pth", "1.6", "--policy-out", str(pol_path)])
@@ -91,6 +103,21 @@ class TestLp:
         lines = out.read_text().splitlines()
         assert lines[0] == "p_th,delay,status"
         assert len(lines) == 6
+
+    def test_sweep_ladder_k43(self, tmp_path):
+        # ladder rung K=43: all 50 budgets over [P_min, P_max] are optimal
+        # and within 1e-6 of the walk's frontier
+        params = validate_params(0.5, 3, 5, 40, [0, 1, 4, 9, 16, 25])
+        curve = algorithm1(params)
+        out = tmp_path / "sweep.csv"
+        spec = f"{curve.min_power!r}:{curve.max_power!r}:50"
+        flags = ["--alpha", "0.5", "--A", "3", "--M", "5", "--Q", "40", "--power", "0,1,4,9,16,25"]
+        assert main(["lp", *flags, "--sweep", spec, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 50
+        for p_th, delay, status in rows:
+            assert status == "optimal"
+            assert abs(float(delay) - curve.interpolate(float(p_th))) <= 1e-6
 
     def test_bad_sweep_spec(self, capsys):
         assert main(["lp", *VI_FLAGS, "--sweep", "1.6:0.9:5"]) == 2

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from dpsched import errors, lp as lp_module, mrp
 from dpsched.lp import (
     LpProblem,
+    LpSolution,
     build_lp,
     equilibrium_matrix,
     occupation_measure,
@@ -15,6 +23,115 @@ from dpsched.lp import (
 from dpsched.model import Policy, feasibility_mask, feasible_actions, validate_params
 from dpsched.pareto import algorithm1
 from dpsched.verify import random_policy
+
+from conftest import EDGE_FAMILIES, edge_params
+
+
+def tableau_pivot(T: np.ndarray, b: np.ndarray, row: int, col: int) -> None:
+    """Gauss-Jordan pivot on T[row, col]; rows with a zero in the pivot
+    column are left untouched."""
+    piv = T[row, col]
+    T[row, :] /= piv
+    b[row] /= piv
+    factor = T[:, col].copy()
+    factor[row] = 0.0
+    rows = np.flatnonzero(factor)
+    T[rows] -= factor[rows, None] * T[row]
+    b[rows] -= factor[rows] * b[row]
+
+
+def bland_phase(
+    T: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int], n_enter: int, pivots: int
+) -> tuple[str, int]:
+    """Bland-rule simplex on an explicit tableau, entering only columns
+    below n_enter; `pivots` counts the pivots of earlier phases, so that
+    MAX_PIVOTS caps the whole solve.  Returns (status, pivots)."""
+    while True:
+        reduced = c - c[basis] @ T
+        eligible = reduced < -lp_module.REDUCED_COST_TOL
+        eligible[basis] = False
+        eligible[n_enter:] = False
+        if not eligible.any():
+            return "optimal", pivots
+        enter = int(np.argmax(eligible))
+        col = T[:, enter]
+        leave = -1
+        best_ratio = np.inf
+        for i in range(T.shape[0]):
+            if col[i] > 1e-10:
+                ratio = b[i] / col[i]
+                if ratio < best_ratio - 1e-12 or (
+                    abs(ratio - best_ratio) <= 1e-12
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded", pivots
+        tableau_pivot(T, b, leave, enter)
+        basis[leave] = enter
+        pivots += 1
+        if pivots > lp_module.MAX_PIVOTS:
+            raise errors.IterationLimit(f"simplex exceeded {lp_module.MAX_PIVOTS} pivots")
+
+
+def bland_reference(lp: LpProblem) -> LpSolution:
+    """Reference: the two-phase dense tableau simplex with Bland's rule that
+    `solve_simplex` used before the revised simplex, kept verbatim."""
+    n = lp.n_vars
+    # standard form: power row gets a slack, equalities as-is
+    A = np.vstack([lp.a_power, lp.A_eq])
+    b = np.concatenate([[lp.p_th], lp.b_eq])
+    m_rows = A.shape[0]
+    slack = np.zeros((m_rows, 1))
+    slack[0, 0] = 1.0
+    A = np.hstack([A, slack])
+    c = np.concatenate([lp.c, [0.0]])
+    # nonnegative right-hand side for phase 1
+    negative = b < 0
+    A[negative] *= -1
+    b[negative] *= -1
+    n_total = A.shape[1]
+    # phase 1: artificial basis
+    T = np.hstack([A, np.eye(m_rows)]).astype(float)
+    b1 = b.astype(float).copy()
+    c1 = np.concatenate([np.zeros(n_total), np.ones(m_rows)])
+    basis = list(range(n_total, n_total + m_rows))
+    status, iters = bland_phase(T, b1, c1, basis, T.shape[1], 0)
+    phase1_obj = float(c1[basis] @ b1)
+    if status != "optimal" or phase1_obj > lp_module.FEAS_TOL:
+        return LpSolution(status="infeasible", iterations=iters)
+    # drive leftover zero-valued artificials out of the basis when possible
+    for i, bi in enumerate(basis):
+        if bi >= n_total:
+            for j in range(n_total):
+                if abs(T[i, j]) > 1e-10 and j not in basis:
+                    tableau_pivot(T, b1, i, j)
+                    basis[i] = j
+                    break
+    # phase 2: artificials may no longer enter
+    c2 = np.concatenate([c, np.zeros(m_rows)])
+    status, iters = bland_phase(T, b1, c2, basis, n_total, iters)
+    if status == "unbounded":
+        return LpSolution(status="unbounded", iterations=iters)
+    x_full = np.zeros(T.shape[1])
+    x_full[basis] = b1
+    x = x_full[:n]
+    reduced = (c2 - c2[basis] @ T)[:n_total]
+    delay = float(lp.c @ x) - 1.0
+    power = float(lp.a_power @ x)
+    return LpSolution(
+        status="optimal",
+        x=x,
+        delay=delay,
+        power=power,
+        reduced_costs=reduced,
+        iterations=iters,
+        equilibrium_residual=float(
+            np.max(np.abs(lp.A_eq @ x - lp.b_eq)) if lp.A_eq.size else 0.0
+        ),
+        normalization_residual=abs(float(np.sum(x)) - 1.0),
+    )
 
 
 class TestBuildLp:
@@ -93,9 +210,19 @@ class TestSimplexCore:
         assert sol.power <= 1.6 + 1e-9
 
     def test_pivot_cap_covers_both_phases(self, params_vi, monkeypatch):
-        # at p_th=1.0 both phases pivot (16 + 2), so a cap of one pivot
+        # at p_th=1.0 both phases pivot (7 + 5), so a cap of one pivot
         # less than the total trips only if it counts the phases together
+        ends = []
+        phase = lp_module._simplex_phase
+
+        def counted_phase(*args, **kwargs):
+            out = phase(*args, **kwargs)
+            ends.append(out[1])
+            return out
+
+        monkeypatch.setattr(lp_module, "_simplex_phase", counted_phase)
         pivots = solve_simplex(build_lp(params_vi, 1.0)).iterations
+        assert ends == [7, pivots] and pivots == 7 + 5
         monkeypatch.setattr(lp_module, "MAX_PIVOTS", pivots)
         assert solve_simplex(build_lp(params_vi, 1.0)).iterations == pivots
         monkeypatch.setattr(lp_module, "MAX_PIVOTS", pivots - 1)
@@ -105,6 +232,89 @@ class TestSimplexCore:
         (point,) = sweep(params_vi, [1.0])
         assert point.status == "iteration_limit"
         assert point.delay is None and point.solution is None
+
+    def test_singular_basis_breaks_down(self, params_vi, monkeypatch):
+        # two equal columns make the basis exactly singular
+        A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(errors.SimplexBreakdown):
+            lp_module._simplex_phase(
+                A, np.array([1.0, 2.0]), np.zeros(3), np.array([0, 1]), 3, 0
+            )
+        # every factorization reporting a zero pivot: the first phase-1
+        # basis breaks down, and the sweep records it
+        def zero_pivot(B):
+            lu, piv, _ = dgetrf(B)
+            return lu, piv, 1
+
+        monkeypatch.setattr(lp_module, "dgetrf", zero_pivot)
+        (point,) = sweep(params_vi, [1.3])
+        assert point.status == "breakdown"
+        assert point.delay is None and point.solution is None
+
+    @pytest.mark.parametrize(
+        "phase,target,value",
+        [(1, "x_B", np.nan), (1, "y", np.nan), (2, "x_B", np.nan), (2, "y", np.nan),
+         (2, "u", np.nan), (1, "u", -1.0)],
+    )
+    def test_non_finite_solve_breaks_down(self, params_vi, monkeypatch, phase, target, value):
+        # each pivot solves for x_B, then y (transposed), then the entering
+        # column u; at p_th=1.0 both phases pivot.  A NaN in any of them must
+        # raise rather than price, pivot or report a ray, and so must a ray
+        # in phase 1 (u <= 0), where the artificials' sum bounds it
+        phases, kinds = [], []
+        run_phase = lp_module._simplex_phase
+
+        def counted_phase(*args, **kwargs):
+            phases.append(len(phases) + 1)
+            kinds.clear()
+            return run_phase(*args, **kwargs)
+
+        def solve(lu, piv, rhs, trans=0):
+            out = dgetrs(lu, piv, rhs, trans=trans)
+            kinds.append("y" if trans else "u" if kinds and kinds[-1] == "y" else "x_B")
+            if len(phases) == phase and kinds[-1] == target:
+                out[0][:] = value
+            return out
+
+        monkeypatch.setattr(lp_module, "_simplex_phase", counted_phase)
+        monkeypatch.setattr(lp_module, "dgetrs", solve)
+        with pytest.raises(errors.SimplexBreakdown):
+            solve_simplex(build_lp(params_vi, 1.0))
+
+    def test_ill_conditioned_budget_not_optimal(self):
+        # ladder rung K=203 at p_th = 2.5, at or below the least power: the
+        # final basis is so ill-conditioned that a basic value reads about
+        # -0.013 and the duality gap 19, which the certificate rejects
+        params = validate_params(0.5, 3, 5, 200, [0, 1, 4, 9, 16, 25])
+        sol = solve_simplex(build_lp(params, 2.5))
+        assert sol.status in ("uncertified", "infeasible")
+        if sol.status == "uncertified":
+            assert float(np.min(sol.x)) < -lp_module.FEAS_TOL
+            assert sweep(params, [2.5])[0].delay is None
+
+    def test_steep_budget_certified_relative_to_duals(self):
+        # ladder rung K=203 at the power of the walk's last vertex (delay
+        # 34.67): the duals reach 7e11, so the duality gap reads -1.9e-4 in
+        # absolute terms and -1.6e-16 relative to |y|@|b|.  The certified
+        # optimum lies well below that vertex, and the exact chain solve of
+        # the recovered policy gives the same power and delay.
+        params = validate_params(0.5, 3, 5, 200, [0, 1, 4, 9, 16, 25])
+        p_th = 2.5000000000061187
+        sol = solve_simplex(build_lp(params, p_th))
+        assert sol.status == "optimal"
+        assert sol.delay < 34.66666666676474 - 0.1
+        point = mrp.evaluate(params, recover_policy(params, sol))
+        assert point.power <= p_th + 1e-12
+        assert abs(point.delay - sol.delay) <= 1e-9
+
+    def test_small_alpha_basic_reduced_costs(self):
+        # alpha = 1e-4 scales the balance rows by 1e4, and the rounding in
+        # c - y@A on the basic columns reads about -6e-9; those are zero by
+        # definition and reported as zero
+        params = edge_params("alpha->0", 0.5, 1e-4, 3, 0, 2)
+        sol = solve_simplex(build_lp(params, 3.37))
+        assert sol.status == "optimal"
+        assert float(np.min(sol.reduced_costs)) >= -1e-9
 
     def test_certificates(self, params_vi):
         for p_th in (0.85, 1.0, 1.3, 1.6, 3.0):
@@ -255,6 +465,34 @@ class TestSweep:
         assert all(b <= a + 1e-9 for a, b in zip(delays, delays[1:]))
         for p in points:
             assert p.delay == pytest.approx(curve.interpolate(p.p_th), abs=1e-6)
+            assert abs(p.solution.duality_gap) <= 1e-9
+
+    def test_ladder_k83(self, monkeypatch):
+        """Ladder rung K=83, 50 budgets over [P_min, P_max]: each above
+        P_min optimal within 1e-6 of the walk's frontier and with its
+        certificate to 1e-9.  At P_min the feasible set is one point and the
+        basis is ill-conditioned: the duals reach 1e10, so the duality gap
+        reads 1.8e-6 (1.8e-16 relative to |y|@|b|), and a basic value reads
+        -3.5e-8, below -FEAS_TOL, so the solve reports the point uncertified
+        rather than optimal.  The cap of 5,000
+        pivots (the most any budget takes is 352) turns a degenerate stall
+        into a failure instead of a long run."""
+        monkeypatch.setattr(lp_module, "MAX_PIVOTS", 5000)
+        params = validate_params(0.5, 3, 5, 80, [0, 1, 4, 9, 16, 25])
+        curve = algorithm1(params)
+        budgets = np.linspace(curve.min_power, curve.max_power, 50)
+        points = sweep(params, [float(b) for b in budgets])
+        at_min = points[0].solution
+        assert points[0].status == "uncertified" and points[0].delay is None
+        assert -1e-7 < float(np.min(at_min.x)) < -lp_module.FEAS_TOL
+        assert abs(at_min.delay - curve.interpolate(points[0].p_th)) <= 1e-6
+        for p in points[1:]:
+            assert p.status == "optimal", p.p_th
+            assert abs(p.delay - curve.interpolate(p.p_th)) <= 1e-6
+            sol = p.solution
+            assert sol.equilibrium_residual <= 1e-9 and sol.normalization_residual <= 1e-9
+            assert float(np.min(sol.reduced_costs)) >= -1e-9
+            assert abs(sol.duality_gap) <= 1e-9
 
     def test_csv(self, params_vi):
         csv = sweep_to_csv(sweep(params_vi, [0.0, 1.6]))
@@ -262,3 +500,70 @@ class TestSweep:
         assert lines[0] == "p_th,delay,status"
         assert lines[1].endswith("infeasible")
         assert lines[2].endswith("optimal")
+
+
+class TestAgainstBland:
+    def test_reference_sweep(self, params_vi):
+        """Status and delay of the Bland tableau across and beyond the
+        reference frontier, in far fewer pivots."""
+        curve = algorithm1(params_vi)
+        for p_th in np.linspace(0.0, curve.max_power + 0.5, 41):
+            lp = build_lp(params_vi, float(p_th))
+            sol, want = solve_simplex(lp), bland_reference(lp)
+            assert sol.status == want.status
+            assert sol.iterations <= want.iterations
+            if want.status == "optimal":
+                assert abs(sol.delay - want.delay) <= 1e-12
+
+    @pytest.mark.parametrize("M,Q", [(1, 3), (2, 3), (3, 2), (2, 1)])
+    def test_alpha_one_a_one(self, M, Q):
+        """At alpha=1, A=1 a state that sends one bit stays where it is, so
+        many bases are singular.  The solve agrees with the tableau on both
+        sides of P_min = power[1] = 1.25."""
+        params = edge_params("A=1", 1.0, 0.5, 1, M - 1, Q)
+        for p_th in (0.5, 1.2, 1.25, 2.0, 5.0):
+            lp = build_lp(params, p_th)
+            sol, want = solve_simplex(lp), bland_reference(lp)
+            assert sol.status == want.status == ("optimal" if p_th >= 1.25 else "infeasible")
+            if want.status == "optimal":
+                assert abs(sol.delay - want.delay) <= 1e-12
+
+
+@given(
+    family=st.sampled_from(EDGE_FAMILIES),
+    alpha=st.floats(0.05, 0.95),
+    eps=st.floats(1e-4, 0.02),
+    A=st.integers(1, 3),
+    extra_m=st.integers(0, 2),
+    Q=st.integers(0, 6),
+    budget=st.floats(0.0, 1.05),
+)
+@settings(max_examples=60, deadline=None)
+def test_edge_instances_match_bland(family, alpha, eps, A, extra_m, Q, budget):
+    """alpha near 0 and 1 (alpha = 1 included), Q = 0, M = A and A = 1, at a
+    budget up to 1.05 power[M]: the status of the Bland tableau, its delay
+    to 1e-9, the budget kept, and no reduced cost below -1e-9."""
+    params = edge_params(family, alpha, eps, A, extra_m, Q)
+    p_th = budget * float(params.power_array[params.M])
+    lp = build_lp(params, p_th)
+    sol, want = solve_simplex(lp), bland_reference(lp)
+    assert sol.status == want.status
+    if want.status == "optimal":
+        assert abs(sol.delay - want.delay) <= 1e-9
+        assert sol.power <= p_th + 1e-9
+        assert float(np.min(sol.reduced_costs)) >= -1e-9
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """`import dpsched` must not pull in scipy.optimize (HiGHS): it costs
+    about 20 MB and 0.2 s of every process's start."""
+    src = str(Path(lp_module.__file__).resolve().parents[1])
+    code = "import sys, dpsched; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
