@@ -274,9 +274,10 @@ def _clean_pi(lam: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pi, failed
 
 
-def _singular(lu: BandLU) -> SingularChain:
-    """The error of a one-chain solve that failed."""
-    if not lu.chains.size:
+def _singular(lu: BandLU, chain: int = 0) -> SingularChain:
+    """The error of a chain of a stack (the only one by default) whose solve
+    failed."""
+    if chain not in lu.chains:
         return SingularChain(
             "balance system is numerically singular (pivot below "
             f"{SINGULAR_TOL}); the chain likely has multiple recurrent classes"
@@ -371,7 +372,7 @@ class EvalCache(dict):
     """Per-computation cache of reward points, `Policy.key()` ->
     `DelayPowerPoint`; it keeps no matrices or factors.
 
-    Confine one instance to one frontier computation; do not share across
+    Confine one instance to one computation; do not share across
     threads.
     """
 

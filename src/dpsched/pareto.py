@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .errors import SingularChain
-from .model import ModelParams, ThresholdPolicy, threshold_to_policy
-from .mrp import DelayPowerPoint, EvalCache, evaluate, score_stack
+from .model import ModelParams, ThresholdPolicy, threshold_action_map, threshold_to_policy
+from .mrp import DelayPowerPoint, _singular, score_stack
 from .policies import (
     DEFAULT_ENUMERATION_CAP,
     enumerate_deterministic,
@@ -134,16 +134,19 @@ def _perp_distance(a: DelayPowerPoint, b: DelayPowerPoint, c: DelayPowerPoint) -
 
 
 def _drop_collinear(points: list[DelayPowerPoint]) -> list[DelayPowerPoint]:
+    """Prune interior points lying on the chord of their neighbors.
+
+    Deleting out[i] changes only the triples centred at i-1 and i, and the
+    triples before them did not qualify, so the scan resumes at i-1: the
+    result is that of restarting from the front after every deletion."""
     out = list(points)
-    # prune interior points lying on the chord of their neighbors
-    changed = True
-    while changed and len(out) > 2:
-        changed = False
-        for i in range(1, len(out) - 1):
-            if _perp_distance(out[i - 1], out[i], out[i + 1]) <= COLLINEAR_TOL:
-                del out[i]
-                changed = True
-                break
+    i = 1
+    while i < len(out) - 1:
+        if _perp_distance(out[i - 1], out[i], out[i + 1]) <= COLLINEAR_TOL:
+            del out[i]
+            i = max(1, i - 1)
+        else:
+            i += 1
     return out
 
 
@@ -188,22 +191,36 @@ def lower_convex_hull(points: Sequence[DelayPowerPoint]) -> ParetoCurve:
     return ParetoCurve(vertices=tuple(_drop_collinear(frontier)))
 
 
-def _threshold_point(
+def _policy_stack(params: ModelParams, acts: np.ndarray) -> np.ndarray:
+    """The deterministic policy matrices (N, K+1, M+1) of action maps (N, K+1)."""
+    f = np.zeros(acts.shape + (params.M + 1,))
+    np.put_along_axis(f, acts[..., None], 1.0, axis=-1)
+    return f
+
+
+def _walk_rewards(
     params: ModelParams,
-    tp: ThresholdPolicy,
-    cache: EvalCache,
-    actions: Optional[list[int]] = None,
-) -> DelayPowerPoint:
-    policy = threshold_to_policy(params, tp, actions)
-    try:
-        base = evaluate(params, policy, cache)
-    except SingularChain as exc:
-        raise SingularChain(
-            f"singular chain for thresholds {tp.thresholds}: {exc}"
-        ) from exc
-    return DelayPowerPoint(
-        power=base.power, delay=base.delay, policy=policy, thresholds=tp.thresholds
-    )
+    level: list[tuple[ThresholdPolicy, np.ndarray]],
+    rewards: dict[tuple[int, ...], tuple[float, float]],
+) -> list[tuple[float, float]]:
+    """(power, delay) of each threshold vector of `level`, given with its
+    action map.  The vectors not yet in `rewards` are scored by one
+    `score_stack` call and added to it; a singular chain raises
+    SingularChain naming the first such vector in the level's order."""
+    new = [(tp, acts) for tp, acts in level if tp.thresholds not in rewards]
+    if new:
+        lu, kept, power, delay = score_stack(
+            params, _policy_stack(params, np.array([acts for _, acts in new]))
+        )
+        if kept.size < len(new):
+            failed = np.ones(len(new), dtype=bool)
+            failed[kept] = False
+            i = int(np.argmax(failed))
+            raise SingularChain(
+                f"singular chain for thresholds {new[i][0].thresholds}: {_singular(lu, i)}"
+            )
+        rewards.update(zip((tp.thresholds for tp, _ in new), zip(power.tolist(), delay.tolist())))
+    return [rewards[tp.thresholds] for tp, _ in level]
 
 
 def algorithm1(params: ModelParams) -> ParetoCurve:
@@ -215,46 +232,63 @@ def algorithm1(params: ModelParams) -> ParetoCurve:
     Tied candidates are all kept for the next expansion; the recorded
     vertex is the tied point of least power (lexicographically smallest
     thresholds among equals).
+
+    A step expands its strategies level by level: the raised vectors of
+    one level that the walk has not scored yet are scored as one stack
+    (`score_stack`), so every chain's point is bit for bit its own solve.
+    Every walk vector covers all states (thresholds[M] = K), so its
+    thresholds determine its policy and key the walk's reward cache; a
+    Policy is built only for the vertices returned.
     """
-    cache = EvalCache()
+    rewards: dict[tuple[int, ...], tuple[float, float]] = {}
     tp0 = initial_threshold_policy(params)
-    cur_pt = _threshold_point(params, tp0, cache)
-    walk = [cur_pt]
+    acts0 = np.array(threshold_action_map(params, tp0))
+    ((p_p, d_p),) = _walk_rewards(params, [(tp0, acts0)], rewards)
+    walk = [(p_p, d_p, tp0, acts0)]
     current: dict[tuple[int, ...], ThresholdPolicy] = {tp0.thresholds: tp0}
     slope_tol = 1e-9
     while True:
-        p_p, d_p = cur_pt.power, cur_pt.delay
         # Neighbors with the exact same reward pair only reassign unreachable
         # states: they are alternative representations of the current vertex,
         # so their own neighbors must be explored too (transitively).
-        candidates: dict[tuple[int, ...], tuple[DelayPowerPoint, ThresholdPolicy]] = {}
-        pending = list(current.values())
-        while pending:
-            tp = pending.pop()
-            for nb, acts in neighbors_increase_threshold(params, tp).items():
-                if nb.thresholds in current or nb.thresholds in candidates:
-                    continue
-                pt = _threshold_point(params, nb, cache, acts)
-                if abs(pt.power - p_p) <= POINT_TOL and abs(pt.delay - d_p) <= POINT_TOL:
+        candidates: dict[tuple[int, ...], tuple[float, float, ThresholdPolicy, np.ndarray]] = {}
+        level = list(current.values())
+        while level:
+            fresh: dict[tuple[int, ...], tuple[ThresholdPolicy, np.ndarray]] = {}
+            for tp in level:
+                for nb, acts in neighbors_increase_threshold(params, tp).items():
+                    if nb.thresholds not in current and nb.thresholds not in candidates:
+                        fresh.setdefault(nb.thresholds, (nb, acts))
+            level = []
+            for (nb, acts), (p, d) in zip(
+                fresh.values(), _walk_rewards(params, list(fresh.values()), rewards)
+            ):
+                if abs(p - p_p) <= POINT_TOL and abs(d - d_p) <= POINT_TOL:
                     current[nb.thresholds] = nb
-                    pending.append(nb)
-                    continue
-                candidates[nb.thresholds] = (pt, nb)
+                    level.append(nb)
+                else:
+                    candidates[nb.thresholds] = (p, d, nb, acts)
         accepted = [
-            (pt, nb)
-            for (pt, nb) in candidates.values()
-            if pt.delay >= d_p - slope_tol and pt.power < p_p - 1e-12
+            (p, d, nb, acts)
+            for p, d, nb, acts in candidates.values()
+            if d >= d_p - slope_tol and p < p_p - 1e-12
         ]
         if not accepted:
             break
-        slopes = [(max(pt.delay - d_p, 0.0) / (p_p - pt.power), pt, nb) for pt, nb in accepted]
-        s_min = min(s for s, _, _ in slopes)
-        tied = [(pt, nb) for (s, pt, nb) in slopes if s <= s_min + slope_tol]
+        slopes = [max(d - d_p, 0.0) / (p_p - p) for p, d, _, _ in accepted]
+        s_min = min(slopes)
+        tied = [c for s, c in zip(slopes, accepted) if s <= s_min + slope_tol]
         # vertex representative: least power, then lexicographic thresholds
-        cur_pt, _ = min(tied, key=lambda t: (t[0].power, t[1].thresholds))
-        walk.append(cur_pt)
-        current = {nb.thresholds: nb for (_, nb) in tied}
-    return ParetoCurve(vertices=tuple(_drop_collinear(walk)))
+        best = min(tied, key=lambda c: (c[0], c[2].thresholds))
+        p_p, d_p, _, _ = best
+        walk.append(best)
+        current = {nb.thresholds: nb for _, _, nb, _ in tied}
+    recorded = {tp.thresholds: (tp, acts) for _, _, tp, acts in walk}
+    points = [DelayPowerPoint(p, d, thresholds=tp.thresholds) for p, d, tp, _ in walk]
+    return ParetoCurve(vertices=tuple(
+        replace(v, policy=threshold_to_policy(params, *recorded[v.thresholds]))
+        for v in _drop_collinear(points)
+    ))
 
 
 def _score_deterministic(
@@ -268,9 +302,7 @@ def _score_deterministic(
     maps = []
     skipped = 0
     for acts in enumerate_deterministic(params, cap=cap):
-        f = np.zeros(acts.shape + (params.M + 1,))
-        np.put_along_axis(f, acts[..., None], 1.0, axis=-1)
-        _, kept, power, delay = score_stack(params, f)
+        _, kept, power, delay = score_stack(params, _policy_stack(params, acts))
         points += map(DelayPowerPoint, power.tolist(), delay.tolist())
         maps.append(acts[kept])
         skipped += len(acts) - kept.size

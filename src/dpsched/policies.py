@@ -113,10 +113,11 @@ def initial_threshold_policy(params: ModelParams) -> ThresholdPolicy:
 
 def neighbors_increase_threshold(
     params: ModelParams, tp: ThresholdPolicy
-) -> dict[ThresholdPolicy, list[int]]:
+) -> dict[ThresholdPolicy, np.ndarray]:
     """All legal variants of tp with exactly one threshold raised by 1, in
-    order of the raised index, each mapped to its `threshold_action_map`
-    (which `threshold_to_policy` takes as given, so no vector is mapped twice).
+    order of the raised index, each mapped to its action map: a row of one
+    `threshold_action_map` call over the stack of raised vectors (which
+    `threshold_to_policy` takes as given, so no vector is mapped twice).
 
     The zero-action threshold stays pinned at 0; `ThresholdPolicy` and
     `threshold_action_map` reject raised vectors that are not
@@ -124,14 +125,15 @@ def neighbors_increase_threshold(
     """
     if not tp.is_deterministic():
         raise InfeasibleThresholds("neighbor generation requires a deterministic policy")
-    out = {}
+    raised = []
     ts = tp.thresholds
     for m in range(1, len(ts)):
         cand = list(ts)
         cand[m] += 1
         try:
-            nb = ThresholdPolicy(tuple(cand))
-            out[nb] = threshold_action_map(params, nb)
+            raised.append(ThresholdPolicy(tuple(cand)))
         except InfeasibleThresholds:
             continue
-    return out
+    # raising the last threshold keeps the vector nondecreasing: never empty
+    maps, ok = threshold_action_map(params, np.array([nb.thresholds for nb in raised]))
+    return {nb: acts for nb, acts, good in zip(raised, maps, ok) if good}

@@ -237,7 +237,8 @@ class TestFeasibilityBookkeeping:
                 want.append(nb)
             got = neighbors_increase_threshold(params, ThresholdPolicy(ts))
             assert list(got) == want
-            assert all(acts == threshold_action_map(params, nb) for nb, acts in got.items())
+            assert all(acts.tolist() == threshold_action_map(params, nb)
+                       for nb, acts in got.items())
 
     def test_lp_variables_in_lexicographic_feasible_order(self, params):
         want = tuple(

@@ -1,14 +1,20 @@
+import dataclasses
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dpsched import model, policies
+from dpsched import model, pareto, policies
+from dpsched.errors import SingularChain
 from dpsched.model import validate_params
-from dpsched.mrp import DelayPowerPoint
+from dpsched.mrp import DelayPowerPoint, EvalCache, evaluate
 from dpsched.pareto import (
+    COLLINEAR_TOL,
+    POINT_TOL,
     ParetoCurve,
+    _perp_distance,
     algorithm1,
     brute_force_frontier,
     cloud_to_csv,
@@ -17,7 +23,86 @@ from dpsched.pareto import (
 )
 from dpsched.verify import curves_match
 
-from conftest import random_params
+from conftest import EDGE_FAMILIES, edge_params, random_params
+
+LADDER = dict(alpha=0.5, A=3, M=5, power=[0, 1, 4, 9, 16, 25])
+
+
+def drop_collinear_reference(points):
+    """The restart loop `pareto._drop_collinear` replaced, kept verbatim."""
+    out = list(points)
+    # prune interior points lying on the chord of their neighbors
+    changed = True
+    while changed and len(out) > 2:
+        changed = False
+        for i in range(1, len(out) - 1):
+            if _perp_distance(out[i - 1], out[i], out[i + 1]) <= COLLINEAR_TOL:
+                del out[i]
+                changed = True
+                break
+    return out
+
+
+def threshold_point_reference(params, tp, cache, actions=None):
+    """`pareto._threshold_point` of the one-at-a-time walk, kept verbatim."""
+    policy = model.threshold_to_policy(params, tp, actions)
+    try:
+        base = evaluate(params, policy, cache)
+    except SingularChain as exc:
+        raise SingularChain(
+            f"singular chain for thresholds {tp.thresholds}: {exc}"
+        ) from exc
+    return DelayPowerPoint(
+        power=base.power, delay=base.delay, policy=policy, thresholds=tp.thresholds
+    )
+
+
+def walk_reference(params):
+    """`algorithm1` as it scored one raised vector at a time through
+    `mrp.evaluate` and an `EvalCache` keyed by the policy bytes, kept
+    verbatim (with the reference collinear prune)."""
+    cache = EvalCache()
+    tp0 = policies.initial_threshold_policy(params)
+    cur_pt = threshold_point_reference(params, tp0, cache)
+    walk = [cur_pt]
+    current = {tp0.thresholds: tp0}
+    slope_tol = 1e-9
+    while True:
+        p_p, d_p = cur_pt.power, cur_pt.delay
+        candidates = {}
+        pending = list(current.values())
+        while pending:
+            tp = pending.pop()
+            for nb, acts in policies.neighbors_increase_threshold(params, tp).items():
+                if nb.thresholds in current or nb.thresholds in candidates:
+                    continue
+                pt = threshold_point_reference(params, nb, cache, acts)
+                if abs(pt.power - p_p) <= POINT_TOL and abs(pt.delay - d_p) <= POINT_TOL:
+                    current[nb.thresholds] = nb
+                    pending.append(nb)
+                    continue
+                candidates[nb.thresholds] = (pt, nb)
+        accepted = [
+            (pt, nb)
+            for (pt, nb) in candidates.values()
+            if pt.delay >= d_p - slope_tol and pt.power < p_p - 1e-12
+        ]
+        if not accepted:
+            break
+        slopes = [(max(pt.delay - d_p, 0.0) / (p_p - pt.power), pt, nb) for pt, nb in accepted]
+        s_min = min(s for s, _, _ in slopes)
+        tied = [(pt, nb) for (s, pt, nb) in slopes if s <= s_min + slope_tol]
+        cur_pt, _ = min(tied, key=lambda t: (t[0].power, t[1].thresholds))
+        walk.append(cur_pt)
+        current = {nb.thresholds: nb for (_, nb) in tied}
+    return ParetoCurve(vertices=tuple(drop_collinear_reference(walk)))
+
+
+def curve_repr(curve):
+    """repr of every vertex's (power, delay, thresholds, policy bytes): equal
+    reprs mean bit-identical curves."""
+    return repr([(v.power, v.delay, v.thresholds, v.policy.f.tobytes())
+                 for v in curve.vertices])
 
 
 def pt(power, delay):
@@ -60,6 +145,40 @@ class TestLowerConvexHull:
         assert curve.vertices[0].delay == 0.1
 
 
+class TestDropCollinear:
+    @staticmethod
+    def assert_same_objects(points):
+        got = pareto._drop_collinear(points)
+        want = drop_collinear_reference(points)
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+
+    def test_random_lists(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(0, 12))
+            self.assert_same_objects([pt(*xy) for xy in rng.uniform(0, 1, (n, 2))])
+
+    def test_collinear_runs(self, rng):
+        # runs of points on one line, within and beyond COLLINEAR_TOL of it,
+        # with exact duplicates, joined at random corners
+        for _ in range(1000):
+            points = []
+            for _ in range(int(rng.integers(1, 5))):
+                x0, y0, dx, dy = rng.uniform(-1, 1, 4)
+                for t in np.sort(rng.uniform(0, 1, int(rng.integers(1, 7)))):
+                    off = rng.choice([0.0, 0.0, 0.5, 2.0]) * COLLINEAR_TOL
+                    points.append(pt(x0 + t * dx, y0 + t * dy + off))
+                    if rng.random() < 0.1:
+                        points.append(points[-1])
+            self.assert_same_objects(points)
+
+    def test_all_collinear_keeps_the_ends(self):
+        points = [pt(1.0 - 0.1 * i, 0.2 * i) for i in range(8)]
+        got = pareto._drop_collinear(points)
+        assert got == [points[0], points[-1]]
+        assert got[0] is points[0] and got[1] is points[-1]
+
+
 class TestCurveInvariants:
     def test_reference_curve(self, params_vi):
         curve = algorithm1(params_vi)
@@ -95,23 +214,109 @@ class TestCurveInvariants:
         assert doc["vertices"][0]["thresholds"] == [0, 1, 7, 7]
 
     def test_walk_maps_raised_vectors_only_in_neighbor_generation(self, monkeypatch):
-        # the walk builds each raised vector's policy from the action map
-        # neighbor generation made, instead of mapping the vector again
-        outside = Counter()
+        # the walk builds each vertex's policy from the action map neighbor
+        # generation made, instead of mapping the vector again, and neighbor
+        # generation maps all raised vectors of a strategy in one call
+        single = Counter()
+        stacks = []
         original = model.threshold_action_map
 
         def counting(params, tp):
-            outside[tp.thresholds] += 1
+            if isinstance(tp, model.ThresholdPolicy):
+                single[tp.thresholds] += 1
+            else:
+                stacks.append(len(tp))
             return original(params, tp)
+
+        generations = []
+        original_neighbors = pareto.neighbors_increase_threshold
+
+        def counting_neighbors(params, tp):
+            generations.append(len(stacks))
+            return original_neighbors(params, tp)
 
         params = validate_params(0.5, 3, 5, 19, [0, 1, 4, 9, 16, 25])  # ladder K=22
         start = policies.initial_threshold_policy(params).thresholds
-        monkeypatch.setattr(model, "threshold_action_map", counting)
+        for mod in (model, policies, pareto):
+            monkeypatch.setattr(mod, "threshold_action_map", counting)
+        monkeypatch.setattr(pareto, "neighbors_increase_threshold", counting_neighbors)
         assert len(algorithm1(params).vertices) == 28
-        # only the starting vector: its raw form once to complete it, and
-        # the completed vector once for its policy
-        assert outside[start] == 1
-        assert sum(outside.values()) == 2
+        # only the starting vector is mapped alone: its raw form once to
+        # complete it, and the completed vector once for its action map
+        assert single[start] == 1
+        assert sum(single.values()) == 2
+        # one stack of raised vectors per neighbor generation
+        assert generations == list(range(len(generations)))
+        assert len(stacks) == len(generations) > 0
+
+    @pytest.mark.parametrize("stage, message", [
+        ("pivot", "pivot below"),
+        ("checks", "stationary solve has mass"),
+    ])
+    def test_singular_chain_names_first_failing_vector_of_level(
+        self, monkeypatch, stage, message
+    ):
+        # every chain of the first stack of several but its first fails, at
+        # the pivot test or at the checks after the solve: the error names
+        # the first failing vector in the level's order, and its stage
+        original = pareto.score_stack
+        stacked = []
+
+        def failing(params, f):
+            lu, kept, power, delay = original(params, f)
+            if len(f) > 1:
+                stacked.append(f)
+                if stage == "pivot":
+                    lu = dataclasses.replace(lu, chains=lu.chains[:1])
+                return lu, kept[:1], power[:1], delay[:1]
+            return lu, kept, power, delay
+
+        params = validate_params(0.5, 3, 5, 19, [0, 1, 4, 9, 16, 25])  # ladder K=22
+        monkeypatch.setattr(pareto, "score_stack", failing)
+        with pytest.raises(SingularChain, match=message) as err:
+            algorithm1(params)
+        assert len(stacked) == 1
+        acts = np.argmax(stacked[0][1], axis=1)
+        want = model._last_state_at_most(acts, params.M)
+        assert f"singular chain for thresholds {want}:" in str(err.value)
+
+
+class TestWalkAgainstReference:
+    """The stacked walk against the one-at-a-time walk, bit for bit."""
+
+    @pytest.mark.parametrize("Q", [19, 200])
+    def test_ladder(self, Q):
+        params = validate_params(Q=Q, **LADDER)
+        assert curve_repr(algorithm1(params)) == curve_repr(walk_reference(params))
+
+    @pytest.mark.parametrize("Q", [5, 6])
+    def test_reference_instance(self, Q):
+        params = validate_params(0.4, 2, 3, Q, [0, 1, 4, 9])
+        assert curve_repr(algorithm1(params)) == curve_repr(walk_reference(params))
+
+
+def walk_outcome(walk, params):
+    try:
+        return curve_repr(walk(params))
+    except SingularChain:
+        return SingularChain
+
+
+@given(
+    family=st.sampled_from(EDGE_FAMILIES),
+    alpha=st.floats(0.05, 0.95),
+    eps=st.floats(1e-4, 0.02),
+    A=st.integers(1, 3),
+    extra_m=st.integers(0, 2),
+    Q=st.integers(0, 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_walk_edge_instances_match_reference(family, alpha, eps, A, extra_m, Q):
+    """alpha near 0 and 1 (alpha = 1 included), Q = 0, M = A and A = 1: the
+    same curve, bit for bit, as the one-at-a-time walk, or SingularChain
+    from both."""
+    params = edge_params(family, alpha, eps, A, extra_m, Q)
+    assert walk_outcome(algorithm1, params) == walk_outcome(walk_reference, params)
 
 
 class TestFrontierEquivalence:
