@@ -20,22 +20,30 @@ computed exactly without a per-slot loop:
    lockstep, and gives each block's map from start state to end state.
    Lanes that meet stay together, since they see the same draws (the
    coupling behind Propp & Wilson's coupling from the past, 1996); once
-   every block's lanes have met, one lane per block is kept.  The last block's padding
-   steps only reach its end map, which is never read.
+   every block's lanes have met, one lane per block is kept.  That lane is
+   then the block's path whatever its start state, so pass 1 records t
+   and s from the next step on.  The last block's padding steps only
+   reach its end map, which is never read.
 3. Chaining the maps from the empty buffer gives each block's true start
    state.
-4. Pass 2 reruns every block from its true start state and records t and s;
-   the padding steps are dropped before any statistic.
+4. Pass 2 reruns every block from its true start state and records t and s
+   for the steps before the lanes met: all L steps if they never met.  One
+   step body serves both passes.  The padding steps are dropped before any
+   statistic.
 5. The statistics are vectorised.  The power sum is a sequential
    np.add.accumulate, so it rounds exactly like a running sum.
 
-Cost: the Python loops run 2L lockstep steps of numpy work over B-wide
-rows (each step also visits the W-1 threshold rows of the action table, W
-being the most actions any state randomizes over) and B-1 chaining steps.
+Cost: the Python loops run L + m lockstep steps of numpy work over B-wide
+rows, m <= L being the steps pass 1 takes until it finds every block's
+lanes met (it looks every _MERGE_CHECK_EVERY steps; m = 17 of L = 1000 on
+the reference instance at 10^6 slots), and B-1 chaining steps; each step
+also visits the W-1 threshold rows of the action table, W being the most
+actions any state randomizes over.
 The work is O(slots) once the lanes have merged.  A chain whose lanes never
 merge (e.g. alpha = 1 under a policy that sends A in every state it
-reaches) keeps all Q+1 lanes, so pass 1 costs O(slots * (Q+1)); at Q = 200
-and 10^6 slots that is about as slow as a per-slot loop.
+reaches) keeps all Q+1 lanes and runs 2L steps, so pass 1 costs
+O(slots * (Q+1)); at Q = 200 and 10^6 slots that is about as slow as a
+per-slot loop.
 """
 from __future__ import annotations
 
@@ -135,10 +143,12 @@ def simulate(
     The first min(slots // 10, 10^4) slots are burn-in and excluded from
     the averages.  Delay is estimated via Little's law from the average
     buffer occupancy, matching the analytic route.  Raises ModelError for
-    slots < 1.
+    slots < 1 or seed < 0.
     """
     if slots < 1:
         raise ModelError(f"slots must be >= 1, got {slots}")
+    if seed < 0:
+        raise ModelError(f"seed must be >= 0, got {seed}")
     alpha, A, Q, K = params.alpha, params.A, params.Q, params.K
     # t - s lies in [-M, K]
     dt = np.min_scalar_type(-max(K, params.M) - 1)
@@ -149,20 +159,35 @@ def simulate(
     np.random.Generator(np.random.PCG64(arr_ss)).random(out=buf[:slots])
     arrivals = buf[:slots] < alpha
     inc = np.zeros(B * L, dtype=dt)
-    inc[:slots][arrivals] = A
-    inc = np.ascontiguousarray(inc.reshape(B, L).T)
+    np.multiply(arrivals, A, out=inc[:slots], casting="unsafe")
+    inc_steps = np.ascontiguousarray(inc.reshape(B, L).T)
     np.random.Generator(np.random.PCG64(tx_ss)).random(out=buf[:slots])
     buf[slots:] = 0.0
     draws = np.ascontiguousarray(buf.reshape(B, L).T)
     del buf
     thr, act, nxt = _action_tables(params, policy)
+    t_rec = np.empty((L, B), dtype=dt)
+    s_rec = np.empty((L, B), dtype=dt)
 
-    # pass 1: each block's end state from every start state
+    def step(q, j, record):
+        """Step j from backlogs q (last axis = blocks); returns the next
+        backlogs and, if `record`, stores the step's t and s."""
+        t = q + inc_steps[j]
+        key = _key(t, draws[j], thr)
+        if record:
+            t_rec[j] = t
+            s_rec[j] = act.take(key)
+        return nxt.take(key)
+
+    # pass 1: each block's end state from every start state; once every
+    # block's lanes have met, the lane left is the path, so it is recorded
     lanes = np.repeat(np.arange(Q + 1)[:, None], B, axis=1)
+    met = L  # pass 1 recorded steps met..L-1
     for j in range(L):
-        lanes = nxt.take(_key(lanes + inc[j], draws[j], thr))
+        lanes = step(lanes, j, record=lanes.ndim == 1)
         if lanes.ndim == 2 and j % _MERGE_CHECK_EVERY == 0 and (lanes == lanes[0]).all():
             lanes = lanes[0]
+            met = j + 1
     # the true start state of each block
     if lanes.ndim == 1:
         start = np.concatenate([[0], lanes[:-1]])
@@ -173,19 +198,13 @@ def simulate(
             starts.append(ends[b][starts[-1]])
         start = np.array(starts)
 
-    # pass 2: the path itself
-    t_rec = np.empty((L, B), dtype=dt)
-    s_rec = np.empty((L, B), dtype=dt)
+    # pass 2: the steps before the lanes met, from the true start states
     q = start
-    for j in range(L):
-        t = q + inc[j]
-        key = _key(t, draws[j], thr)
-        t_rec[j] = t
-        s_rec[j] = act.take(key)
-        q = nxt.take(key)
+    for j in range(met):
+        q = step(q, j, record=True)
     t_path = t_rec.T.reshape(-1)[:slots]
     s_path = s_rec.T.reshape(-1)[:slots]
-    q_path = t_path - inc.T.reshape(-1)[:slots]
+    q_path = t_path - inc[:slots]
     d_path = t_path - s_path
     underflow = int(np.count_nonzero(d_path < 0))
     overflow = int(np.count_nonzero(d_path > Q))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RowDiffCountMismatch
+from .errors import ModelError, RowDiffCountMismatch
 from .model import ModelParams, Policy, feasible_actions
 from . import mrp
 from .lp import build_lp, occupation_measure, solve_simplex
@@ -210,6 +210,14 @@ def run_battery(
     trials: int = 25,
     sim_slots: int = 1_000_000,
 ) -> list[CheckResult]:
+    """Run every check.  Raises ModelError, before any check runs, for
+    seed < 0, trials < 1 or sim_slots < 1."""
+    if seed < 0:
+        raise ModelError(f"seed must be >= 0, got {seed}")
+    if trials < 1:
+        raise ModelError(f"trials must be >= 1, got {trials}")
+    if sim_slots < 1:
+        raise ModelError(f"slots must be >= 1, got {sim_slots}")
     rng = np.random.default_rng(seed)
     walk = algorithm1(params)
     return [

@@ -158,6 +158,15 @@ class TestSimulate:
         assert main(["simulate", *VI_FLAGS, "--policy", str(path), "--slots", "0"]) == 2
         assert capsys.readouterr().err == "error: slots must be >= 1, got 0\n"
 
+    def test_negative_seed(self, tmp_path, capsys):
+        params = validate_params(0.4, 2, 3, 5, [0, 1, 4, 9])
+        pol = threshold_to_policy(params, ThresholdPolicy((0, 1, 7, 7)))
+        path = tmp_path / "policy.csv"
+        path.write_text(pol.to_csv())
+        rc = main(["simulate", *VI_FLAGS, "--policy", str(path), "--slots", "10", "--seed", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
 
 class TestErrors:
     def test_missing_params(self, capsys):
@@ -185,6 +194,17 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines()[-1] == "error: slots must be >= 1, got 0"
+
+    def test_negative_seed(self, capsys):
+        # rejected before any check runs, so nothing is printed to stdout
+        assert main(["verify", *VI_FLAGS, "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("trials", ("0", "-3"))
+    def test_no_trials(self, capsys, trials):
+        # zero trials would check nothing and still report PASS
+        assert main(["verify", *VI_FLAGS, "--trials", trials]) == 2
+        assert capsys.readouterr() == ("", f"error: trials must be >= 1, got {trials}\n")
 
     def test_q0_has_no_mixing_pairs(self, capsys):
         rc = main(["verify", "--alpha", "0.5", "--A", "2", "--M", "2", "--Q", "0",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpsched import mrp
+from dpsched import mrp, sim
 from dpsched.errors import ModelError
 from dpsched.model import (
     Policy,
@@ -15,7 +15,7 @@ from dpsched.model import (
     validate_params,
 )
 from dpsched.pareto import algorithm1
-from dpsched.sim import Z_95, simulate
+from dpsched.sim import _MERGE_CHECK_EVERY, Z_95, simulate
 from dpsched.verify import random_policy
 
 from conftest import EDGE_FAMILIES, edge_params
@@ -135,6 +135,58 @@ def swap_policy():
     return params, Policy(params, f)
 
 
+def flush_policy():
+    """M = K and every state sends its whole backlog, so every lane is at
+    backlog 0 after one step: the lanes meet at the first merge check."""
+    params = validate_params(0.5, 2, 4, 2, [0, 1, 3, 6, 10])
+    f = np.zeros((params.K + 1, params.M + 1))
+    f[np.arange(params.K + 1), np.arange(params.K + 1)] = 1.0
+    return params, Policy(params, f)
+
+
+def two_step_policy():
+    """alpha = 1, A = 1, Q = 2: backlog 2 -> 1 -> 0 -> 0, so the lanes meet
+    after the second step of every block, between two merge checks."""
+    params = validate_params(1.0, 1, 2, 2, [0, 1, 3])
+    f = np.zeros((4, 3))
+    f[0, 0] = f[1, 1] = f[2, 2] = f[3, 2] = 1.0
+    return params, Policy(params, f)
+
+
+def steps_until_met(params, policy, slots, seed):
+    """Reference for the block pass's merge test: runs every block of
+    floor(sqrt(slots)) slots from each start state, one slot at a time with
+    the rule of `loop_simulate` (padding slots past the end have no arrival
+    and draw 0.0), and returns j + 1 for the first step j, a multiple of
+    _MERGE_CHECK_EVERY, after which every block's lanes are equal, or None
+    if there is none."""
+    L = int(np.sqrt(slots))
+    B = -(-slots // L)
+    arr_ss, tx_ss = np.random.SeedSequence(seed).spawn(2)
+    arrivals = np.zeros(B * L, dtype=bool)
+    arrivals[:slots] = np.random.Generator(np.random.PCG64(arr_ss)).random(slots) < params.alpha
+    draws = np.zeros(B * L)
+    draws[:slots] = np.random.Generator(np.random.PCG64(tx_ss)).random(slots)
+    rows = []
+    for k in range(params.K + 1):
+        actions = [m for m in range(params.M + 1) if policy.f[k, m] > 0.0]
+        cums = np.cumsum([policy.f[k, m] for m in actions]).tolist()
+        cums[-1] = 1.0
+        rows.append((cums, actions))
+    lanes = [list(range(params.Q + 1)) for _ in range(B)]
+    for j in range(L):
+        for b in range(B):
+            n = b * L + j
+            for i, q in enumerate(lanes[b]):
+                t = q + params.A * arrivals[n]
+                cums, actions = rows[t]
+                s = actions[min(bisect_right(cums, draws[n]), len(actions) - 1)]
+                lanes[b][i] = min(max(t - s, 0), params.Q)
+        if j % _MERGE_CHECK_EVERY == 0 and all(len(set(ln)) == 1 for ln in lanes):
+            return j + 1
+    return None
+
+
 EXACT_INSTANCES = {
     "reference": (0.4, 2, 3, 5, [0, 1, 4, 9]),
     "Q0": (0.5, 2, 2, 0, [0, 1, 3]),
@@ -231,6 +283,12 @@ class TestValidation:
         with pytest.raises(ModelError, match="slots must be >= 1, got -3"):
             simulate(params_vi, pol, slots=-3, seed=0)
 
+    def test_seed_lower_bound(self, params_vi, rng):
+        # a negative seed is a ModelError, not numpy's SeedSequence error
+        pol = random_policy(params_vi, rng)
+        with pytest.raises(ModelError, match="seed must be >= 0, got -1"):
+            simulate(params_vi, pol, slots=10, seed=-1)
+
     def test_burn_in_rule(self, params_vi, rng):
         pol = random_policy(params_vi, rng)
         assert simulate(params_vi, pol, slots=50, seed=0).burn_in == 5
@@ -302,6 +360,64 @@ class TestSamePathAsLoop:
         new = (tmp_path / "new.csv").read_bytes()
         assert new == (tmp_path / "loop.csv").read_bytes()
         assert new.count(b"\n") == min(slots, 100_000) + 1
+
+
+@pytest.fixture
+def key_calls(monkeypatch):
+    """Counts the calls of `sim._key`: pass 1 makes L of them, pass 2 one
+    per step it replays."""
+    calls = []
+    key = sim._key
+
+    def counted(*args):
+        calls.append(None)
+        return key(*args)
+
+    monkeypatch.setattr(sim, "_key", counted)
+    return calls
+
+
+def reference_random_policy(slots):
+    params = validate_params(*EXACT_INSTANCES["reference"])
+    return params, random_policy(params, np.random.default_rng(slots))
+
+
+# name: (instance, slots, seed, steps pass 2 replays when the lanes meet)
+MERGE_CASES = {
+    "first-check": (flush_policy, 1001, 0, 1),
+    # L = 9 and L - 1 = 8 is a merge check: the lanes are found met on the
+    # last step, so pass 1 records nothing; 85 slots leave a partial block
+    "last-step": (two_step_policy, 81, 0, 9),
+    "last-step-partial": (two_step_policy, 85, 0, 9),
+    "mid-block": (two_step_policy, 289, 0, 9),
+    # floor(sqrt(slots)) does not divide slots: the last block is partial
+    "partial-1001": (lambda: reference_random_policy(1001), 1001, 11, 25),
+    "partial-12345": (lambda: reference_random_policy(12345), 12345, 12, 17),
+    "never": (swap_policy, 1001, 3, None),
+}
+
+
+class TestPassTwoReplay:
+    """Pass 1 records the path once every block's lanes have met, and pass 2
+    replays only the steps before that, from the true start states."""
+
+    @pytest.mark.parametrize("name", sorted(MERGE_CASES))
+    def test_same_path_and_replayed_steps(self, key_calls, name):
+        instance, slots, seed, met = MERGE_CASES[name]
+        params, pol = instance()
+        L = int(np.sqrt(slots))
+        assert steps_until_met(params, pol, slots, seed) == met
+        assert_same_path(params, pol, slots, seed)
+        assert len(key_calls) == L + (L if met is None else met)
+
+    def test_pass_two_replays_fewer_than_L_steps(self, key_calls):
+        # lanes of the reference instance meet within a few dozen steps;
+        # replaying all L = 316 steps would mean the full second pass is back
+        params, pol = reference_random_policy(100_000)
+        simulate(params, pol, 100_000, seed=1)
+        L = 316
+        replayed = len(key_calls) - L
+        assert 0 < replayed < L // 2
 
 
 @pytest.fixture(scope="module")
