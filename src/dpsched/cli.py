@@ -19,6 +19,7 @@ from .errors import EnumerationTooLarge, ModelError
 from .model import Policy, load_params, validate_params
 from .lp import recover_policy, sweep, sweep_to_csv
 from .pareto import algorithm1, cloud_to_csv, deterministic_cloud
+from .policies import DEFAULT_ENUMERATION_CAP
 from .sim import simulate
 from .verify import run_battery
 
@@ -153,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--no-cloud", action="store_true", help="skip the point cloud")
-    p.add_argument("--cap", type=int, default=10_000_000, help="enumeration cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration cap")
     p.set_defaults(func=cmd_pareto)
 
     p = sub.add_parser("lp", help="occupation-measure LP solve or sweep")

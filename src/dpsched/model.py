@@ -263,9 +263,8 @@ class ThresholdPolicy:
 
 
 def _complete_actions(params: ModelParams, acts: np.ndarray, assigned: np.ndarray) -> np.ndarray:
-    """Complete a state -> action map, or each map of a stack (N, K+1), over
-    the states not `assigned`: those past thresholds[M], or those an LP
-    solution gives no mass.
+    """Complete a state -> action map over the states not `assigned`: those
+    past thresholds[M], or those an LP solution gives no mass.
 
     An unassigned state k takes max(a, k-Q), where a = acts[j] for the last
     assigned state j < k (0 if there is none).  As k-Q is nondecreasing in
@@ -281,46 +280,33 @@ def _complete_actions(params: ModelParams, acts: np.ndarray, assigned: np.ndarra
     return np.where(assigned, acts, np.maximum(carried, states - params.Q))
 
 
-def threshold_action_map(
-    params: ModelParams, tp: Union[ThresholdPolicy, np.ndarray]
-) -> Union[list[int], tuple[np.ndarray, np.ndarray]]:
-    """Expand threshold vectors to full state -> action maps.
+def threshold_action_map(params: ModelParams, tp: ThresholdPolicy) -> list[int]:
+    """Expand a threshold vector to its full state -> action map.
 
     States covered by the intervals (thresholds[m-1], thresholds[m]] get
     action m; states beyond thresholds[M] are completed by
-    `_complete_actions`.
-
-    Takes a stack (N, M+1) of nondecreasing threshold vectors and returns
-    their (N, K+1) maps with the mask of the vectors whose maps are feasible
-    (a vector with a threshold above K is not).  One ThresholdPolicy is
-    mapped as a stack of one: its map is returned as a list, and
-    InfeasibleThresholds names a threshold above K or else the first state
-    given an infeasible action.
+    `_complete_actions`.  InfeasibleThresholds names a threshold above K or
+    else the first state given an infeasible action.
     """
-    single = isinstance(tp, ThresholdPolicy)
-    ts = np.array([tp.thresholds]) if single else tp
-    if ts.shape[-1] != params.M + 1:
+    ts = np.array(tp.thresholds)
+    if ts.size != params.M + 1:
         raise InfeasibleThresholds(
-            f"threshold vector has {ts.shape[-1]} entries, expected {params.M + 1}"
+            f"threshold vector has {ts.size} entries, expected {params.M + 1}"
         )
     K = params.K
+    if ts[-1] > K:
+        raise InfeasibleThresholds(f"threshold {ts[ts > K][0]} exceeds K={K}")
     states = np.arange(K + 1)
     # in a nondecreasing vector, the action of state k is the number of
     # thresholds below k
-    below = (ts[:, :, None] < states).sum(axis=1)
-    acts = _complete_actions(params, below, states <= ts[:, -1:])
+    acts = _complete_actions(params, np.searchsorted(ts, states), states <= ts[-1])
     ok = _feasible(params, states, acts)
-    in_range = ts[:, -1] <= K
-    if not single:
-        return acts, in_range & ok.all(axis=-1)
-    if not in_range[0]:
-        raise InfeasibleThresholds(f"threshold {ts[ts > K][0]} exceeds K={K}")
     if not ok.all():
-        k = int(np.argmin(ok[0]))
+        k = int(np.argmin(ok))
         raise InfeasibleThresholds(
-            f"thresholds assign infeasible action {acts[0, k]} to state {k}"
+            f"thresholds assign infeasible action {acts[k]} to state {k}"
         )
-    return acts[0].tolist()
+    return acts.tolist()
 
 
 def _last_state_at_most(acts: Sequence[int], M: int) -> tuple[int, ...]:
@@ -344,14 +330,20 @@ def complete_thresholds(params: ModelParams, tp: ThresholdPolicy) -> ThresholdPo
     return ThresholdPolicy(_last_state_at_most(threshold_action_map(params, tp), params.M))
 
 
-def threshold_to_policy(
-    params: ModelParams, tp: ThresholdPolicy, actions: Optional[Sequence[int]] = None
-) -> Policy:
-    """Materialize a ThresholdPolicy as a full Policy matrix.  `actions`,
-    if given, is tp's `threshold_action_map`, already computed."""
-    acts = threshold_action_map(params, tp) if actions is None else actions
-    f = np.zeros((params.K + 1, params.M + 1))
-    f[np.arange(params.K + 1), acts] = 1.0
+def _action_matrix(params: ModelParams, acts: Sequence[int]) -> np.ndarray:
+    """The deterministic policy matrix (K+1, M+1) of a state -> action map,
+    or the matrices (N, K+1, M+1) of a stack of maps (N, K+1): one at
+    (state, action), zero elsewhere."""
+    acts = np.asarray(acts)
+    f = np.zeros(acts.shape + (params.M + 1,))
+    np.put_along_axis(f, acts[..., None], 1.0, axis=-1)
+    return f
+
+
+def threshold_to_policy(params: ModelParams, tp: ThresholdPolicy) -> Policy:
+    """Materialize a ThresholdPolicy as a full Policy matrix."""
+    acts = threshold_action_map(params, tp)
+    f = _action_matrix(params, acts)
     if tp.randomized_index is not None:
         m_star = tp.randomized_index
         k_star = tp.thresholds[m_star]

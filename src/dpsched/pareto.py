@@ -15,7 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SingularChain
-from .model import ModelParams, ThresholdPolicy, threshold_action_map, threshold_to_policy
+from .model import (
+    ModelParams,
+    ThresholdPolicy,
+    _action_matrix,
+    _last_state_at_most,
+    threshold_action_map,
+    threshold_to_policy,
+)
 from .mrp import DelayPowerPoint, _singular, score_stack
 from .policies import (
     DEFAULT_ENUMERATION_CAP,
@@ -30,6 +37,14 @@ log = logging.getLogger(__name__)
 
 # Two points are the same vertex if both coordinates agree to this.
 POINT_TOL = 1e-12
+# The walk accepts a candidate whose delay is at most this below the
+# current vertex's, and ties candidates whose slopes agree to it.
+SLOPE_TOL = 1e-9
+# The walk accepts only candidates more than this below the current power.
+# This absolute floor ends the walk at K=203 after 74 vertices, 6.1e-12
+# above the minimum power: the truncation of ROADMAP item 1 (see the FOUND
+# line on it in CHANGES.md).
+POWER_STEP_FLOOR = 1e-12
 # A middle point within this perpendicular distance of the chord joining
 # its neighbors is treated as collinear and dropped.
 COLLINEAR_TOL = 1e-9
@@ -191,36 +206,28 @@ def lower_convex_hull(points: Sequence[DelayPowerPoint]) -> ParetoCurve:
     return ParetoCurve(vertices=tuple(_drop_collinear(frontier)))
 
 
-def _policy_stack(params: ModelParams, acts: np.ndarray) -> np.ndarray:
-    """The deterministic policy matrices (N, K+1, M+1) of action maps (N, K+1)."""
-    f = np.zeros(acts.shape + (params.M + 1,))
-    np.put_along_axis(f, acts[..., None], 1.0, axis=-1)
-    return f
-
-
 def _walk_rewards(
     params: ModelParams,
-    level: list[tuple[ThresholdPolicy, np.ndarray]],
-    rewards: dict[tuple[int, ...], tuple[float, float]],
+    level: dict[bytes, np.ndarray],
+    rewards: dict[bytes, tuple[float, float]],
 ) -> list[tuple[float, float]]:
-    """(power, delay) of each threshold vector of `level`, given with its
-    action map.  The vectors not yet in `rewards` are scored by one
-    `score_stack` call and added to it; a singular chain raises
-    SingularChain naming the first such vector in the level's order."""
-    new = [(tp, acts) for tp, acts in level if tp.thresholds not in rewards]
+    """(power, delay) of each action map of `level`, keyed by its bytes.
+    The maps not yet in `rewards` are scored by one `score_stack` call and
+    added to it; a singular chain raises SingularChain naming the thresholds
+    of the first such map in the level's order."""
+    new = [key for key in level if key not in rewards]
     if new:
         lu, kept, power, delay = score_stack(
-            params, _policy_stack(params, np.array([acts for _, acts in new]))
+            params, _action_matrix(params, np.array([level[key] for key in new]))
         )
         if kept.size < len(new):
             failed = np.ones(len(new), dtype=bool)
             failed[kept] = False
             i = int(np.argmax(failed))
-            raise SingularChain(
-                f"singular chain for thresholds {new[i][0].thresholds}: {_singular(lu, i)}"
-            )
-        rewards.update(zip((tp.thresholds for tp, _ in new), zip(power.tolist(), delay.tolist())))
-    return [rewards[tp.thresholds] for tp, _ in level]
+            ts = _last_state_at_most(level[new[i]], params.M)
+            raise SingularChain(f"singular chain for thresholds {ts}: {_singular(lu, i)}")
+        rewards.update(zip(new, zip(power.tolist(), delay.tolist())))
+    return [rewards[key] for key in level]
 
 
 def algorithm1(params: ModelParams) -> ParetoCurve:
@@ -233,60 +240,59 @@ def algorithm1(params: ModelParams) -> ParetoCurve:
     vertex is the tied point of least power (lexicographically smallest
     thresholds among equals).
 
-    A step expands its strategies level by level: the raised vectors of
-    one level that the walk has not scored yet are scored as one stack
-    (`score_stack`), so every chain's point is bit for bit its own solve.
-    Every walk vector covers all states (thresholds[M] = K), so its
-    thresholds determine its policy and key the walk's reward cache; a
-    Policy is built only for the vertices returned.
+    Every walk strategy covers all states (thresholds[M] = K), so its
+    action map determines its thresholds: the walk carries, caches and
+    scores strategies as maps, and derives thresholds only to break ties,
+    to name a singular chain and for the vertices it returns.  A step
+    expands its strategies level by level: the raised maps of one level not
+    scored yet are scored as one stack (`score_stack`), so every chain's
+    point is bit for bit its own solve.
     """
-    rewards: dict[tuple[int, ...], tuple[float, float]] = {}
-    tp0 = initial_threshold_policy(params)
-    acts0 = np.array(threshold_action_map(params, tp0))
-    ((p_p, d_p),) = _walk_rewards(params, [(tp0, acts0)], rewards)
-    walk = [(p_p, d_p, tp0, acts0)]
-    current: dict[tuple[int, ...], ThresholdPolicy] = {tp0.thresholds: tp0}
-    slope_tol = 1e-9
+    M = params.M
+    rewards: dict[bytes, tuple[float, float]] = {}
+    acts0 = np.array(threshold_action_map(params, initial_threshold_policy(params)))
+    current = {acts0.tobytes(): acts0}
+    ((p_p, d_p),) = _walk_rewards(params, current, rewards)
+    walk = [(p_p, d_p, acts0)]
     while True:
         # Neighbors with the exact same reward pair only reassign unreachable
         # states: they are alternative representations of the current vertex,
         # so their own neighbors must be explored too (transitively).
-        candidates: dict[tuple[int, ...], tuple[float, float, ThresholdPolicy, np.ndarray]] = {}
+        candidates: dict[bytes, tuple[float, float, np.ndarray]] = {}
         level = list(current.values())
         while level:
-            fresh: dict[tuple[int, ...], tuple[ThresholdPolicy, np.ndarray]] = {}
-            for tp in level:
-                for nb, acts in neighbors_increase_threshold(params, tp).items():
-                    if nb.thresholds not in current and nb.thresholds not in candidates:
-                        fresh.setdefault(nb.thresholds, (nb, acts))
+            fresh: dict[bytes, np.ndarray] = {}
+            for acts in level:
+                for nb in neighbors_increase_threshold(params, acts):
+                    key = nb.tobytes()
+                    if key not in current and key not in candidates:
+                        fresh.setdefault(key, nb)
             level = []
-            for (nb, acts), (p, d) in zip(
-                fresh.values(), _walk_rewards(params, list(fresh.values()), rewards)
-            ):
+            for (key, nb), (p, d) in zip(fresh.items(), _walk_rewards(params, fresh, rewards)):
                 if abs(p - p_p) <= POINT_TOL and abs(d - d_p) <= POINT_TOL:
-                    current[nb.thresholds] = nb
+                    current[key] = nb
                     level.append(nb)
                 else:
-                    candidates[nb.thresholds] = (p, d, nb, acts)
+                    candidates[key] = (p, d, nb)
         accepted = [
-            (p, d, nb, acts)
-            for p, d, nb, acts in candidates.values()
-            if d >= d_p - slope_tol and p < p_p - 1e-12
+            (p, d, acts)
+            for p, d, acts in candidates.values()
+            if d >= d_p - SLOPE_TOL and p < p_p - POWER_STEP_FLOOR
         ]
         if not accepted:
             break
-        slopes = [max(d - d_p, 0.0) / (p_p - p) for p, d, _, _ in accepted]
+        slopes = [max(d - d_p, 0.0) / (p_p - p) for p, d, _ in accepted]
         s_min = min(slopes)
-        tied = [c for s, c in zip(slopes, accepted) if s <= s_min + slope_tol]
+        tied = [c for s, c in zip(slopes, accepted) if s <= s_min + SLOPE_TOL]
         # vertex representative: least power, then lexicographic thresholds
-        best = min(tied, key=lambda c: (c[0], c[2].thresholds))
-        p_p, d_p, _, _ = best
+        best = min(tied, key=lambda c: (c[0], _last_state_at_most(c[2], M)))
+        p_p, d_p, _ = best
         walk.append(best)
-        current = {nb.thresholds: nb for _, _, nb, _ in tied}
-    recorded = {tp.thresholds: (tp, acts) for _, _, tp, acts in walk}
-    points = [DelayPowerPoint(p, d, thresholds=tp.thresholds) for p, d, tp, _ in walk]
+        current = {acts.tobytes(): acts for _, _, acts in tied}
+    points = [DelayPowerPoint(p, d, thresholds=_last_state_at_most(acts, M))
+              for p, d, acts in walk]
     return ParetoCurve(vertices=tuple(
-        replace(v, policy=threshold_to_policy(params, *recorded[v.thresholds]))
+        replace(v, policy=threshold_to_policy(params, ThresholdPolicy(v.thresholds)))
         for v in _drop_collinear(points)
     ))
 
@@ -302,7 +308,7 @@ def _score_deterministic(
     maps = []
     skipped = 0
     for acts in enumerate_deterministic(params, cap=cap):
-        _, kept, power, delay = score_stack(params, _policy_stack(params, acts))
+        _, kept, power, delay = score_stack(params, _action_matrix(params, acts))
         points += map(DelayPowerPoint, power.tolist(), delay.tolist())
         maps.append(acts[kept])
         skipped += len(acts) - kept.size

@@ -16,10 +16,10 @@ from .model import (
     ModelParams,
     Policy,
     ThresholdPolicy,
+    _action_matrix,
     _last_state_at_most,
     complete_thresholds,
     feasible_actions,
-    threshold_action_map,
     threshold_to_policy,
 )
 
@@ -36,9 +36,7 @@ BLOCK_BYTES = 128 * 1024
 
 def policy_from_actions(params: ModelParams, actions: Sequence[int]) -> Policy:
     """Deterministic policy from a state -> action map (assumed feasible)."""
-    f = np.zeros((params.K + 1, params.M + 1))
-    f[np.arange(params.K + 1), actions] = 1.0
-    return Policy(params, f, validate=False)
+    return Policy(params, _action_matrix(params, actions), validate=False)
 
 
 def count_deterministic(params: ModelParams) -> int:
@@ -111,29 +109,20 @@ def initial_threshold_policy(params: ModelParams) -> ThresholdPolicy:
     return complete_thresholds(params, raw)
 
 
-def neighbors_increase_threshold(
-    params: ModelParams, tp: ThresholdPolicy
-) -> dict[ThresholdPolicy, np.ndarray]:
-    """All legal variants of tp with exactly one threshold raised by 1, in
-    order of the raised index, each mapped to its action map: a row of one
-    `threshold_action_map` call over the stack of raised vectors (which
-    `threshold_to_policy` takes as given, so no vector is mapped twice).
+def neighbors_increase_threshold(params: ModelParams, acts: np.ndarray) -> np.ndarray:
+    """Action maps (n, K+1) of the variants of a threshold strategy with one
+    threshold raised by 1, in order of the raised index.  The strategy is
+    given as its action map `acts` and covers every state (thresholds[M] =
+    K), so maps and thresholds determine each other.
 
-    The zero-action threshold stays pinned at 0; `ThresholdPolicy` and
-    `threshold_action_map` reject raised vectors that are not
-    nondecreasing, exceed K or induce an infeasible policy.
+    Raising thresholds[m] moves state thresholds[m]+1 from action m+1 to m:
+    each neighbour lowers by 1 the action a of a state k whose action
+    exceeds its predecessor's, where a >= 2 (thresholds[0] stays 0) and
+    a-1 >= k-Q (no overflow).  Ascending k is the raised-index order.
     """
-    if not tp.is_deterministic():
-        raise InfeasibleThresholds("neighbor generation requires a deterministic policy")
-    raised = []
-    ts = tp.thresholds
-    for m in range(1, len(ts)):
-        cand = list(ts)
-        cand[m] += 1
-        try:
-            raised.append(ThresholdPolicy(tuple(cand)))
-        except InfeasibleThresholds:
-            continue
-    # raising the last threshold keeps the vector nondecreasing: never empty
-    maps, ok = threshold_action_map(params, np.array([nb.thresholds for nb in raised]))
-    return {nb: acts for nb, acts, good in zip(raised, maps, ok) if good}
+    k = np.arange(1, params.K + 1)
+    a = acts[1:]
+    k = k[(a > acts[:-1]) & (a >= 2) & (a - 1 >= k - params.Q)]
+    raised = np.repeat(acts[None], k.size, axis=0)
+    raised[np.arange(k.size), k] -= 1
+    return raised

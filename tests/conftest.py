@@ -44,6 +44,26 @@ def deterministic_policies(params):
             for block in enumerate_deterministic(params) for acts in block]
 
 
+def raised_threshold_reference(params, ts):
+    """Per-threshold raise: each vector with one of thresholds[1..M] of `ts`
+    raised by 1 that `ThresholdPolicy` and `threshold_to_policy` accept, as
+    a ThresholdPolicy, in order of the raised index."""
+    from dpsched.errors import InfeasibleThresholds
+    from dpsched.model import ThresholdPolicy, threshold_to_policy
+
+    raised = []
+    for m in range(1, params.M + 1):
+        cand = list(ts)
+        cand[m] += 1
+        try:
+            nb = ThresholdPolicy(tuple(cand))
+            threshold_to_policy(params, nb)
+        except InfeasibleThresholds:
+            continue
+        raised.append(nb)
+    return raised
+
+
 EDGE_FAMILIES = ["alpha->0", "alpha->1", "Q=0", "M=A", "A=1"]
 
 

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from dpsched.cli import main
+from dpsched.cli import build_parser, main
 from dpsched.model import ThresholdPolicy, threshold_to_policy, validate_params
 from dpsched.pareto import algorithm1
+from dpsched.policies import DEFAULT_ENUMERATION_CAP
 
 VI_FLAGS = ["--alpha", "0.4", "--A", "2", "--M", "3", "--Q", "5", "--power", "0,1,4,9"]
 
@@ -39,6 +40,9 @@ class TestPareto:
         assert (tmp_path / "pareto_curve.csv").exists()
         assert not (tmp_path / "pareto_cloud.csv").exists()
         assert "cloud skipped" in capsys.readouterr().err
+
+    def test_cap_defaults_to_the_enumeration_cap(self):
+        assert build_parser().parse_args(["pareto"]).cap == DEFAULT_ENUMERATION_CAP
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "params.txt"

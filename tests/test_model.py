@@ -20,6 +20,8 @@ from dpsched.model import (
 )
 from dpsched.policies import neighbors_increase_threshold
 
+from conftest import raised_threshold_reference
+
 
 class TestValidateParams:
     def test_reference_instance(self):
@@ -164,11 +166,13 @@ class TestThresholdPolicy:
         assert np.allclose(pol.f.sum(axis=1), 1.0, atol=1e-12)
 
 
-# The reference instance and its Q=0 variant (no state has a choice of
-# action past the covered range).
+# The reference instance, its Q=0 variant (no state has a choice of action
+# past the covered range), an A=1 instance and an M=A instance.
 BOOKKEEPING_INSTANCES = [
     validate_params(0.4, 2, 3, 5, [0, 1, 4, 9]),
     validate_params(0.4, 2, 3, 0, [0, 1, 4, 9]),
+    validate_params(0.5, 1, 2, 4, [0, 1, 4]),
+    validate_params(0.4, 2, 2, 3, [0, 1, 4]),
 ]
 
 
@@ -196,7 +200,7 @@ def all_threshold_vectors(params):
         yield (0,) + rest
 
 
-@pytest.mark.parametrize("params", BOOKKEEPING_INSTANCES, ids=["reference", "Q0"])
+@pytest.mark.parametrize("params", BOOKKEEPING_INSTANCES, ids=["reference", "Q0", "A1", "MA"])
 class TestFeasibilityBookkeeping:
     def test_action_map_and_completion_match_per_state_reference(self, params):
         n_feasible = 0
@@ -224,21 +228,21 @@ class TestFeasibilityBookkeeping:
         assert n_feasible > 0
 
     def test_neighbors_are_the_feasible_raised_vectors(self, params):
+        # every feasible fully covering vector (the only ones the walk
+        # carries), given as its map: the maps of its feasible raised
+        # vectors, in order of the raised index
+        n_checked = 0
         for ts in all_threshold_vectors(params):
-            want = []
-            for m in range(1, params.M + 1):
-                cand = list(ts)
-                cand[m] += 1
-                try:
-                    nb = ThresholdPolicy(tuple(cand))
-                    threshold_to_policy(params, nb)
-                except errors.InfeasibleThresholds:
-                    continue
-                want.append(nb)
-            got = neighbors_increase_threshold(params, ThresholdPolicy(ts))
-            assert list(got) == want
-            assert all(acts.tolist() == threshold_action_map(params, nb)
-                       for nb, acts in got.items())
+            if ts[-1] != params.K or reference_action_map(params, ts) is None:
+                continue
+            n_checked += 1
+            acts = np.array(threshold_action_map(params, ThresholdPolicy(ts)))
+            got = neighbors_increase_threshold(params, acts)
+            want = [threshold_action_map(params, nb)
+                    for nb in raised_threshold_reference(params, ts)]
+            assert got.shape == (len(want), params.K + 1) and got.dtype == acts.dtype
+            assert got.tolist() == want
+        assert n_checked > 0
 
     def test_lp_variables_in_lexicographic_feasible_order(self, params):
         want = tuple(

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from dpsched.pareto import (
 )
 from dpsched.verify import curves_match
 
-from conftest import EDGE_FAMILIES, edge_params, random_params
+from conftest import EDGE_FAMILIES, edge_params, raised_threshold_reference, random_params
 
 LADDER = dict(alpha=0.5, A=3, M=5, power=[0, 1, 4, 9, 16, 25])
 
@@ -43,9 +42,9 @@ def drop_collinear_reference(points):
     return out
 
 
-def threshold_point_reference(params, tp, cache, actions=None):
+def threshold_point_reference(params, tp, cache):
     """`pareto._threshold_point` of the one-at-a-time walk, kept verbatim."""
-    policy = model.threshold_to_policy(params, tp, actions)
+    policy = model.threshold_to_policy(params, tp)
     try:
         base = evaluate(params, policy, cache)
     except SingularChain as exc:
@@ -60,7 +59,9 @@ def threshold_point_reference(params, tp, cache, actions=None):
 def walk_reference(params):
     """`algorithm1` as it scored one raised vector at a time through
     `mrp.evaluate` and an `EvalCache` keyed by the policy bytes, kept
-    verbatim (with the reference collinear prune)."""
+    verbatim (with the reference collinear prune), except that it raises
+    each threshold in turn (`raised_threshold_reference`) instead of
+    calling `neighbors_increase_threshold`."""
     cache = EvalCache()
     tp0 = policies.initial_threshold_policy(params)
     cur_pt = threshold_point_reference(params, tp0, cache)
@@ -73,10 +74,10 @@ def walk_reference(params):
         pending = list(current.values())
         while pending:
             tp = pending.pop()
-            for nb, acts in policies.neighbors_increase_threshold(params, tp).items():
+            for nb in raised_threshold_reference(params, tp.thresholds):
                 if nb.thresholds in current or nb.thresholds in candidates:
                     continue
-                pt = threshold_point_reference(params, nb, cache, acts)
+                pt = threshold_point_reference(params, nb, cache)
                 if abs(pt.power - p_p) <= POINT_TOL and abs(pt.delay - d_p) <= POINT_TOL:
                     current[nb.thresholds] = nb
                     pending.append(nb)
@@ -213,41 +214,32 @@ class TestCurveInvariants:
         assert len(doc["segments"]) == len(curve.vertices) - 1
         assert doc["vertices"][0]["thresholds"] == [0, 1, 7, 7]
 
-    def test_walk_maps_raised_vectors_only_in_neighbor_generation(self, monkeypatch):
-        # the walk builds each vertex's policy from the action map neighbor
-        # generation made, instead of mapping the vector again, and neighbor
-        # generation maps all raised vectors of a strategy in one call
-        single = Counter()
-        stacks = []
-        original = model.threshold_action_map
+    def test_walk_builds_threshold_policies_for_start_and_vertices_only(self, monkeypatch):
+        # the walk carries action maps: a ThresholdPolicy is built, and
+        # mapped once, for the raw and the completed starting vector and
+        # for each vertex returned
+        built = []
+        mapped = []
+        original_init = model.ThresholdPolicy.__post_init__
+        original_map = model.threshold_action_map
 
-        def counting(params, tp):
-            if isinstance(tp, model.ThresholdPolicy):
-                single[tp.thresholds] += 1
-            else:
-                stacks.append(len(tp))
-            return original(params, tp)
+        def counting_init(tp):
+            built.append(tp)
+            original_init(tp)
 
-        generations = []
-        original_neighbors = pareto.neighbors_increase_threshold
-
-        def counting_neighbors(params, tp):
-            generations.append(len(stacks))
-            return original_neighbors(params, tp)
+        def counting_map(params, tp):
+            mapped.append(tp)
+            return original_map(params, tp)
 
         params = validate_params(0.5, 3, 5, 19, [0, 1, 4, 9, 16, 25])  # ladder K=22
-        start = policies.initial_threshold_policy(params).thresholds
-        for mod in (model, policies, pareto):
-            monkeypatch.setattr(mod, "threshold_action_map", counting)
-        monkeypatch.setattr(pareto, "neighbors_increase_threshold", counting_neighbors)
-        assert len(algorithm1(params).vertices) == 28
-        # only the starting vector is mapped alone: its raw form once to
-        # complete it, and the completed vector once for its action map
-        assert single[start] == 1
-        assert sum(single.values()) == 2
-        # one stack of raised vectors per neighbor generation
-        assert generations == list(range(len(generations)))
-        assert len(stacks) == len(generations) > 0
+        monkeypatch.setattr(model.ThresholdPolicy, "__post_init__", counting_init)
+        for mod in (model, pareto):
+            monkeypatch.setattr(mod, "threshold_action_map", counting_map)
+        curve = algorithm1(params)
+        assert len(curve.vertices) == 28
+        assert len(built) == 2 + len(curve.vertices)
+        assert len(mapped) == 2 + len(curve.vertices)
+        assert all(isinstance(tp, model.ThresholdPolicy) for tp in mapped)
 
     @pytest.mark.parametrize("stage, message", [
         ("pivot", "pivot below"),

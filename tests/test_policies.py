@@ -8,7 +8,9 @@ from dpsched import errors, policies
 from dpsched.model import (
     Policy,
     ThresholdPolicy,
+    _last_state_at_most,
     feasible_actions,
+    threshold_action_map,
     threshold_to_policy,
     validate_params,
 )
@@ -216,36 +218,42 @@ def test_is_threshold_matches_per_state_reference(params, rng):
     assert n_split_threshold > 0 or params.Q == 0
 
 
+def neighbor_thresholds(params, ts):
+    """Thresholds of the neighbours of the fully covering vector `ts`,
+    generated from its action map."""
+    acts = np.array(threshold_action_map(params, ThresholdPolicy(ts)))
+    return [_last_state_at_most(nb, params.M)
+            for nb in neighbors_increase_threshold(params, acts)]
+
+
 class TestWalkMoves:
     def test_initial_policy(self, params_vi):
         tp = initial_threshold_policy(params_vi)
         assert tp.thresholds == (0, 1, 7, 7)
 
     def test_neighbors_raise_one_threshold(self, params_vi):
-        tp = ThresholdPolicy((0, 1, 7, 7))
-        nbs = neighbors_increase_threshold(params_vi, tp)
-        assert {nb.thresholds for nb in nbs} == {(0, 2, 7, 7)}
+        ts = (0, 1, 7, 7)
+        nbs = neighbor_thresholds(params_vi, ts)
+        assert nbs == [(0, 2, 7, 7)]
         for nb in nbs:
-            diffs = [
-                (a, b) for a, b in zip(tp.thresholds, nb.thresholds) if a != b
-            ]
+            diffs = [(a, b) for a, b in zip(ts, nb) if a != b]
             assert diffs == [(diffs[0][0], diffs[0][0] + 1)]
 
     def test_zero_threshold_never_raised(self, params_vi):
-        for t1 in range(1, 8):
-            tp = ThresholdPolicy((0, t1, 7, 7))
-            for nb in neighbors_increase_threshold(params_vi, tp):
-                assert nb.thresholds[0] == 0
+        # (0, 7, 7, 7) gives state 7 an infeasible action
+        for t1 in range(1, 7):
+            for nb in neighbor_thresholds(params_vi, (0, t1, 7, 7)):
+                assert nb[0] == 0
 
     def test_monotonicity_and_range_respected(self, params_vi):
-        tp = ThresholdPolicy((0, 3, 3, 7))
-        for nb in neighbors_increase_threshold(params_vi, tp):
-            assert all(a <= b for a, b in itertools.pairwise(nb.thresholds))
-            assert max(nb.thresholds) <= params_vi.K
+        nbs = neighbor_thresholds(params_vi, (0, 3, 3, 7))
+        assert nbs
+        for nb in nbs:
+            assert all(a <= b for a, b in itertools.pairwise(nb))
+            assert max(nb) <= params_vi.K
 
     def test_infeasible_neighbors_skipped(self, params_vi):
-        # raising t1 to 7 would leave state 7 without a feasible action
-        tp = ThresholdPolicy((0, 6, 6, 7))
-        nbs = {nb.thresholds for nb in neighbors_increase_threshold(params_vi, tp)}
+        # (0, 7, 7, 7) would leave state 7 without a feasible action
+        nbs = neighbor_thresholds(params_vi, (0, 6, 6, 7))
         assert (0, 7, 7, 7) not in nbs
         assert (0, 6, 7, 7) in nbs
