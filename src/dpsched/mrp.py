@@ -7,10 +7,14 @@ segment slope in the (power, delay) plane).
 
 Transition matrices and stationary distributions are plain read-only
 ndarrays.  Every policy is scored by one path, which takes a stack of N
-policy matrices at once (N=1 for a single policy): build the (N, K+1, K+1)
-transition matrices, factor their normalized balance systems H
-(`lu_factor`), solve them with one step of iterative refinement, then take
-the rewards of the stationary distributions (`score_stack`).
+policy matrices at once (N=1 for a single policy): build the band of each
+transition matrix lam straight from the policy (`_lam_band`), factor the
+normalized balance systems H from it (`lu_factor`), solve them with one
+step of iterative refinement, then take the rewards of the stationary
+distributions (`score_stack`).  No dense (K+1)^2 matrix is built on that
+path; `build_transition_enumerative` gives lam to the callers that want
+it, and `stationary_distribution(lam)` enters the same path through the
+band gathered out of lam.
 
 From state i the chain moves only to i-m or i-m+A (0 <= m <= M), so
 lam - I has A sub- and M super-diagonals and only the ones row of H is
@@ -31,9 +35,13 @@ and pivots are bit for bit those of its own factorization.  The solve is
 the exception: a zero pivot gives inf, and 0*inf = NaN in the back
 substitution would cross into the previous block.  So the chains with a
 pivot below SINGULAR_TOL are removed from the factors before any solve.
-The residuals and reward dot products are stacked `matmul` products, which
-call the same BLAS gemv or dot per chain as an unstacked product does
-(`einsum` and elementwise sums round differently).
+The two residuals (the refinement's x - lam x and the stationarity check's
+lam pi - pi) each take one BLAS gbmv over the block-diagonal band of lam,
+which adds each entry of a row in column order, the exact zeros of other
+chains included, so a chain's product is bit for bit that of its band
+alone.  The reward dot products are stacked `matmul` products, which call
+the same BLAS dot per chain as an unstacked product does (`einsum` and
+elementwise sums round differently).
 
 A chain is classified singular when a pivot of the banded LU falls below
 SINGULAR_TOL.  On the brute-force instances (alpha=0.4, A=2, M=3, Q=5 and
@@ -51,6 +59,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DegenerateSegment, RowDiffCountMismatch, SingularChain
@@ -83,23 +92,44 @@ def _matrix(policy: Union[Policy, np.ndarray]) -> np.ndarray:
     return policy.f if isinstance(policy, Policy) else policy
 
 
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x per chain of a stack: one BLAS gemv each, as unstacked."""
-    return (a @ x[..., None])[..., 0]
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a . b per row of a stack: one BLAS dot each, as unstacked."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-@lru_cache(maxsize=16)
-def _scatter_index(n: int, actions: int, chains: int) -> np.ndarray:
-    """For each entry f[c, i, m] of a stack of `chains` policy matrices
-    (row-major), the flat index of lam[c, i-m, i] in the stack of n x n
-    transition matrices (meaningful where m <= i)."""
-    c, i, m = np.ogrid[:chains, :n, :actions]
-    return _read_only(((c * n + i - m) * n + i).ravel())
+def _lam_band(params: ModelParams, f: np.ndarray) -> np.ndarray:
+    """Band of the transition matrices of the feasible policy rows f
+    (..., M+1): band[t, ..., k] = lam[k - M + t, k] for t = 0..A+M, so
+    band[:, ..., k] is column k of lam from row k-M to row k+A.
+
+    Every entry sums the same terms in the same order as a loop over
+    (state, action) events: the no-arrival move to k-m (t = M-m), then the
+    arrival move to k-m+A (t = M-m+A).  The entries above row 0 or below
+    row K are exact zeros, since f is zero on infeasible actions.
+    """
+    A, M, alpha = params.A, params.M, params.alpha
+    f = f.transpose(-1, *range(f.ndim - 1))  # (M+1, ...)
+    band = np.zeros((A + M + 1,) + f.shape[1:])
+    np.multiply(f, 1 - alpha, out=band[: M + 1][::-1])
+    band[A:][::-1] += alpha * f
+    return band
+
+
+def _band_index(n: int, lower: int, upper: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices j n + k into an n x n matrix of the band entries
+    [t, k] (row j = k - upper + t), and the mask of those inside it."""
+    k = np.arange(n)
+    j = k - upper + np.arange(lower + upper + 1)[:, None]
+    keep = (j >= 0) & (j < n)
+    return np.where(keep, j * n + k, 0), keep
+
+
+def _gather_band(lam: np.ndarray, lower: int, upper: int) -> np.ndarray:
+    """The band of an n x n matrix lam or a stack of them, laid out as
+    `_lam_band`'s: (lower+upper+1, ..., n)."""
+    n = lam.shape[-1]
+    index, keep = _band_index(n, lower, upper)
+    return np.moveaxis(lam.reshape(lam.shape[:-2] + (n * n,))[..., index] * keep, -2, 0)
 
 
 def build_transition_enumerative(
@@ -112,18 +142,15 @@ def build_transition_enumerative(
     lam[j, i] is the probability of moving from state i to state j, so
     each column indexes a source state and sums to 1.  From state i,
     transmitting m bits leads to i-m without an arrival (probability
-    1-alpha) and to i-m+A with one (probability alpha).
+    1-alpha) and to i-m+A with one (probability alpha).  The entries are
+    those of `_lam_band`, which the scoring path uses instead.
     """
-    K, A, alpha = params.K, params.A, params.alpha
+    n = params.K + 1
     f = _matrix(policy)
-    lam = np.zeros(f.shape[:-1] + (K + 1,))
-    q = np.flatnonzero(f)  # the nonzero f[c, i, m], in row-major order
-    p = f.take(q)
-    to = _scatter_index(K + 1, f.shape[-1], f.size // f.shape[-1] // (K + 1)).take(q)
-    # all no-arrival terms, then all arrival terms (A rows further down):
-    # each entry sums the same terms in the same order as a loop over (i, m)
-    np.add.at(lam.reshape(-1), to, (1 - alpha) * p)
-    np.add.at(lam.reshape(-1), to + A * (K + 1), alpha * p)
+    band = _lam_band(params, f).reshape(params.A + params.M + 1, -1, n)
+    index, keep = _band_index(n, params.A, params.M)
+    lam = np.zeros(f.shape[:-1] + (n,))
+    lam.reshape(-1, n * n)[:, index[keep]] = band.transpose(1, 0, 2)[:, keep]
     return _read_only(lam)
 
 
@@ -156,34 +183,18 @@ def build_transition_piecewise(params: ModelParams, policy: Policy) -> np.ndarra
     return _read_only(lam)
 
 
-@lru_cache(maxsize=16)
-def _band_gather(n: int, lower: int, upper: int, chains: int):
-    """Where the band of H's rows 1..n-1 sits in a flattened stack of
-    `chains` n x n lam with `lower` sub- and `upper` super-diagonals.
-
-    Entry [t, c, k] is H[k - upper + t, k] of chain c, for t =
-    0..lower+upper+1: the flat index of lam[c, k - upper - 1 + t, k], and
-    (the same for every chain) a 0/1 mask of the lam rows 0..n-2 that H
-    keeps and the -1 of (lam - I) on its diagonal.
-    """
-    t = np.arange(lower + upper + 2)[:, None, None]
-    k = np.arange(n)
-    j = k - upper - 1 + t
-    keep = (j >= 0) & (j <= n - 2)
-    flat = np.where(keep, j * n + k, 0) + np.arange(chains)[:, None] * (n * n)
-    arrays = flat, keep.astype(float), (keep & (j == k)).astype(float)
-    return tuple(_read_only(a) for a in arrays)  # cached: shared by every caller
-
-
 @dataclass(frozen=True)
 class BandLU:
     """Banded LU factors of the balance systems H of a stack of chains,
     taken through the tail-sum substitution pi = D z (`lu_factor`).
 
     `chains` holds the stack indices of the chains factored (those whose
-    pivots all pass SINGULAR_TOL), and lam their transition matrices."""
+    pivots all pass SINGULAR_TOL), and band the bands of their transition
+    matrices, (kl+ku, chains, n) as `_lam_band`'s, stored as the BLAS band
+    storage (kl+ku, chains n) of their block-diagonal lam, with kl-1 sub-
+    and ku super-diagonals."""
 
-    lam: np.ndarray
+    band: np.ndarray
     ab: np.ndarray
     piv: np.ndarray
     kl: int
@@ -191,29 +202,37 @@ class BandLU:
     chains: np.ndarray
 
 
-def _balance_band(lam: np.ndarray, lower: int, upper: int) -> np.ndarray:
-    """H D of every chain of lam (one n x n matrix or a stack (N, n, n)) in
+def _balance_band(band: np.ndarray, lower: int, upper: int) -> np.ndarray:
+    """H D of every chain of a stack of lam bands (lower+upper+1, N, n) in
     LAPACK band storage, the chains side by side as one block-diagonal band:
     with kl = lower+1 and ku = upper, ab[kl + ku + r - k, c n + k] =
     (H D)[r, k] of chain c, and the top kl rows are the fill-in space of
     gbtrf."""
-    n = lam.shape[-1]
+    w, N, n = band.shape
     kl, ku = lower + 1, upper
-    flat, keep, eye = _band_gather(n, lower, upper, lam.size // (n * n))
-    # band of H: h[t, c, k] = H[k - ku + t, k] of chain c;
-    # (H D)[r, k] = H[r, k] - H[r, k-1], within each chain
-    h = lam.take(flat) * keep - eye
-    h[:-1, :, 1:] -= h[1:, :, :-1]  # numpy reads the overlapping right side first
-    ab = np.zeros((2 * kl + ku + 1, h.shape[1] * n), order="F")
-    ab[kl:] = h.reshape(len(h), -1)
-    ab[kl + ku, ::n] = 1.0  # the ones row of H times D
+    # band of H: ab[kl + t, c n + k] = H[k - ku + t, k] of chain c, where
+    # H's row r is row r-1 of lam - I and lam's row K is dropped
+    ab = np.zeros((kl + w + 1, N * n), order="F")
+    ab[kl + 1:] = band.reshape(w, -1)
+    ab[kl + ku + 1] -= 1.0  # the diagonal (lam's row K is dropped next)
+    h = ab.reshape(-1, N, n)
+    k = np.arange(max(n - kl, 0), n)
+    h[kl + n + ku - k, :, k] = 0.0
+    # (H D)[r, k] = H[r, k] - H[r, k-1] is ab[i, j] - ab[i+1, j-1], one
+    # offset apart in Fortran order; at k = 0 that reads the previous
+    # chain's last column, which holds zeros there but above row kl + ku
+    flat = ab.T.reshape(-1)
+    flat[kl + w:] -= flat[: -(kl + w)]  # numpy reads the overlapping right side first
+    h[kl : kl + ku, :, 0] = 0.0
+    h[kl + ku, :, 0] = 1.0  # the ones row of H times D
     return ab
 
 
-def lu_factor(lam: np.ndarray, lower: int, upper: int) -> BandLU:
+def lu_factor(band: np.ndarray, lower: int, upper: int) -> BandLU:
     """Factor the normalized balance systems H (a ones row over the first K
-    rows of lam - I) of a transition matrix, or of a stack (N, n, n) of them,
-    with `lower` sub- and `upper` super-diagonals.
+    rows of lam - I) of a transition matrix, or of a stack of them, given
+    by lam's band (lower+upper+1, n) or stack of bands (lower+upper+1, N,
+    n), laid out as `_lam_band`'s.
 
     With z_k = sum_{j>=k} pi_j, pi = D z for the unit upper bidiagonal D
     (pi_k = z_k - z_{k+1}); the ones row of H D is e_0, so H D is banded
@@ -223,10 +242,10 @@ def lu_factor(lam: np.ndarray, lower: int, upper: int) -> BandLU:
     of U below SINGULAR_TOL is removed from the factors, so that no solve
     sees it (`BandLU.chains` lists the chains kept).
     """
-    n = lam.shape[-1]
-    lam = lam.reshape(-1, n, n)
+    w, n = band.shape[0], band.shape[-1]
+    band = band.reshape(w, -1, n)
     kl, ku = lower + 1, upper
-    ab, piv, _ = dgbtrf(_balance_band(lam, lower, upper), kl, ku, overwrite_ab=1)
+    ab, piv, _ = dgbtrf(_balance_band(band, lower, upper), kl, ku, overwrite_ab=1)
     pivots = np.abs(ab[kl + ku]).reshape(-1, n).min(axis=1)  # the diagonal of U
     chains = np.flatnonzero(pivots >= SINGULAR_TOL)
     if chains.size < pivots.size:
@@ -234,8 +253,10 @@ def lu_factor(lam: np.ndarray, lower: int, upper: int) -> BandLU:
         # pivots are global row numbers: shift each kept block to its new place
         shift = (chains - np.arange(chains.size))[:, None] * n
         piv = (piv.reshape(-1, n)[chains] - shift).ravel()
-        lam = lam[chains]
-    return BandLU(lam, ab, piv, kl, ku, chains)
+        band = band[:, chains]
+    # BLAS band storage: t varies fastest
+    band = band.transpose(1, 2, 0).copy().transpose(2, 0, 1)
+    return BandLU(band, ab, piv, kl, ku, chains)
 
 
 def lu_solve(lu: BandLU, b: np.ndarray) -> np.ndarray:
@@ -250,27 +271,44 @@ def lu_solve(lu: BandLU, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _lam_matvec(band: np.ndarray, lower: int, upper: int, x: np.ndarray) -> np.ndarray:
+    """lam x per chain of a stack of lam bands (lower+upper+1, N, n), with
+    x of shape (N, n): one BLAS gbmv over the block-diagonal band.  Its
+    entries that cross chains are exact zeros, which add nothing, so each
+    chain's product is bit for bit the product of its band alone."""
+    w, cols = len(band), x.size
+    # the wrapper wants at least kl+ku+1 rows and one entry of x, also for
+    # a stack narrower than that or empty: rows past the stack and the
+    # entry past x are never read into y[:cols]
+    y = dgbmv(max(cols, w), cols, lower, upper, 1.0, band.reshape(w, cols),
+              np.concatenate((x.ravel(), [0.0])))
+    return y[:cols].reshape(x.shape)
+
+
 def _stationary(lu: BandLU) -> tuple[np.ndarray, np.ndarray]:
     """Stationary solves H pi = e_0 of the factored chains, each with one step
     of iterative refinement against H itself; cleaned by `_clean_pi`, whose
     mask of failed chains comes with them."""
-    e0 = np.zeros((lu.chains.size, lu.lam.shape[-1]))
+    e0 = np.zeros(lu.band.shape[1:])
     e0[:, 0] = 1.0
     x = lu_solve(lu, e0)
     r = np.empty_like(x)  # e_0 - H x
     r[:, 0] = 1.0 - x.sum(axis=1)
-    r[:, 1:] = x[:, :-1] - _matvec(lu.lam[:, :-1], x)
-    return _clean_pi(lu.lam, x + lu_solve(lu, r))
+    r[:, 1:] = x[:, :-1] - _lam_matvec(lu.band, lu.kl - 1, lu.ku, x)[:, :-1]
+    return _clean_pi(lu.band, lu.kl - 1, lu.ku, x + lu_solve(lu, r))
 
 
-def _clean_pi(lam: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clip and normalize the stationary solves pi (chains, n) of the stack
-    lam.  Returns them with the mask of the chains that fail: mass below
-    -SINGULAR_TOL or a stationarity residual above STATIONARITY_TOL."""
+def _clean_pi(
+    band: np.ndarray, lower: int, upper: int, pi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clip and normalize the stationary solves pi (chains, n) of the chains
+    of a stack of lam bands.  Returns them with the mask of the chains that
+    fail: mass below -SINGULAR_TOL or a stationarity residual above
+    STATIONARITY_TOL."""
     failed = (pi < -SINGULAR_TOL).any(axis=1)
     pi = np.maximum(pi, 0.0)
     pi = pi / pi.sum(axis=1, keepdims=True)  # sum(pi) = z_0 = 1: never 0
-    failed |= np.abs(_matvec(lam, pi) - pi).max(axis=1) > STATIONARITY_TOL
+    failed |= np.abs(_lam_matvec(band, lower, upper, pi) - pi).max(axis=1) > STATIONARITY_TOL
     return pi, failed
 
 
@@ -297,8 +335,10 @@ def _bandwidths(lam: np.ndarray) -> tuple[int, int]:
 
 def stationary_distribution(lam: np.ndarray) -> np.ndarray:
     """Read-only stationary distribution of the transition matrix lam, from
-    the banded factors of its normalized balance system."""
-    lu = lu_factor(lam, *_bandwidths(lam))
+    the banded factors of its normalized balance system: the path of
+    `score_stack`, entered through the band gathered out of lam."""
+    lower, upper = _bandwidths(lam)
+    lu = lu_factor(_gather_band(lam, lower, upper), lower, upper)
     pi, failed = _stationary(lu)
     if not lu.chains.size or failed[0]:
         raise _singular(lu)
@@ -344,7 +384,7 @@ def score_stack(params: ModelParams, f: np.ndarray):
     chain moves only to i-m or i-m+A, so lam has A sub- and M
     super-diagonals.
     """
-    lu = lu_factor(build_transition_enumerative(params, f), params.A, params.M)
+    lu = lu_factor(_lam_band(params, f), params.A, params.M)
     pi, failed = _stationary(lu)
     delay = _delays(params, pi)
     failed |= delay < -STATIONARITY_TOL
@@ -360,8 +400,8 @@ def score_stack(params: ModelParams, f: np.ndarray):
 
 def _solve(params: ModelParams, policy: Policy):
     """Score one policy (the one-chain stack): the banded LU factors of its
-    balance system (which carry its transition matrix) and its reward
-    point."""
+    balance system (which carry the band of its transition matrix) and its
+    reward point."""
     lu, chains, power, delay = score_stack(params, policy.f[None])
     if not chains.size:
         raise _singular(lu)
@@ -476,10 +516,14 @@ def mixing_analysis(
     if cache is not None:
         point_a = cache.setdefault(F.key(), point_a)
     point_b = evaluate(params, F2, cache)
-    # H_F2 - H_F is zero outside column k; its ones row cancels too
-    K = params.K
+    # H_F2 - H_F is zero outside column k, which depends on row k of the
+    # policy only; its ones row cancels too
+    K, M = params.K, params.M
+    delta = _lam_band(params, F2.f[k]) - _lam_band(params, F.f[k])
+    j = k - M + np.arange(delta.size)  # the rows of lam that delta spans
+    keep = (j >= 0) & (j < K)
     delta_k = np.zeros(K + 1)
-    delta_k[1:] = build_transition_enumerative(params, F2)[:K, k] - lu_a.lam[0, :K, k]
+    delta_k[1 + j[keep]] = delta[keep]
     power_a = power_reward_vector(params, F)
     zeta_k = float(power_reward_vector(params, F2)[k] - power_a[k])
     v = lu_solve(lu_a, delta_k)

@@ -24,13 +24,14 @@ from .model import (
 )
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
-# Memory bound on the dense (N, K+1, K+1) transition stack of one block of
-# `enumerate_deterministic`.  Scoring a block holds several times that in
-# temporaries: measured on brute force at Q=5 and Q=6, the peak RSS grows
-# by 3-7 KB per policy of block at K=8 (648 B of it the dense stack).  This
-# bound gives blocks of 256 policies at K=7 and 202 at K=8, within 1 MB of
-# the peak of blocks of 25, and as fast as blocks of 404 (larger ones are
-# slower again).
+# Block size of `enumerate_deterministic`: BLOCK_BYTES // (8 (K+1)^2)
+# policies, 256 at K=7 and 202 at K=8.  The divisor, the bytes of one dense
+# (K+1)^2 matrix, only sets the sizes; scoring builds no such matrix.
+# Basis, measured on brute force at Q=5 and Q=6 (tracemalloc peak of one
+# `mrp.score_stack` call on the band path): about 1.7 KB per policy of
+# block at K=7 and 1.8 KB at K=8, so a block peaks near 430 KB and 370 KB.
+# Blocks of 512 at K=7 scored brute force about 10% faster, but raised the
+# `brute` benchmark's peak RSS by 0.3 MB, so the sizes stay.
 BLOCK_BYTES = 128 * 1024
 
 
@@ -50,8 +51,8 @@ def enumerate_deterministic(
     """Yield every deterministic policy as its state -> action map, in
     blocks: (N, K+1) int arrays whose rows run lexicographically over
     (state, action), in the order of `itertools.product` over the feasible
-    sets.  N is the most policies whose dense transition stack fits in
-    BLOCK_BYTES (at least 1); the last block holds the remainder.  Raises
+    sets.  N is BLOCK_BYTES // (8 (K+1)^2), at least 1; the last block
+    holds the remainder.  Raises
     EnumerationTooLarge before the first block if the count exceeds `cap`.
     """
     total = count_deterministic(params)

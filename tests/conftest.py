@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dpsched import validate_params
-from dpsched.verify import random_policy, random_one_row_pair
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ A=2, M=3, Q=5, power=[0,1,4,9].
 import time
 
 import numpy as np
-import pytest
 
 from dpsched import mrp
 from dpsched.lp import build_lp, occupation_measure, solve_simplex

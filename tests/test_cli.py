@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from dpsched.cli import build_parser, main

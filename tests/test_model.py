@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from dpsched import errors
 from dpsched.lp import build_lp
 from dpsched.model import (
-    ModelParams,
     Policy,
     ThresholdPolicy,
     complete_thresholds,

@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from dpsched import errors, mrp
@@ -15,7 +17,7 @@ from dpsched.model import (
     validate_params,
 )
 from dpsched.pareto import algorithm1
-from dpsched.policies import enumerate_deterministic, policy_from_actions
+from dpsched.policies import enumerate_deterministic, initial_threshold_policy, policy_from_actions
 from dpsched.verify import random_one_row_pair, random_policy
 
 from conftest import EDGE_FAMILIES, deterministic_policies, edge_params, random_params
@@ -42,7 +44,8 @@ def dense_stationary(lam):
     e0 = np.zeros(lam.shape[0])
     e0[0] = 1.0
     pi = lu_solve(dense_factor(lam), e0, check_finite=False)
-    (pi,), (failed,) = mrp._clean_pi(lam[None], pi[None])
+    bandwidths = mrp._bandwidths(lam)
+    (pi,), (failed,) = mrp._clean_pi(mrp._gather_band(lam, *bandwidths), *bandwidths, pi[None])
     if failed:
         raise errors.SingularChain("dense solve fails the checks of _clean_pi")
     return pi
@@ -75,18 +78,20 @@ EDGE_INSTANCES = {
 
 def single_chain_solve(params, policy):
     """Reference: the one-policy-at-a-time path that the stacked one
-    replaced, kept verbatim: the band of one chain, its own dgbtrf and
-    dgbtrs calls, one refinement step, the checks of `_clean_pi` and the
-    rewards, all with unstacked products.  Returns (power, delay, pi), or
-    None for a singular chain."""
+    replaced: the bands of one chain gathered from its dense lam, its own
+    dgbtrf, dgbtrs and dgbmv calls, one refinement step, the checks of
+    `_clean_pi` and the rewards, all with unstacked products.  Returns
+    (power, delay, pi), or None for a singular chain."""
     lam = mrp.build_transition_enumerative(params, policy)
     n = lam.shape[0]
     kl, ku = params.A + 1, params.M
     t = np.arange(params.A + params.M + 2)[:, None]
     k = np.arange(n)
     j = k - params.M - 1 + t  # h[t, k] = H[k - ku + t, k] = (lam - I)[j, k]
-    keep = (j >= 0) & (j <= n - 2)
-    h = lam.take(np.where(keep, j * n + k, 0)) * keep - (keep & (j == k))
+    inside = (j >= 0) & (j <= n - 1)
+    g = lam.take(np.where(inside, j * n + k, 0)) * inside  # g[t, k] = lam[j, k]
+    keep = inside & (j <= n - 2)
+    h = g * keep - (keep & (j == k))
     ab = np.zeros((2 * kl + ku + 1, n), order="F")
     ab[kl:] = h
     ab[kl:-1, 1:] -= h[1:, :-1]
@@ -101,18 +106,25 @@ def single_chain_solve(params, policy):
         x[:-1] -= z[1:]
         return x
 
+    def lam_times(x):
+        # BLAS band storage of lam (kl = A, ku = M) is g[1:]; gbmv wants at
+        # least kl+ku+1 rows, and a Q=0 chain has fewer
+        y = dgbmv(max(n, len(g) - 1), n, params.A, params.M, 1.0,
+                  np.asfortranarray(g[1:]), np.append(x, 0.0))
+        return y[:n]
+
     e0 = np.zeros(n)
     e0[0] = 1.0
     x = solve(e0)
     r = e0.copy()
     r[0] -= x.sum()
-    r[1:] -= lam[:-1] @ x - x[:-1]
+    r[1:] -= lam_times(x)[:-1] - x[:-1]
     pi = x + solve(r)
     if np.any(pi < -mrp.SINGULAR_TOL):
         return None
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
-    if np.max(np.abs(lam @ pi - pi)) > mrp.STATIONARITY_TOL:
+    if np.max(np.abs(lam_times(pi) - pi)) > mrp.STATIONARITY_TOL:
         return None
     d = float(np.arange(n, dtype=float) @ pi) / (params.alpha * params.A) - 1.0
     if d < -mrp.STATIONARITY_TOL:
@@ -143,8 +155,8 @@ def assert_stack_matches_single_chains(params, policies):
 
 
 def smallest_pivot(params, policy):
-    lam = mrp.build_transition_enumerative(params, policy)
-    ab, _, _ = dgbtrf(mrp._balance_band(lam, params.A, params.M), params.A + 1, params.M)
+    band = mrp._lam_band(params, policy.f[None])
+    ab, _, _ = dgbtrf(mrp._balance_band(band, params.A, params.M), params.A + 1, params.M)
     return np.min(np.abs(ab[params.A + 1 + params.M]))
 
 
@@ -452,7 +464,7 @@ class TestBandedSolve:
             n = params.K + 1
             D = np.eye(n) - np.eye(n, k=1)  # pi = D z, z the tail sums
             want = balance_matrix(lam) @ D
-            ab = mrp._balance_band(lam, params.A, params.M)
+            ab = mrp._balance_band(mrp._lam_band(params, pol.f[None]), params.A, params.M)
             kl, ku = params.A + 1, params.M
             assert ab.shape == (2 * kl + ku + 1, n)
             assert not ab[:kl].any()  # fill-in space of gbtrf
@@ -462,6 +474,43 @@ class TestBandedSolve:
                     got[r, k] = ab[kl + ku + r - k, k]
             assert np.array_equal(got, want)
 
+    def test_band_from_policy_is_lams_band(self, rng):
+        # bit for bit, for a stack, one policy and one row of a policy
+        for params in list(EDGE_INSTANCES.values()) + [random_params(rng) for _ in range(3)]:
+            f = np.stack([random_policy(params, rng).f for _ in range(5)])
+            band = mrp._lam_band(params, f)
+            lam = mrp.build_transition_enumerative(params, f)
+            assert band.shape == (params.A + params.M + 1, 5, params.K + 1)
+            assert np.array_equal(band, mrp._gather_band(lam, params.A, params.M))
+            assert np.array_equal(mrp._lam_band(params, f[2]), band[:, 2])
+            assert np.array_equal(mrp._lam_band(params, f[2, -1]), band[:, 2, -1])
+
+    @pytest.mark.parametrize("chains", [0, 1, 3])
+    def test_band_matvec_matches_dense(self, chains, rng):
+        # Q=0 has fewer columns per chain (K+1 = A+1) than the band has rows
+        for params in EDGE_INSTANCES.values():
+            f = np.array([random_policy(params, rng).f for _ in range(chains)])
+            f = f.reshape(chains, params.K + 1, params.M + 1)
+            x = rng.standard_normal((chains, params.K + 1))
+            got = mrp._lam_matvec(mrp._lam_band(params, f), params.A, params.M, x)
+            want = (mrp.build_transition_enumerative(params, f) @ x[..., None])[..., 0]
+            assert got.shape == x.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(x), initial=0.0)
+
+    def test_scoring_allocates_no_dense_matrix(self):
+        # ladder K=2003: one dense lam would take 2004**2 * 8 B = 32 MB
+        params = validate_params(0.5, 3, 5, 2000, [0, 1, 4, 9, 16, 25])
+        f = threshold_to_policy(params, initial_threshold_policy(params)).f[None]
+        _, kept, _, _ = mrp.score_stack(params, f)
+        assert kept.tolist() == [0]
+        tracemalloc.start()
+        try:
+            mrp.score_stack(params, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_mixing_solve_matches_dense(self, rng):
         instances = [p for name, p in EDGE_INSTANCES.items() if name != "Q0"]  # Q=0: no pair
         for params in instances + [random_params(rng) for _ in range(3)]:
@@ -469,6 +518,8 @@ class TestBandedSolve:
                 F, F2, _ = random_one_row_pair(params, rng)
                 ana = mrp.mixing_analysis(params, F, F2)
                 lam = mrp.build_transition_enumerative(params, F)
+                lam2 = mrp.build_transition_enumerative(params, F2)
+                assert np.array_equal(ana.delta_k[1:], (lam2 - lam)[:-1, ana.k])
                 want = lu_solve(dense_factor(lam), ana.delta_k, check_finite=False)
                 assert np.max(np.abs(ana.v - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -528,6 +579,15 @@ class TestStackedSolve:
                 assert stacked_points(params, [pols[i]]) == [got[i]]
         assert count == singular
 
+    @pytest.mark.parametrize("name", ["Q0", "reference", "alpha1"])
+    def test_one_chain_stack(self, name):
+        # at Q=0 one chain has K+1 = A+1 columns, fewer than the A+M+1 rows
+        # of its band
+        params = STACK_INSTANCES[name][0]
+        for pol in deterministic_policies(params)[:60]:
+            want = single_chain_solve(params, pol)
+            assert stacked_points(params, [pol]) == [None if want is None else want[:2]]
+
     def pick(self, params, test, n):
         """The first n deterministic policies whose smallest pivot passes test."""
         out = []
@@ -559,10 +619,12 @@ class TestStackedSolve:
                            ("reference", lambda p: 0.0 < p < 1e-14)):
             params = STACK_INSTANCES[name][0]
             pols = self.pick(params, test, 3)
-            lam = mrp.build_transition_enumerative(params, np.stack([p.f for p in pols]))
-            lu = mrp.lu_factor(lam, params.A, params.M)
+            lu = mrp.lu_factor(mrp._lam_band(params, np.stack([p.f for p in pols])),
+                               params.A, params.M)
             assert lu.chains.size == 0
             assert mrp.lu_solve(lu, np.zeros((0, params.K + 1))).shape == (0, params.K + 1)
+            pis, failed = mrp._stationary(lu)
+            assert pis.shape == (0, params.K + 1) and failed.shape == (0,)
             assert stacked_points(params, pols) == [None] * 3
             with pytest.raises(errors.SingularChain, match="pivot below"):
                 mrp.evaluate(params, pols[0])
@@ -595,8 +657,9 @@ def test_stacked_chain_solve_edge_instances(
     if not pols:
         return
     assert_stack_matches_single_chains(params, pols)
-    lam = mrp.build_transition_enumerative(params, np.stack([p.f for p in pols]))
-    lu = mrp.lu_factor(lam, params.A, params.M)
+    f = np.stack([p.f for p in pols])
+    lam = mrp.build_transition_enumerative(params, f)
+    lu = mrp.lu_factor(mrp._lam_band(params, f), params.A, params.M)
     pis, failed = mrp._stationary(lu)
     for c, pi, fail in zip(lu.chains.tolist(), pis, failed):
         want = single_chain_solve(params, pols[c])
