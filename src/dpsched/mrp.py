@@ -7,14 +7,20 @@ segment slope in the (power, delay) plane).
 
 Transition matrices and stationary distributions are plain read-only
 ndarrays.  Every policy is scored by one path, which takes a stack of N
-policy matrices at once (N=1 for a single policy): build the band of each
-transition matrix lam straight from the policy (`_lam_band`), factor the
-normalized balance systems H from it (`lu_factor`), solve them with one
-step of iterative refinement, then take the rewards of the stationary
-distributions (`score_stack`).  No dense (K+1)^2 matrix is built on that
-path; `build_transition_enumerative` gives lam to the callers that want
-it, and `stationary_distribution(lam)` enters the same path through the
-band gathered out of lam.
+chains at once (N=1 for a single policy): build the band of each
+transition matrix lam, factor the normalized balance systems H from it
+(`lu_factor`), solve them with one step of iterative refinement, then take
+the rewards of the stationary distributions (`_score`).  The band has two
+builders: `_lam_band` from policy matrices (`score_stack`) and `_map_band`
+from the action maps of deterministic policies (`score_maps`, bit for bit
+the same band and scores as their one-hot matrices, which are never built).
+Both lay the band out with its row t varying fastest, (A+M+1, N, K+1)
+viewing (N, K+1, A+M+1) memory: the BLAS band storage of the
+block-diagonal lam (Anderson et al., LAPACK Users' Guide, 1999), which the
+factors keep and the band products read without a copy.  No dense
+(K+1)^2 matrix is built on that path; `build_transition_enumerative`
+gives lam to the callers that want it, and `stationary_distribution(lam)`
+enters the same path through the band gathered out of lam.
 
 From state i the chain moves only to i-m or i-m+A (0 <= m <= M), so
 lam - I has A sub- and M super-diagonals and only the ones row of H is
@@ -105,14 +111,33 @@ def _lam_band(params: ModelParams, f: np.ndarray) -> np.ndarray:
     Every entry sums the same terms in the same order as a loop over
     (state, action) events: the no-arrival move to k-m (t = M-m), then the
     arrival move to k-m+A (t = M-m+A).  The entries above row 0 or below
-    row K are exact zeros, since f is zero on infeasible actions.
+    row K are exact zeros, since f is zero on infeasible actions.  The band
+    is a view of (..., K+1, A+M+1) memory, t varying fastest: the BLAS band
+    storage of the block-diagonal lam of a stack, which `lu_factor` keeps
+    and `_lam_matvec` reads without a copy.
     """
     A, M, alpha = params.A, params.M, params.alpha
+    band = np.moveaxis(np.zeros(f.shape[:-1] + (A + M + 1,)), -1, 0)
     f = f.transpose(-1, *range(f.ndim - 1))  # (M+1, ...)
-    band = np.zeros((A + M + 1,) + f.shape[1:])
     np.multiply(f, 1 - alpha, out=band[: M + 1][::-1])
     band[A:][::-1] += alpha * f
     return band
+
+
+def _map_band(params: ModelParams, acts: np.ndarray) -> np.ndarray:
+    """The band of `_lam_band`, laid out as its, for a stack of action maps
+    acts (N, K+1), bit for bit that of their one-hot policy matrices, by
+    two scatter writes: 1-alpha at t = M-a and alpha at t = M-a+A for the
+    action a of each state.  A >= 1 puts the two in different rows, where
+    `_lam_band` adds alpha to an exact zero, and its other terms are exact
+    zeros."""
+    A, M, w = params.A, params.M, params.A + params.M + 1
+    band = np.zeros(acts.shape + (w,))
+    flat = band.reshape(-1)
+    t = np.arange(0, flat.size, w) + (M - acts).ravel()
+    flat[t] = 1 - params.alpha
+    flat[t + A] = params.alpha
+    return np.moveaxis(band, -1, 0)
 
 
 def _band_index(n: int, lower: int, upper: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,9 +215,9 @@ class BandLU:
 
     `chains` holds the stack indices of the chains factored (those whose
     pivots all pass SINGULAR_TOL), and band the bands of their transition
-    matrices, (kl+ku, chains, n) as `_lam_band`'s, stored as the BLAS band
-    storage (kl+ku, chains n) of their block-diagonal lam, with kl-1 sub-
-    and ku super-diagonals."""
+    matrices, (kl+ku, chains, n) as `_lam_band`'s with t varying fastest:
+    the BLAS band storage (kl+ku, chains n) of their block-diagonal lam,
+    with kl-1 sub- and ku super-diagonals."""
 
     band: np.ndarray
     ab: np.ndarray
@@ -232,7 +257,7 @@ def lu_factor(band: np.ndarray, lower: int, upper: int) -> BandLU:
     """Factor the normalized balance systems H (a ones row over the first K
     rows of lam - I) of a transition matrix, or of a stack of them, given
     by lam's band (lower+upper+1, n) or stack of bands (lower+upper+1, N,
-    n), laid out as `_lam_band`'s.
+    n), laid out as `_lam_band`'s (t varying fastest, or else copied so).
 
     With z_k = sum_{j>=k} pi_j, pi = D z for the unit upper bidiagonal D
     (pi_k = z_k - z_{k+1}); the ones row of H D is e_0, so H D is banded
@@ -248,14 +273,16 @@ def lu_factor(band: np.ndarray, lower: int, upper: int) -> BandLU:
     ab, piv, _ = dgbtrf(_balance_band(band, lower, upper), kl, ku, overwrite_ab=1)
     pivots = np.abs(ab[kl + ku]).reshape(-1, n).min(axis=1)  # the diagonal of U
     chains = np.flatnonzero(pivots >= SINGULAR_TOL)
+    band = band.transpose(1, 2, 0)  # (N, n, w)
     if chains.size < pivots.size:
         ab = ab[:, (chains[:, None] * n + np.arange(n)).ravel()]
         # pivots are global row numbers: shift each kept block to its new place
         shift = (chains - np.arange(chains.size))[:, None] * n
         piv = (piv.reshape(-1, n)[chains] - shift).ravel()
-        band = band[:, chains]
-    # BLAS band storage: t varies fastest
-    band = band.transpose(1, 2, 0).copy().transpose(2, 0, 1)
+        band = band[chains]
+    # BLAS band storage, t varying fastest: a builder's band is kept as it
+    # is when no chain is dropped; a band gathered out of lam is copied
+    band = np.ascontiguousarray(band).transpose(2, 0, 1)
     return BandLU(band, ab, piv, kl, ku, chains)
 
 
@@ -374,6 +401,25 @@ def average_delay(params: ModelParams, pi: np.ndarray) -> float:
     return max(d, 0.0)
 
 
+def _score(params: ModelParams, band: np.ndarray, rewards: np.ndarray):
+    """Score the chains of a stack of lam bands (A+M+1, N, K+1), with
+    per-state powers rewards (N, K+1), through one block-diagonal
+    factorization of their balance systems: the core of `score_stack` and
+    `score_maps`."""
+    lu = lu_factor(band, params.A, params.M)
+    pi, failed = _stationary(lu)
+    delay = _delays(params, pi)
+    failed |= delay < -STATIONARITY_TOL
+    if lu.chains.size < len(rewards):
+        rewards = rewards[lu.chains]
+    power = _dot(rewards, pi)
+    delay = np.maximum(delay, 0.0)
+    if failed.any():
+        kept = ~failed
+        return lu, lu.chains[kept], power[kept], delay[kept]
+    return lu, lu.chains, power, delay
+
+
 def score_stack(params: ModelParams, f: np.ndarray):
     """Score a stack of policy matrices f (N, K+1, M+1) through one
     block-diagonal factorization of their balance systems.
@@ -384,18 +430,15 @@ def score_stack(params: ModelParams, f: np.ndarray):
     chain moves only to i-m or i-m+A, so lam has A sub- and M
     super-diagonals.
     """
-    lu = lu_factor(_lam_band(params, f), params.A, params.M)
-    pi, failed = _stationary(lu)
-    delay = _delays(params, pi)
-    failed |= delay < -STATIONARITY_TOL
-    if lu.chains.size < len(f):
-        f = f[lu.chains]
-    power = _dot(power_reward_vector(params, f), pi)
-    delay = np.maximum(delay, 0.0)
-    if failed.any():
-        kept = ~failed
-        return lu, lu.chains[kept], power[kept], delay[kept]
-    return lu, lu.chains, power, delay
+    return _score(params, _lam_band(params, f), power_reward_vector(params, f))
+
+
+def score_maps(params: ModelParams, acts: np.ndarray):
+    """`score_stack` for a stack of deterministic policies given as action
+    maps acts (N, K+1), bit for bit that of their one-hot policy matrices:
+    the band from the maps (`_map_band`), and the per-state powers
+    power[acts], which are the one-hot rows' products with power exactly."""
+    return _score(params, _map_band(params, acts), params.power_array[acts])
 
 
 def _solve(params: ModelParams, policy: Policy):

@@ -9,21 +9,20 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SingularChain
+from .errors import InvalidPolicy, SingularChain
 from .model import (
     ModelParams,
-    ThresholdPolicy,
-    _action_matrix,
+    Policy,
     _last_state_at_most,
+    feasibility_mask,
     threshold_action_map,
-    threshold_to_policy,
 )
-from .mrp import DelayPowerPoint, _singular, score_stack
+from .mrp import DelayPowerPoint, _singular, score_maps
 from .policies import (
     DEFAULT_ENUMERATION_CAP,
     enumerate_deterministic,
@@ -67,6 +66,10 @@ class ParetoCurve:
 
     vertices: tuple[DelayPowerPoint, ...]
     skipped_singular: int = 0
+    # Why the walk stopped: "power_resolution" if its last step refused a
+    # candidate only for lowering power by no more than POWER_STEP_FLOOR,
+    # else "exhausted"; None for curves not found by the walk.
+    stop_reason: Optional[str] = None
 
     @property
     def segments(self) -> tuple[Segment, ...]:
@@ -212,14 +215,12 @@ def _walk_rewards(
     rewards: dict[bytes, tuple[float, float]],
 ) -> list[tuple[float, float]]:
     """(power, delay) of each action map of `level`, keyed by its bytes.
-    The maps not yet in `rewards` are scored by one `score_stack` call and
+    The maps not yet in `rewards` are scored by one `score_maps` call and
     added to it; a singular chain raises SingularChain naming the thresholds
     of the first such map in the level's order."""
     new = [key for key in level if key not in rewards]
     if new:
-        lu, kept, power, delay = score_stack(
-            params, _action_matrix(params, np.array([level[key] for key in new]))
-        )
+        lu, kept, power, delay = score_maps(params, np.array([level[key] for key in new]))
         if kept.size < len(new):
             failed = np.ones(len(new), dtype=bool)
             failed[kept] = False
@@ -243,9 +244,10 @@ def algorithm1(params: ModelParams) -> ParetoCurve:
     Every walk strategy covers all states (thresholds[M] = K), so its
     action map determines its thresholds: the walk carries, caches and
     scores strategies as maps, and derives thresholds only to break ties,
-    to name a singular chain and for the vertices it returns.  A step
+    to name a singular chain and for the vertices it returns, whose
+    policies it builds from their maps (`_vertex_policies`).  A step
     expands its strategies level by level: the raised maps of one level not
-    scored yet are scored as one stack (`score_stack`), so every chain's
+    scored yet are scored as one stack (`score_maps`), so every chain's
     point is bit for bit its own solve.
     """
     M = params.M
@@ -285,30 +287,49 @@ def algorithm1(params: ModelParams) -> ParetoCurve:
         s_min = min(slopes)
         tied = [c for s, c in zip(slopes, accepted) if s <= s_min + SLOPE_TOL]
         # vertex representative: least power, then lexicographic thresholds
-        best = min(tied, key=lambda c: (c[0], _last_state_at_most(c[2], M)))
+        best = tied[0] if len(tied) == 1 else min(
+            tied, key=lambda c: (c[0], _last_state_at_most(c[2], M)))
         p_p, d_p, _ = best
         walk.append(best)
         current = {acts.tobytes(): acts for _, _, acts in tied}
-    points = [DelayPowerPoint(p, d, thresholds=_last_state_at_most(acts, M))
-              for p, d, acts in walk]
-    return ParetoCurve(vertices=tuple(
-        replace(v, policy=threshold_to_policy(params, ThresholdPolicy(v.thresholds)))
-        for v in _drop_collinear(points)
-    ))
+    floored = any(d >= d_p - SLOPE_TOL and p < p_p for p, d, _ in candidates.values())
+    points = [DelayPowerPoint(p, d) for p, d, _ in walk]
+    # the vertices are point objects of the walk: find their maps
+    row = {id(pt): i for i, pt in enumerate(points)}
+    vertices = _drop_collinear(points)
+    maps = np.array([walk[row[id(v)]][2] for v in vertices])
+    return ParetoCurve(
+        vertices=tuple(
+            DelayPowerPoint(v.power, v.delay, policy, _last_state_at_most(acts, M))
+            for v, acts, policy in zip(vertices, maps, _vertex_policies(params, maps))
+        ),
+        stop_reason="power_resolution" if floored else "exhausted",
+    )
+
+
+def _vertex_policies(params: ModelParams, maps: np.ndarray) -> list[Policy]:
+    """The deterministic policies of the action maps (V, K+1), after one
+    check of every (state, action) pair against `feasibility_mask`: for a
+    one-hot policy matrix, the whole of `Policy`'s validation."""
+    ok = feasibility_mask(params)[np.arange(params.K + 1), maps]
+    if not ok.all():
+        i, k = np.argwhere(~ok)[0]
+        raise InvalidPolicy(f"f[{k}][{maps[i, k]}] = 1.0 violates the overflow/underflow mask")
+    return [policy_from_actions(params, acts) for acts in maps]
 
 
 def _score_deterministic(
     params: ModelParams, cap: int
 ) -> tuple[list[DelayPowerPoint], np.ndarray, int]:
     """Score every deterministic policy, a block of `enumerate_deterministic`
-    at a time (`score_stack`).  Returns the reward points of the policies
+    at a time (`score_maps`).  Returns the reward points of the policies
     whose chains pass every check (without policies), their action maps as
     one (points, K+1) array, and the number of singular chains skipped."""
     points: list[DelayPowerPoint] = []
     maps = []
     skipped = 0
     for acts in enumerate_deterministic(params, cap=cap):
-        _, kept, power, delay = score_stack(params, _action_matrix(params, acts))
+        _, kept, power, delay = score_maps(params, acts)
         points += map(DelayPowerPoint, power.tolist(), delay.tolist())
         maps.append(acts[kept])
         skipped += len(acts) - kept.size

@@ -28,10 +28,11 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 # policies, 256 at K=7 and 202 at K=8.  The divisor, the bytes of one dense
 # (K+1)^2 matrix, only sets the sizes; scoring builds no such matrix.
 # Basis, measured on brute force at Q=5 and Q=6 (tracemalloc peak of one
-# `mrp.score_stack` call on the band path): about 1.7 KB per policy of
-# block at K=7 and 1.8 KB at K=8, so a block peaks near 430 KB and 370 KB.
-# Blocks of 512 at K=7 scored brute force about 10% faster, but raised the
-# `brute` benchmark's peak RSS by 0.3 MB, so the sizes stay.
+# `mrp.score_maps` call on a block's action maps, median over the full
+# blocks): about 1.74 KB per policy of block at K=7 and 1.96 KB at K=8, so
+# a block peaks near 445 KB and 395 KB.  Blocks of 512 at K=7 scored
+# brute force about 10% faster, but raised the `brute` benchmark's peak
+# RSS by 0.3 MB, so the sizes stay.
 BLOCK_BYTES = 128 * 1024
 
 

@@ -12,6 +12,7 @@ from dpsched import errors, mrp
 from dpsched.model import (
     Policy,
     ThresholdPolicy,
+    _action_matrix,
     feasible_actions,
     threshold_to_policy,
     validate_params,
@@ -158,6 +159,17 @@ def smallest_pivot(params, policy):
     band = mrp._lam_band(params, policy.f[None])
     ab, _, _ = dgbtrf(mrp._balance_band(band, params.A, params.M), params.A + 1, params.M)
     return np.min(np.abs(ab[params.A + 1 + params.M]))
+
+
+def pick_by_pivot(params, test, n):
+    """The first n deterministic policies whose smallest pivot passes test."""
+    out = []
+    for pol in deterministic_policies(params):
+        if test(smallest_pivot(params, pol)):
+            out.append(pol)
+            if len(out) == n:
+                return out
+    raise AssertionError("too few policies")
 
 
 def immediate_transmit(params_vi) -> Policy:
@@ -588,28 +600,18 @@ class TestStackedSolve:
             want = single_chain_solve(params, pol)
             assert stacked_points(params, [pol]) == [None if want is None else want[:2]]
 
-    def pick(self, params, test, n):
-        """The first n deterministic policies whose smallest pivot passes test."""
-        out = []
-        for pol in deterministic_policies(params):
-            if test(smallest_pivot(params, pol)):
-                out.append(pol)
-                if len(out) == n:
-                    return out
-        raise AssertionError("too few policies")
-
     def test_zero_pivot_chains_between_nonsingular_ones(self):
         params = STACK_INSTANCES["alpha1"][0]
-        z1, z2 = self.pick(params, lambda p: p == 0.0, 2)
-        a, b, c = self.pick(params, lambda p: p > 0.01, 3)
+        z1, z2 = pick_by_pivot(params, lambda p: p == 0.0, 2)
+        a, b, c = pick_by_pivot(params, lambda p: p > 0.01, 3)
         for stack in ([a, z1, b, z2, c], [z1, a, b], [a, b, z1], [a, z1, z2, b]):
             assert assert_stack_matches_single_chains(params, stack) == (
                 sum(p is z1 or p is z2 for p in stack))
 
     def test_rounding_level_pivot_chains_between_nonsingular_ones(self):
         params = STACK_INSTANCES["reference"][0]
-        t1, t2 = self.pick(params, lambda p: 0.0 < p < 1e-14, 2)
-        a, b, c = self.pick(params, lambda p: p > 0.01, 3)
+        t1, t2 = pick_by_pivot(params, lambda p: 0.0 < p < 1e-14, 2)
+        a, b, c = pick_by_pivot(params, lambda p: p > 0.01, 3)
         for stack in ([a, t1, b, t2, c], [t1, a, b], [a, t1, t2, b, c]):
             assert assert_stack_matches_single_chains(params, stack) == (
                 sum(p is t1 or p is t2 for p in stack))
@@ -618,7 +620,7 @@ class TestStackedSolve:
         for name, test in (("alpha1", lambda p: p == 0.0),
                            ("reference", lambda p: 0.0 < p < 1e-14)):
             params = STACK_INSTANCES[name][0]
-            pols = self.pick(params, test, 3)
+            pols = pick_by_pivot(params, test, 3)
             lu = mrp.lu_factor(mrp._lam_band(params, np.stack([p.f for p in pols])),
                                params.A, params.M)
             assert lu.chains.size == 0
@@ -628,6 +630,114 @@ class TestStackedSolve:
             assert stacked_points(params, pols) == [None] * 3
             with pytest.raises(errors.SingularChain, match="pivot below"):
                 mrp.evaluate(params, pols[0])
+
+
+def random_maps(params, rng, n):
+    """n random feasible action maps, (n, K+1)."""
+    k = np.arange(params.K + 1)
+    return rng.integers(np.maximum(k - params.Q, 0), np.minimum(k, params.M) + 1,
+                        size=(n, params.K + 1))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_maps_score_as_matrices(params, acts):
+    """`score_maps` against `score_stack` of the maps' one-hot policy
+    matrices, bit for bit: the chains kept, their powers and delays, and the
+    factors.  Returns the factors and the chains kept."""
+    lu, *got = mrp.score_maps(params, acts)
+    want_lu, *want = mrp.score_stack(params, _action_matrix(params, acts))
+    for a, b in zip(got + [lu.band, lu.ab, lu.piv, lu.chains],
+                    want + [want_lu.band, want_lu.ab, want_lu.piv, want_lu.chains]):
+        assert_same_bits(a, b)
+    return lu, got[0]
+
+
+def t_fastest(band):
+    return np.moveaxis(band, 0, -1).flags.c_contiguous
+
+
+class TestMapBand:
+    """Action maps scored straight from their band (`mrp._map_band`,
+    `mrp.score_maps`) against their one-hot policy matrices."""
+
+    def test_map_band_is_the_one_hot_band(self, rng):
+        for params in list(EDGE_INSTANCES.values()) + [random_params(rng) for _ in range(5)]:
+            acts = random_maps(params, rng, 7)
+            for stack in (acts, acts[:1]):
+                band = mrp._map_band(params, stack)
+                assert_same_bits(band, mrp._lam_band(params, _action_matrix(params, stack)))
+                assert band.shape == (params.A + params.M + 1,) + stack.shape
+
+    def test_bands_are_blas_band_storage(self, rng):
+        # t varies fastest in both builders' bands, so the band of a stack
+        # is the BLAS band storage of its block-diagonal lam
+        for params in EDGE_INSTANCES.values():
+            acts = random_maps(params, rng, 5)
+            assert t_fastest(mrp._map_band(params, acts))
+            assert t_fastest(mrp._lam_band(params, _action_matrix(params, acts)))
+            assert t_fastest(mrp._lam_band(params, _action_matrix(params, acts[0])))
+
+    def test_lu_factor_keeps_the_band_unless_it_drops_a_chain(self):
+        params = STACK_INSTANCES["reference"][0]
+        acts = next(enumerate_deterministic(params))
+        for build in (lambda a: mrp._map_band(params, a),
+                      lambda a: mrp._lam_band(params, _action_matrix(params, a))):
+            band = build(acts)
+            lu = mrp.lu_factor(band, params.A, params.M)
+            assert 0 < lu.chains.size < len(acts)
+            assert not np.shares_memory(lu.band, band) and t_fastest(lu.band)
+            assert_same_bits(lu.band, band[:, lu.chains])
+            band = build(acts[lu.chains])
+            lu = mrp.lu_factor(band, params.A, params.M)
+            assert lu.chains.size == band.shape[1]
+            assert np.shares_memory(lu.band, band)
+        # a band gathered out of lam is copied into band storage
+        lam = mrp.build_transition_enumerative(params, _action_matrix(params, acts[0]))
+        band = mrp._gather_band(lam, params.A, params.M)
+        lu = mrp.lu_factor(band, params.A, params.M)
+        assert t_fastest(lu.band)
+        assert_same_bits(lu.band[:, 0], band)
+
+    @pytest.mark.parametrize("name", STACK_INSTANCES)
+    def test_every_brute_block_scores_as_its_matrices(self, name):
+        params, singular = STACK_INSTANCES[name]
+        count = 0
+        for acts in enumerate_deterministic(params):
+            count += len(acts) - assert_maps_score_as_matrices(params, acts)[1].size
+        assert count == singular
+
+    def test_block_without_a_nonsingular_chain(self):
+        for name, test in (("alpha1", lambda p: p == 0.0),
+                           ("reference", lambda p: 0.0 < p < 1e-14)):
+            params = STACK_INSTANCES[name][0]
+            acts = np.array([p.action_map() for p in pick_by_pivot(params, test, 3)])
+            lu, kept = assert_maps_score_as_matrices(params, acts)
+            assert lu.chains.size == 0 and kept.size == 0
+
+
+@given(
+    family=st.sampled_from(EDGE_FAMILIES),
+    alpha=st.floats(0.05, 0.95),
+    eps=st.floats(1e-4, 0.02),
+    A=st.integers(1, 3),
+    extra_m=st.integers(0, 2),
+    Q=st.integers(0, 6),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_map_band_and_score_edge_instances(family, alpha, eps, A, extra_m, Q, n, seed):
+    """alpha near 0 and 1 (alpha = 1 included), Q = 0, M = A and A = 1: the
+    band and score of random action maps are, bit for bit, those of their
+    one-hot policy matrices."""
+    params = edge_params(family, alpha, eps, A, extra_m, Q)
+    acts = random_maps(params, np.random.default_rng(seed), n)
+    assert_same_bits(mrp._map_band(params, acts),
+                     mrp._lam_band(params, _action_matrix(params, acts)))
+    assert_maps_score_as_matrices(params, acts)
 
 
 @given(

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpsched import model, pareto, policies
-from dpsched.errors import SingularChain
+from dpsched.errors import InvalidPolicy, SingularChain
 from dpsched.model import validate_params
 from dpsched.mrp import DelayPowerPoint, EvalCache, evaluate
 from dpsched.pareto import (
@@ -214,14 +215,17 @@ class TestCurveInvariants:
         assert len(doc["segments"]) == len(curve.vertices) - 1
         assert doc["vertices"][0]["thresholds"] == [0, 1, 7, 7]
 
-    def test_walk_builds_threshold_policies_for_start_and_vertices_only(self, monkeypatch):
+    def test_walk_builds_vertex_policies_from_their_maps(self, monkeypatch):
         # the walk carries action maps: a ThresholdPolicy is built, and
-        # mapped once, for the raw and the completed starting vector and
-        # for each vertex returned
-        built = []
-        mapped = []
+        # mapped once, only for the raw and the completed starting vector;
+        # thresholds are derived for the start, the tied candidates of ties
+        # of two or more and the returned vertices; the vertex policies are
+        # built from the vertex maps, and no stack of one-hot matrices is
+        built, mapped, derived, stacks = [], [], [], []
         original_init = model.ThresholdPolicy.__post_init__
         original_map = model.threshold_action_map
+        original_last = model._last_state_at_most
+        original_matrix = model._action_matrix
 
         def counting_init(tp):
             built.append(tp)
@@ -231,15 +235,56 @@ class TestCurveInvariants:
             mapped.append(tp)
             return original_map(params, tp)
 
+        def counting_last(acts, M):
+            derived.append(sys._getframe(1).f_code.co_name)  # the caller
+            return original_last(acts, M)
+
+        def counting_matrix(params, acts):
+            if np.ndim(acts) > 1:
+                stacks.append(acts)
+            return original_matrix(params, acts)
+
+        def no_threshold_to_policy(params, tp):
+            raise AssertionError("threshold_to_policy called")
+
         params = validate_params(0.5, 3, 5, 19, [0, 1, 4, 9, 16, 25])  # ladder K=22
         monkeypatch.setattr(model.ThresholdPolicy, "__post_init__", counting_init)
         for mod in (model, pareto):
             monkeypatch.setattr(mod, "threshold_action_map", counting_map)
+        for mod in (model, pareto):
+            monkeypatch.setattr(mod, "_last_state_at_most", counting_last)
+        for mod in (model, policies):
+            monkeypatch.setattr(mod, "_action_matrix", counting_matrix)
+            monkeypatch.setattr(mod, "threshold_to_policy", no_threshold_to_policy)
         curve = algorithm1(params)
+        monkeypatch.undo()
         assert len(curve.vertices) == 28
-        assert len(built) == 2 + len(curve.vertices)
-        assert len(mapped) == 2 + len(curve.vertices)
+        assert len(built) == 2
+        assert len(mapped) == 2
         assert all(isinstance(tp, model.ThresholdPolicy) for tp in mapped)
+        assert stacks == []
+        ties = derived.count("<lambda>")  # the tie-break key
+        assert ties == 4
+        assert derived.count("complete_thresholds") == 1
+        assert len(derived) == 1 + len(curve.vertices) + ties
+        for v in curve.vertices:
+            want = model.threshold_to_policy(params, model.ThresholdPolicy(v.thresholds))
+            assert v.policy.f.tobytes() == want.f.tobytes()
+            assert not v.policy.f.flags.writeable
+            assert model.Policy(params, v.policy.f) == v.policy
+
+    def test_vertex_maps_checked_against_the_feasibility_mask(self, params_vi):
+        maps = np.array([[0, 1, 2, 2, 2, 3, 3, 3], [0, 1, 2, 2, 2, 3, 3, 2]])
+        assert [p.action_map() for p in pareto._vertex_policies(params_vi, maps)] == \
+            maps.tolist()
+        # states 6 and 7 must send at least k - Q = 1 and 2 bits: the first
+        # pair outside the mask is named as `Policy` names it
+        maps[1, 6:] = [0, 1]
+        message = r"f\[6\]\[0\] = 1.0 violates"
+        with pytest.raises(InvalidPolicy, match=message):
+            pareto._vertex_policies(params_vi, maps)
+        with pytest.raises(InvalidPolicy, match=message):
+            model.Policy(params_vi, model._action_matrix(params_vi, maps[1]))
 
     @pytest.mark.parametrize("stage, message", [
         ("pivot", "pivot below"),
@@ -251,26 +296,52 @@ class TestCurveInvariants:
         # every chain of the first stack of several but its first fails, at
         # the pivot test or at the checks after the solve: the error names
         # the first failing vector in the level's order, and its stage
-        original = pareto.score_stack
+        original = pareto.score_maps
         stacked = []
 
-        def failing(params, f):
-            lu, kept, power, delay = original(params, f)
-            if len(f) > 1:
-                stacked.append(f)
+        def failing(params, acts):
+            lu, kept, power, delay = original(params, acts)
+            if len(acts) > 1:
+                stacked.append(acts)
                 if stage == "pivot":
                     lu = dataclasses.replace(lu, chains=lu.chains[:1])
                 return lu, kept[:1], power[:1], delay[:1]
             return lu, kept, power, delay
 
         params = validate_params(0.5, 3, 5, 19, [0, 1, 4, 9, 16, 25])  # ladder K=22
-        monkeypatch.setattr(pareto, "score_stack", failing)
+        monkeypatch.setattr(pareto, "score_maps", failing)
         with pytest.raises(SingularChain, match=message) as err:
             algorithm1(params)
         assert len(stacked) == 1
-        acts = np.argmax(stacked[0][1], axis=1)
-        want = model._last_state_at_most(acts, params.M)
+        want = model._last_state_at_most(stacked[0][1], params.M)
         assert f"singular chain for thresholds {want}:" in str(err.value)
+
+
+class TestStopReason:
+    """`ParetoCurve.stop_reason`: the walk stops for want of candidates
+    (exhausted) or because its last step refused a candidate only for the
+    power step floor (power_resolution)."""
+
+    @pytest.mark.parametrize("Q, reason", [
+        (5, "exhausted"), (19, "exhausted"), (40, "exhausted"), (80, "exhausted"),
+        (200, "power_resolution"), (400, "power_resolution"),
+    ])
+    def test_ladder(self, Q, reason):
+        assert algorithm1(validate_params(Q=Q, **LADDER)).stop_reason == reason
+
+    @pytest.mark.parametrize("alpha", [0.4, 0.01, 0.9])
+    def test_reference_instance(self, alpha):
+        params = validate_params(alpha, 2, 3, 5, [0, 1, 4, 9])
+        assert algorithm1(params).stop_reason == "exhausted"
+
+    def test_brute_force_curve_has_none(self, params_vi):
+        assert brute_force_frontier(params_vi).stop_reason is None
+
+    def test_not_serialized(self, params_vi):
+        curve = algorithm1(params_vi)
+        bare = dataclasses.replace(curve, stop_reason=None)
+        assert curve.to_csv() == bare.to_csv()
+        assert curve.to_json() == bare.to_json()
 
 
 class TestWalkAgainstReference:
