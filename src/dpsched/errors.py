@@ -70,4 +70,5 @@ class SimplexBreakdown(DpschedError, RuntimeError):
 
 
 class DegenerateSolution(DpschedError, RuntimeError):
-    """A policy recovered from an LP solution fails row-stochasticity."""
+    """No policy can be recovered from an LP solution whose status is not
+    "optimal" (`lp.recover_policy`)."""

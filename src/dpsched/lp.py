@@ -148,8 +148,8 @@ def equilibrium_matrix(params: ModelParams, ks: np.ndarray, ms: np.ndarray) -> n
 
 def build_lp(params: ModelParams, p_th: float) -> LpProblem:
     """Assemble the transformed program for a given power budget."""
-    if p_th < 0:
-        raise ModelError(f"power budget must be nonnegative, got {p_th}")
+    if not 0 <= p_th < math.inf:
+        raise ModelError(f"power budget must be finite and nonnegative, got {p_th}")
     # row-major nonzero order is the lexicographic (state, action) order
     ks, ms = np.nonzero(feasibility_mask(params))
     # small-alpha instances scale the balance rows to keep pivots healthy
@@ -338,7 +338,7 @@ def recover_policy(params: ModelParams, sol: LpSolution) -> Policy:
         # those states with their largest feasible action, which always moves
         # toward the states the LP solution occupies.
         try:
-            mrp.stationary_distribution(mrp.build_transition_enumerative(params, policy))
+            mrp.evaluate(params, policy)
         except SingularChain:
             f[unreachable] = 0.0
             f[unreachable, np.minimum(unreachable, params.M)] = 1.0

@@ -36,7 +36,7 @@ class ModelParams:
     A      bits per arriving packet
     M      maximum bits transmittable per slot (M >= A for stability)
     Q      buffer capacity in bits
-    power  power[m] = cost of transmitting m bits, power[0] = 0,
+    power  power[m] = cost of transmitting m bits, finite, power[0] = 0,
            strictly increasing with strictly increasing per-bit cost
     """
 
@@ -61,6 +61,9 @@ class ModelParams:
             raise ModelError(
                 f"power table must have M+1={self.M + 1} entries, got {len(self.power)}"
             )
+        for m, p in enumerate(self.power):
+            if not np.isfinite(p):
+                raise ModelError(f"power[{m}] must be finite, got {p}")
         if self.power[0] != 0:
             raise PowerZeroNonzero(f"power[0] must be 0, got {self.power[0]}")
         for m in range(1, self.M):
@@ -313,21 +316,6 @@ def _last_state_at_most(acts: Sequence[int], M: int) -> tuple[int, ...]:
     """For m = 0..M, the last state whose action is <= m (or -1), given a
     nondecreasing action map."""
     return tuple((np.searchsorted(acts, np.arange(M + 1), side="right") - 1).tolist())
-
-
-def complete_thresholds(params: ModelParams, tp: ThresholdPolicy) -> ThresholdPolicy:
-    """Canonical full-coverage form: thresholds[m] = max state with action <= m.
-
-    The result covers every state (thresholds[M] = K) and induces the same
-    action map.  Randomized policies must already be fully covering.
-    """
-    if not tp.is_deterministic():
-        if tp.thresholds[-1] != params.K:
-            raise InfeasibleThresholds(
-                "randomized threshold policies must cover all states"
-            )
-        return tp
-    return ThresholdPolicy(_last_state_at_most(threshold_action_map(params, tp), params.M))
 
 
 def _action_matrix(params: ModelParams, acts: Sequence[int]) -> np.ndarray:

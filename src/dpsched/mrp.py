@@ -451,24 +451,9 @@ def _solve(params: ModelParams, policy: Policy):
     return lu, DelayPowerPoint(power=power.item(), delay=delay.item(), policy=policy)
 
 
-class EvalCache(dict):
-    """Per-computation cache of reward points, `Policy.key()` ->
-    `DelayPowerPoint`; it keeps no matrices or factors.
-
-    Confine one instance to one computation; do not share across
-    threads.
-    """
-
-
-def evaluate(params: ModelParams, policy: Policy, cache: Optional[EvalCache] = None) -> DelayPowerPoint:
+def evaluate(params: ModelParams, policy: Policy) -> DelayPowerPoint:
     """Average (power, delay) reward pair of a policy."""
-    if cache is None:
-        return _solve(params, policy)[1]
-    key = policy.key()
-    point = cache.get(key)
-    if point is None:
-        point = cache[key] = _solve(params, policy)[1]
-    return point
+    return _solve(params, policy)[1]
 
 
 def mix_policies(F: Policy, F2: Policy, epsilon: float) -> Policy:
@@ -541,12 +526,7 @@ class MixingAnalysis:
         return (self.endpoint_b.delay - self.endpoint_a.delay) / self._power_gap()
 
 
-def mixing_analysis(
-    params: ModelParams,
-    F: Policy,
-    F2: Policy,
-    cache: Optional[EvalCache] = None,
-) -> MixingAnalysis:
+def mixing_analysis(params: ModelParams, F: Policy, F2: Policy) -> MixingAnalysis:
     """Mixing geometry of F and F2 from one factorization of F's balance
     matrix; raises RowDiffCountMismatch unless they differ in exactly one row."""
     rows = F.differing_rows(F2)
@@ -556,9 +536,7 @@ def mixing_analysis(
         )
     k = rows[0]
     lu_a, point_a = _solve(params, F)
-    if cache is not None:
-        point_a = cache.setdefault(F.key(), point_a)
-    point_b = evaluate(params, F2, cache)
+    point_b = evaluate(params, F2)
     # H_F2 - H_F is zero outside column k, which depends on row k of the
     # policy only; its ones row cancels too
     K, M = params.K, params.M

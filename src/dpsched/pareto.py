@@ -20,13 +20,12 @@ from .model import (
     Policy,
     _last_state_at_most,
     feasibility_mask,
-    threshold_action_map,
 )
 from .mrp import DelayPowerPoint, _singular, score_maps
 from .policies import (
     DEFAULT_ENUMERATION_CAP,
     enumerate_deterministic,
-    initial_threshold_policy,
+    initial_actions,
     is_threshold,
     neighbors_increase_threshold,
     policy_from_actions,
@@ -151,16 +150,18 @@ def _perp_distance(a: DelayPowerPoint, b: DelayPowerPoint, c: DelayPowerPoint) -
     return abs(ux * vy - uy * vx) / norm
 
 
-def _drop_collinear(points: list[DelayPowerPoint]) -> list[DelayPowerPoint]:
-    """Prune interior points lying on the chord of their neighbors.
+def _drop_collinear(points: Sequence[DelayPowerPoint]) -> list[int]:
+    """Indices of the points kept after pruning the interior points lying on
+    the chord of their neighbors.
 
     Deleting out[i] changes only the triples centred at i-1 and i, and the
     triples before them did not qualify, so the scan resumes at i-1: the
     result is that of restarting from the front after every deletion."""
-    out = list(points)
+    out = list(range(len(points)))
     i = 1
     while i < len(out) - 1:
-        if _perp_distance(out[i - 1], out[i], out[i + 1]) <= COLLINEAR_TOL:
+        a, b, c = (points[j] for j in out[i - 1 : i + 2])
+        if _perp_distance(a, b, c) <= COLLINEAR_TOL:
             del out[i]
             i = max(1, i - 1)
         else:
@@ -206,29 +207,21 @@ def lower_convex_hull(points: Sequence[DelayPowerPoint]) -> ParetoCurve:
         else:
             break
     frontier.reverse()  # decreasing power, increasing delay
-    return ParetoCurve(vertices=tuple(_drop_collinear(frontier)))
+    return ParetoCurve(vertices=tuple(frontier[i] for i in _drop_collinear(frontier)))
 
 
-def _walk_rewards(
-    params: ModelParams,
-    level: dict[bytes, np.ndarray],
-    rewards: dict[bytes, tuple[float, float]],
-) -> list[tuple[float, float]]:
-    """(power, delay) of each action map of `level`, keyed by its bytes.
-    The maps not yet in `rewards` are scored by one `score_maps` call and
-    added to it; a singular chain raises SingularChain naming the thresholds
-    of the first such map in the level's order."""
-    new = [key for key in level if key not in rewards]
-    if new:
-        lu, kept, power, delay = score_maps(params, np.array([level[key] for key in new]))
-        if kept.size < len(new):
-            failed = np.ones(len(new), dtype=bool)
-            failed[kept] = False
-            i = int(np.argmax(failed))
-            ts = _last_state_at_most(level[new[i]], params.M)
-            raise SingularChain(f"singular chain for thresholds {ts}: {_singular(lu, i)}")
-        rewards.update(zip(new, zip(power.tolist(), delay.tolist())))
-    return [rewards[key] for key in level]
+def _walk_rewards(params: ModelParams, maps: list[np.ndarray]) -> list[tuple[float, float]]:
+    """(power, delay) of each action map of one level, scored by one
+    `score_maps` call; a singular chain raises SingularChain naming the
+    thresholds of the first such map in the level's order."""
+    lu, kept, power, delay = score_maps(params, np.array(maps))
+    if kept.size < len(maps):
+        failed = np.ones(len(maps), dtype=bool)
+        failed[kept] = False
+        i = int(np.argmax(failed))
+        ts = _last_state_at_most(maps[i], params.M)
+        raise SingularChain(f"singular chain for thresholds {ts}: {_singular(lu, i)}")
+    return list(zip(power.tolist(), delay.tolist()))
 
 
 def algorithm1(params: ModelParams) -> ParetoCurve:
@@ -242,19 +235,18 @@ def algorithm1(params: ModelParams) -> ParetoCurve:
     thresholds among equals).
 
     Every walk strategy covers all states (thresholds[M] = K), so its
-    action map determines its thresholds: the walk carries, caches and
-    scores strategies as maps, and derives thresholds only to break ties,
-    to name a singular chain and for the vertices it returns, whose
-    policies it builds from their maps (`_vertex_policies`).  A step
-    expands its strategies level by level: the raised maps of one level not
-    scored yet are scored as one stack (`score_maps`), so every chain's
-    point is bit for bit its own solve.
+    action map determines its thresholds: the walk carries and scores
+    strategies as maps, and derives thresholds only to break ties, to name
+    a singular chain and for the vertices it returns, whose policies it
+    builds from their maps (`_vertex_policies`).  A step expands its
+    strategies level by level: the raised maps of one level are scored as
+    one stack (`score_maps`), so every chain's point is bit for bit its own
+    solve.
     """
     M = params.M
-    rewards: dict[bytes, tuple[float, float]] = {}
-    acts0 = np.array(threshold_action_map(params, initial_threshold_policy(params)))
+    acts0 = initial_actions(params)
     current = {acts0.tobytes(): acts0}
-    ((p_p, d_p),) = _walk_rewards(params, current, rewards)
+    ((p_p, d_p),) = _walk_rewards(params, [acts0])
     walk = [(p_p, d_p, acts0)]
     while True:
         # Neighbors with the exact same reward pair only reassign unreachable
@@ -269,8 +261,10 @@ def algorithm1(params: ModelParams) -> ParetoCurve:
                     key = nb.tobytes()
                     if key not in current and key not in candidates:
                         fresh.setdefault(key, nb)
+            if not fresh:
+                break
             level = []
-            for (key, nb), (p, d) in zip(fresh.items(), _walk_rewards(params, fresh, rewards)):
+            for (key, nb), (p, d) in zip(fresh.items(), _walk_rewards(params, list(fresh.values()))):
                 if abs(p - p_p) <= POINT_TOL and abs(d - d_p) <= POINT_TOL:
                     current[key] = nb
                     level.append(nb)
@@ -293,15 +287,12 @@ def algorithm1(params: ModelParams) -> ParetoCurve:
         walk.append(best)
         current = {acts.tobytes(): acts for _, _, acts in tied}
     floored = any(d >= d_p - SLOPE_TOL and p < p_p for p, d, _ in candidates.values())
-    points = [DelayPowerPoint(p, d) for p, d, _ in walk]
-    # the vertices are point objects of the walk: find their maps
-    row = {id(pt): i for i, pt in enumerate(points)}
-    vertices = _drop_collinear(points)
-    maps = np.array([walk[row[id(v)]][2] for v in vertices])
+    kept = [walk[i] for i in _drop_collinear([DelayPowerPoint(p, d) for p, d, _ in walk])]
+    maps = np.array([acts for _, _, acts in kept])
     return ParetoCurve(
         vertices=tuple(
-            DelayPowerPoint(v.power, v.delay, policy, _last_state_at_most(acts, M))
-            for v, acts, policy in zip(vertices, maps, _vertex_policies(params, maps))
+            DelayPowerPoint(p, d, policy, _last_state_at_most(acts, M))
+            for (p, d, acts), policy in zip(kept, _vertex_policies(params, maps))
         ),
         stop_reason="power_resolution" if floored else "exhausted",
     )

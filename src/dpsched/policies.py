@@ -18,7 +18,6 @@ from .model import (
     ThresholdPolicy,
     _action_matrix,
     _last_state_at_most,
-    complete_thresholds,
     feasible_actions,
     threshold_to_policy,
 )
@@ -101,14 +100,13 @@ def is_threshold(params: ModelParams, policy: Policy) -> Optional[ThresholdPolic
     return tp
 
 
-def initial_threshold_policy(params: ModelParams) -> ThresholdPolicy:
-    """Zero-delay starting point of the frontier walk: transmit every
-    arrival immediately (threshold m capped at min(m, A)), completed to
-    full state coverage."""
-    raw = ThresholdPolicy(
-        tuple(min(m, params.A) for m in range(params.M + 1))
-    )
-    return complete_thresholds(params, raw)
+def initial_actions(params: ModelParams) -> np.ndarray:
+    """Action map of the zero-delay starting point of the frontier walk:
+    state k transmits every arrival at once, min(k, A) bits, or k-Q if more
+    is needed to avoid overflow.  It is the map of the thresholds (min(m,
+    A) for m = 0..M), completed over every state by `_complete_actions`."""
+    k = np.arange(params.K + 1)
+    return np.maximum(np.minimum(k, params.A), k - params.Q)
 
 
 def neighbors_increase_threshold(params: ModelParams, acts: np.ndarray) -> np.ndarray:

@@ -107,8 +107,7 @@ def check_collinearity(
             F, F2, _ = random_one_row_pair(params, rng)
         except RowDiffCountMismatch as exc:
             return CheckResult("mixing-geometry", True, 0.0, COLLINEARITY_TOL, f"{exc} (0 pairs)")
-        cache = mrp.EvalCache()
-        ana = mrp.mixing_analysis(params, F, F2, cache)
+        ana = mrp.mixing_analysis(params, F, F2)
         worst = max(worst, abs(ana.epsilon_prime(0.0)), abs(ana.epsilon_prime(1.0) - 1.0))
         prev = -1.0
         for eps in eps_grid:
@@ -117,7 +116,7 @@ def check_collinearity(
                 worst = max(worst, prev - w)
             prev = w
             mixed = mrp.mix_policies(F, F2, float(eps))
-            got = mrp.evaluate(params, mixed, cache)
+            got = mrp.evaluate(params, mixed)
             want_p, want_d = ana.predicted_point(float(eps))
             worst = max(worst, abs(got.power - want_p), abs(got.delay - want_d))
         try:

@@ -83,12 +83,11 @@ def test_3_lp_curve_overlap():
 
 def test_4_mixing_geometry():
     rng = np.random.default_rng(20240802)
-    cache = mrp.EvalCache()
     worst_coll = worst_end = worst_slope = 0.0
     monotone = True
     for _ in range(50):
         F, F2, _ = random_one_row_pair(PARAMS_VI, rng)
-        ana = mrp.mixing_analysis(PARAMS_VI, F, F2, cache)
+        ana = mrp.mixing_analysis(PARAMS_VI, F, F2)
         worst_end = max(
             worst_end, abs(ana.epsilon_prime(0.0)), abs(ana.epsilon_prime(1.0) - 1.0)
         )
@@ -98,7 +97,7 @@ def test_4_mixing_geometry():
             if w < prev - 1e-12:
                 monotone = False
             prev = w
-            got = mrp.evaluate(PARAMS_VI, mrp.mix_policies(F, F2, float(eps)), cache)
+            got = mrp.evaluate(PARAMS_VI, mrp.mix_policies(F, F2, float(eps)))
             want_p, want_d = ana.predicted_point(float(eps))
             worst_coll = max(worst_coll, abs(got.power - want_p), abs(got.delay - want_d))
         try:

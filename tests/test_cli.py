@@ -132,6 +132,18 @@ class TestLp:
     def test_negative_budget(self, capsys):
         assert main(["lp", *VI_FLAGS, "--pth", "-1"]) == 2
 
+    @pytest.mark.parametrize("mode", [
+        ["--pth", "nan"], ["--pth", "inf"], ["--sweep", "nan:1:3"], ["--sweep", "1:inf:3"],
+    ])
+    def test_non_finite_budget(self, tmp_path, capsys, mode):
+        # a usage error: no status line and no sweep rows
+        out = tmp_path / "sweep.csv"
+        assert main(["lp", *VI_FLAGS, *mode, "--out", str(out)]) == 2
+        assert not out.exists()
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert "error: power budget must be finite and nonnegative" in err
+
 
 class TestSimulate:
     def test_run(self, tmp_path, capsys):
@@ -179,6 +191,12 @@ class TestErrors:
     def test_invalid_params(self, capsys):
         assert main(["lp", "--alpha", "1.5", "--A", "2", "--M", "3", "--Q", "5",
                      "--power", "0,1,4,9", "--pth", "1"]) == 2
+
+    def test_non_finite_power(self, capsys):
+        # rejected before any check runs, so nothing is printed to stdout
+        flags = ["--alpha", "0.4", "--A", "2", "--M", "3", "--Q", "5", "--power", "0,1,4,inf"]
+        assert main(["verify", *flags]) == 2
+        assert capsys.readouterr() == ("", "error: power[3] must be finite, got inf\n")
 
 
 class TestVerify:

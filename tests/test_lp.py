@@ -151,6 +151,12 @@ class TestBuildLp:
         with pytest.raises(ValueError):
             build_lp(params_vi, -0.5)
 
+    @pytest.mark.parametrize("p_th", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_budget_rejected(self, params_vi, p_th):
+        # a NaN budget passes the old `p_th < 0` test and broke the simplex down
+        with pytest.raises(errors.ModelError, match="must be finite and nonnegative"):
+            build_lp(params_vi, p_th)
+
     @pytest.mark.parametrize(
         "kw",
         [

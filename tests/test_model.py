@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dpsched.lp import build_lp
 from dpsched.model import (
     Policy,
     ThresholdPolicy,
-    complete_thresholds,
+    _last_state_at_most,
     feasibility_mask,
     feasible_actions,
     parse_param_text,
@@ -52,6 +53,17 @@ class TestValidateParams:
     def test_power_table_length(self):
         with pytest.raises(errors.ModelError):
             validate_params(0.4, 2, 3, 5, [0, 1, 4])
+
+    @pytest.mark.parametrize("A, M, power, name", [
+        # a last entry of +inf passes every order check of the table
+        (2, 3, [0, 1, 4, math.inf], r"power\[3\] must be finite, got inf"),
+        (1, 1, [0, math.inf], r"power\[1\] must be finite, got inf"),
+        (2, 3, [0, 1, math.nan, 9], r"power\[2\] must be finite, got nan"),
+        (2, 3, [math.nan, 1, 4, 9], r"power\[0\] must be finite, got nan"),
+    ])
+    def test_power_table_finite(self, A, M, power, name):
+        with pytest.raises(errors.ModelError, match=name):
+            validate_params(0.4, A, M, 5, power)
 
 
 class TestFeasibleActions:
@@ -142,12 +154,11 @@ class TestThresholdPolicy:
             ThresholdPolicy((1, 2, 3, 4))
 
     def test_completion_is_canonical(self, params_vi):
-        tp = complete_thresholds(params_vi, ThresholdPolicy((0, 1, 2, 2)))
-        assert tp.thresholds == (0, 1, 7, 7)
+        acts = threshold_action_map(params_vi, ThresholdPolicy((0, 1, 2, 2)))
+        ts = _last_state_at_most(acts, params_vi.M)
+        assert ts == (0, 1, 7, 7)
         # completion only touches states unreachable under the raw rule
-        assert threshold_action_map(params_vi, tp) == threshold_action_map(
-            params_vi, ThresholdPolicy((0, 1, 2, 2))
-        )
+        assert threshold_action_map(params_vi, ThresholdPolicy(ts)) == acts
 
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -209,8 +220,6 @@ class TestFeasibilityBookkeeping:
             if want is None:
                 with pytest.raises(errors.InfeasibleThresholds):
                     threshold_action_map(params, tp)
-                with pytest.raises(errors.InfeasibleThresholds):
-                    complete_thresholds(params, tp)
                 continue
             n_feasible += 1
             assert threshold_action_map(params, tp) == want
@@ -218,12 +227,11 @@ class TestFeasibilityBookkeeping:
                 max((k for k, a in enumerate(want) if a <= m), default=-1)
                 for m in range(params.M + 1)
             )
+            assert _last_state_at_most(threshold_action_map(params, tp), params.M) == canonical
             if canonical[0] != 0:
                 # state 1 idles: no vector with thresholds[0] = 0 has this map
                 with pytest.raises(errors.InfeasibleThresholds):
-                    complete_thresholds(params, tp)
-            else:
-                assert complete_thresholds(params, tp).thresholds == canonical
+                    ThresholdPolicy(canonical)
         assert n_feasible > 0
 
     def test_neighbors_are_the_feasible_raised_vectors(self, params):

@@ -18,7 +18,7 @@ from dpsched.model import (
     validate_params,
 )
 from dpsched.pareto import algorithm1
-from dpsched.policies import enumerate_deterministic, initial_threshold_policy, policy_from_actions
+from dpsched.policies import enumerate_deterministic, initial_actions, policy_from_actions
 from dpsched.verify import random_one_row_pair, random_policy
 
 from conftest import EDGE_FAMILIES, deterministic_policies, edge_params, random_params
@@ -356,24 +356,14 @@ class TestMixing:
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_reward_interpolation(self, params_vi, rng):
-        cache = mrp.EvalCache()
         for _ in range(50):
             F, F2, _ = random_one_row_pair(params_vi, rng)
-            ana = mrp.mixing_analysis(params_vi, F, F2, cache)
+            ana = mrp.mixing_analysis(params_vi, F, F2)
             for eps in np.arange(0.1, 1.0, 0.1):
-                got = mrp.evaluate(params_vi, mrp.mix_policies(F, F2, float(eps)), cache)
+                got = mrp.evaluate(params_vi, mrp.mix_policies(F, F2, float(eps)))
                 want_p, want_d = ana.predicted_point(float(eps))
                 assert abs(got.power - want_p) <= 1e-9
                 assert abs(got.delay - want_d) <= 1e-9
-
-    def test_cache_keeps_reward_points_only(self, params_vi, rng):
-        cache = mrp.EvalCache()
-        F, F2, _ = random_one_row_pair(params_vi, rng)
-        mrp.mixing_analysis(params_vi, F, F2, cache)
-        mrp.mixing_analysis(params_vi, F, F2, cache)
-        assert set(cache) == {F.key(), F2.key()}
-        assert all(type(v) is mrp.DelayPowerPoint for v in cache.values())
-        assert mrp.evaluate(params_vi, F2, cache) is cache[F2.key()]
 
     def test_no_pair_without_a_two_action_state(self, rng):
         params = validate_params(0.5, 2, 2, 0, [0, 1, 3])
@@ -381,17 +371,16 @@ class TestMixing:
             random_one_row_pair(params, rng)
 
     def test_collinearity(self, params_vi, rng):
-        cache = mrp.EvalCache()
         for _ in range(20):
             F, F2, _ = random_one_row_pair(params_vi, rng)
-            a = mrp.evaluate(params_vi, F, cache)
-            b = mrp.evaluate(params_vi, F2, cache)
+            a = mrp.evaluate(params_vi, F)
+            b = mrp.evaluate(params_vi, F2)
             ux, uy = b.power - a.power, b.delay - a.delay
             norm = (ux * ux + uy * uy) ** 0.5
             if norm < 1e-9:
                 continue
             for eps in np.linspace(0, 1, 11):
-                p = mrp.evaluate(params_vi, mrp.mix_policies(F, F2, float(eps)), cache)
+                p = mrp.evaluate(params_vi, mrp.mix_policies(F, F2, float(eps)))
                 vx, vy = p.power - a.power, p.delay - a.delay
                 assert abs(ux * vy - uy * vx) / norm <= 1e-9
 
@@ -512,7 +501,7 @@ class TestBandedSolve:
     def test_scoring_allocates_no_dense_matrix(self):
         # ladder K=2003: one dense lam would take 2004**2 * 8 B = 32 MB
         params = validate_params(0.5, 3, 5, 2000, [0, 1, 4, 9, 16, 25])
-        f = threshold_to_policy(params, initial_threshold_policy(params)).f[None]
+        f = policy_from_actions(params, initial_actions(params)).f[None]
         _, kept, _, _ = mrp.score_stack(params, f)
         assert kept.tolist() == [0]
         tracemalloc.start()

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dpsched import model, pareto, policies
 from dpsched.errors import InvalidPolicy, SingularChain
 from dpsched.model import validate_params
-from dpsched.mrp import DelayPowerPoint, EvalCache, evaluate
+from dpsched.mrp import DelayPowerPoint, evaluate
 from dpsched.pareto import (
     COLLINEAR_TOL,
     POINT_TOL,
@@ -44,10 +44,14 @@ def drop_collinear_reference(points):
 
 
 def threshold_point_reference(params, tp, cache):
-    """`pareto._threshold_point` of the one-at-a-time walk, kept verbatim."""
+    """`pareto._threshold_point` of the one-at-a-time walk, kept verbatim
+    but for its cache, now a dict of reward points keyed by the policy
+    bytes."""
     policy = model.threshold_to_policy(params, tp)
     try:
-        base = evaluate(params, policy, cache)
+        base = cache.get(policy.key())
+        if base is None:
+            base = cache[policy.key()] = evaluate(params, policy)
     except SingularChain as exc:
         raise SingularChain(
             f"singular chain for thresholds {tp.thresholds}: {exc}"
@@ -59,12 +63,14 @@ def threshold_point_reference(params, tp, cache):
 
 def walk_reference(params):
     """`algorithm1` as it scored one raised vector at a time through
-    `mrp.evaluate` and an `EvalCache` keyed by the policy bytes, kept
-    verbatim (with the reference collinear prune), except that it raises
-    each threshold in turn (`raised_threshold_reference`) instead of
-    calling `neighbors_increase_threshold`."""
-    cache = EvalCache()
-    tp0 = policies.initial_threshold_policy(params)
+    `mrp.evaluate` and a cache of reward points keyed by the policy bytes,
+    kept verbatim (with the reference collinear prune), except that it
+    raises each threshold in turn (`raised_threshold_reference`) instead of
+    calling `neighbors_increase_threshold`, and takes the thresholds of its
+    start from `initial_actions`."""
+    cache = {}
+    tp0 = model.ThresholdPolicy(
+        model._last_state_at_most(policies.initial_actions(params), params.M))
     cur_pt = threshold_point_reference(params, tp0, cache)
     walk = [cur_pt]
     current = {tp0.thresholds: tp0}
@@ -150,7 +156,7 @@ class TestLowerConvexHull:
 class TestDropCollinear:
     @staticmethod
     def assert_same_objects(points):
-        got = pareto._drop_collinear(points)
+        got = [points[i] for i in pareto._drop_collinear(points)]
         want = drop_collinear_reference(points)
         assert len(got) == len(want)
         assert all(a is b for a, b in zip(got, want))
@@ -176,9 +182,9 @@ class TestDropCollinear:
 
     def test_all_collinear_keeps_the_ends(self):
         points = [pt(1.0 - 0.1 * i, 0.2 * i) for i in range(8)]
-        got = pareto._drop_collinear(points)
-        assert got == [points[0], points[-1]]
-        assert got[0] is points[0] and got[1] is points[-1]
+        assert pareto._drop_collinear(points) == [0, 7]
+        first, last = lower_convex_hull(points).vertices
+        assert first is points[0] and last is points[-1]
 
 
 class TestCurveInvariants:
@@ -216,11 +222,11 @@ class TestCurveInvariants:
         assert doc["vertices"][0]["thresholds"] == [0, 1, 7, 7]
 
     def test_walk_builds_vertex_policies_from_their_maps(self, monkeypatch):
-        # the walk carries action maps: a ThresholdPolicy is built, and
-        # mapped once, only for the raw and the completed starting vector;
-        # thresholds are derived for the start, the tied candidates of ties
-        # of two or more and the returned vertices; the vertex policies are
-        # built from the vertex maps, and no stack of one-hot matrices is
+        # the walk carries action maps, from its start on: no
+        # ThresholdPolicy is built or mapped; thresholds are derived for the
+        # tied candidates of ties of two or more and the returned vertices;
+        # the vertex policies are built from the vertex maps, and no stack
+        # of one-hot matrices is
         built, mapped, derived, stacks = [], [], [], []
         original_init = model.ThresholdPolicy.__post_init__
         original_map = model.threshold_action_map
@@ -249,8 +255,8 @@ class TestCurveInvariants:
 
         params = validate_params(0.5, 3, 5, 19, [0, 1, 4, 9, 16, 25])  # ladder K=22
         monkeypatch.setattr(model.ThresholdPolicy, "__post_init__", counting_init)
-        for mod in (model, pareto):
-            monkeypatch.setattr(mod, "threshold_action_map", counting_map)
+        monkeypatch.setattr(model, "threshold_action_map", counting_map)
+        assert not hasattr(pareto, "threshold_action_map")
         for mod in (model, pareto):
             monkeypatch.setattr(mod, "_last_state_at_most", counting_last)
         for mod in (model, policies):
@@ -259,14 +265,12 @@ class TestCurveInvariants:
         curve = algorithm1(params)
         monkeypatch.undo()
         assert len(curve.vertices) == 28
-        assert len(built) == 2
-        assert len(mapped) == 2
-        assert all(isinstance(tp, model.ThresholdPolicy) for tp in mapped)
+        assert built == []
+        assert mapped == []
         assert stacks == []
         ties = derived.count("<lambda>")  # the tie-break key
         assert ties == 4
-        assert derived.count("complete_thresholds") == 1
-        assert len(derived) == 1 + len(curve.vertices) + ties
+        assert len(derived) == len(curve.vertices) + ties == 32
         for v in curve.vertices:
             want = model.threshold_to_policy(params, model.ThresholdPolicy(v.thresholds))
             assert v.policy.f.tobytes() == want.f.tobytes()

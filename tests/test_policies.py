@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpsched import errors, policies
 from dpsched.model import (
     Policy,
     ThresholdPolicy,
     _last_state_at_most,
+    feasibility_mask,
     feasible_actions,
     threshold_action_map,
     threshold_to_policy,
@@ -17,14 +19,16 @@ from dpsched.model import (
 from dpsched.policies import (
     count_deterministic,
     enumerate_deterministic,
-    initial_threshold_policy,
+    initial_actions,
     is_threshold,
     neighbors_increase_threshold,
     policy_from_actions,
 )
 from dpsched.verify import random_policy
 
-from conftest import deterministic_policies
+from conftest import EDGE_FAMILIES, deterministic_policies, edge_params
+
+LADDER = dict(alpha=0.5, A=3, M=5, power=[0, 1, 4, 9, 16, 25])
 
 
 class TestEnumeration:
@@ -228,8 +232,34 @@ def neighbor_thresholds(params, ts):
 
 class TestWalkMoves:
     def test_initial_policy(self, params_vi):
-        tp = initial_threshold_policy(params_vi)
-        assert tp.thresholds == (0, 1, 7, 7)
+        acts = initial_actions(params_vi)
+        assert acts.tolist() == [0, 1, 2, 2, 2, 2, 2, 2]
+        assert _last_state_at_most(acts, params_vi.M) == (0, 1, 7, 7)
+
+    @given(
+        family=st.sampled_from(EDGE_FAMILIES + ["ladder"]),
+        alpha=st.floats(0.05, 0.95),
+        eps=st.floats(1e-4, 0.02),
+        A=st.integers(1, 3),
+        extra_m=st.integers(0, 2),
+        Q=st.integers(0, 6),
+        ladder_q=st.sampled_from([0, 1, 5, 19, 40, 80, 200, 400]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_initial_actions_expand_the_raw_thresholds(
+        self, family, alpha, eps, A, extra_m, Q, ladder_q
+    ):
+        # the map of the thresholds min(m, A), completed over every state:
+        # the expansion the walk started from when it carried thresholds
+        if family == "ladder":
+            params = validate_params(Q=ladder_q, **LADDER)
+        else:
+            params = edge_params(family, alpha, eps, A, extra_m, Q)
+        acts = initial_actions(params)
+        raw = ThresholdPolicy(tuple(min(m, params.A) for m in range(params.M + 1)))
+        assert acts.tolist() == threshold_action_map(params, raw)
+        assert acts.shape == (params.K + 1,)
+        assert feasibility_mask(params)[np.arange(params.K + 1), acts].all()
 
     def test_neighbors_raise_one_threshold(self, params_vi):
         ts = (0, 1, 7, 7)
