@@ -190,6 +190,9 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EnumerationTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

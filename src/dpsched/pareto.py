@@ -175,6 +175,20 @@ def lower_convex_hull(points: Sequence[DelayPowerPoint]) -> ParetoCurve:
     Monotone-chain scan in the (power, delay) plane; collinear interior
     points are dropped; hull vertices past the minimum-delay point are
     dominated and discarded.
+
+    The sort is stable, so of exact duplicates the first in input order is
+    the one returned, and a later one changes nothing.  A point whose delay
+    exceeds by more than POINT_TOL the least delay of the points sorted
+    before it changes nothing either, up to the rounding of the orientation
+    test: it never represents the near-equal powers of a point that is
+    returned, pops no vertex that is returned and does not end the Pareto
+    prefix.  Brute force merges its blocks on these two rules
+    (`_merge_staircase`).  The lower hull of a union is the lower hull of the
+    parts' hulls, but the result of this function on a union is not its
+    result on the parts' results: near-equal powers are grouped by a chain
+    of POINT_TOL steps, the Pareto prefix ends at a POINT_TOL step and
+    collinear points are dropped at COLLINEAR_TOL, and points a first call
+    discards can break those ties differently in a second.
     """
     if not points:
         raise ValueError("need at least one point")
@@ -309,48 +323,76 @@ def _vertex_policies(params: ModelParams, maps: np.ndarray) -> list[Policy]:
     return [policy_from_actions(params, acts) for acts in maps]
 
 
-def _score_deterministic(
-    params: ModelParams, cap: int
-) -> tuple[list[DelayPowerPoint], np.ndarray, int]:
-    """Score every deterministic policy, a block of `enumerate_deterministic`
-    at a time (`score_maps`).  Returns the reward points of the policies
-    whose chains pass every check (without policies), their action maps as
-    one (points, K+1) array, and the number of singular chains skipped."""
-    points: list[DelayPowerPoint] = []
-    maps = []
-    skipped = 0
-    for acts in enumerate_deterministic(params, cap=cap):
-        _, kept, power, delay = score_maps(params, acts)
-        points += map(DelayPowerPoint, power.tolist(), delay.tolist())
-        maps.append(acts[kept])
-        skipped += len(acts) - kept.size
-    if skipped:
-        log.warning("skipped %d deterministic policies with singular chains", skipped)
-    return points, np.concatenate(maps), skipped
+def _merge_staircase(staircase, block):
+    """Rows of `staircase` and `block`, each a (power, delay, payload)
+    triple of arrays, that `lower_convex_hull` of their union must see, in
+    (power, delay) order.  The rows are sorted by `np.lexsort((delay,
+    power))`, which is stable, so `staircase` rows precede the `block` rows
+    they tie with.  A row is dropped if its (power, delay) exactly equals
+    the previous sorted row's, or if its delay exceeds the least delay of
+    the rows before it by more than POINT_TOL; the rows left form a
+    staircase.  Neither rule drops a row whose presence can change what
+    `lower_convex_hull` returns, and a row dropped stays droppable whatever
+    rows later blocks add, so folding the blocks of a cloud in through this
+    function keeps every row that one call over the whole cloud needs;
+    merging the blocks' hulls would not (see `lower_convex_hull`)."""
+    power, delay, payload = (np.concatenate(pair) for pair in zip(staircase, block))
+    order = np.lexsort((delay, power))
+    p, d = power[order], delay[order]
+    drop = np.zeros(order.size, dtype=bool)
+    drop[1:] = ((p[1:] == p[:-1]) & (d[1:] == d[:-1])) | (
+        d[1:] > np.minimum.accumulate(d)[:-1] + POINT_TOL
+    )
+    keep = order[~drop]
+    return power[keep], delay[keep], payload[keep]
 
 
 def deterministic_cloud(
     params: ModelParams, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[list[DelayPowerPoint], int]:
-    """Reward pairs of every deterministic policy, each with its policy;
+    """Reward pairs of every deterministic policy, each with its policy,
+    scored a block of `enumerate_deterministic` at a time (`score_maps`);
     singular chains are skipped and counted."""
-    points, maps, skipped = _score_deterministic(params, cap)
-    return [
-        DelayPowerPoint(pt.power, pt.delay, policy_from_actions(params, acts))
-        for pt, acts in zip(points, maps)
-    ], skipped
+    points: list[DelayPowerPoint] = []
+    skipped = 0
+    for acts in enumerate_deterministic(params, cap=cap):
+        _, kept, power, delay = score_maps(params, acts)
+        points += (
+            DelayPowerPoint(p, d, policy_from_actions(params, a))
+            for p, d, a in zip(power.tolist(), delay.tolist(), acts[kept])
+        )
+        skipped += len(acts) - kept.size
+    if skipped:
+        log.warning("skipped %d deterministic policies with singular chains", skipped)
+    return points, skipped
 
 
 def brute_force_frontier(
     params: ModelParams, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> ParetoCurve:
-    """Frontier by exhaustive enumeration: the oracle route.  The hull is
-    taken over the bare reward points; only its vertices get a policy."""
-    points, maps, skipped = _score_deterministic(params, cap)
-    # the hull's vertices are point objects of the cloud: find their maps
-    row = {id(pt): i for i, pt in enumerate(points)}
+    """Frontier by exhaustive enumeration: the oracle route.
+
+    Each block of `enumerate_deterministic` is scored (`score_maps`) and
+    merged into the staircase of the rows scored so far (`_merge_staircase`),
+    so memory is O(block + staircase): the staircase ends with 97 rows on
+    the reference instance at Q=6 and 121 at ladder K=9 (259,200
+    policies).  One `lower_convex_hull` over the staircase's bare reward
+    points gives the curve of the whole cloud, and only its vertices get a
+    policy."""
+    staircase = (np.empty(0), np.empty(0), np.empty((0, params.K + 1), dtype=np.intp))
+    skipped = 0
+    for acts in enumerate_deterministic(params, cap=cap):
+        _, kept, power, delay = score_maps(params, acts)
+        staircase = _merge_staircase(staircase, (power, delay, acts[kept]))
+        skipped += len(acts) - kept.size
+    if skipped:
+        log.warning("skipped %d deterministic policies with singular chains", skipped)
+    power, delay, maps = staircase
+    points = list(map(DelayPowerPoint, power.tolist(), delay.tolist()))
+    # the staircase holds no two equal reward pairs: a vertex names its row
+    row = {pt: i for i, pt in enumerate(points)}
     vertices = tuple(
-        DelayPowerPoint(v.power, v.delay, policy_from_actions(params, maps[row[id(v)]]))
+        DelayPowerPoint(v.power, v.delay, policy_from_actions(params, maps[row[v]]))
         for v in lower_convex_hull(points).vertices
     )
     return ParetoCurve(vertices=vertices, skipped_singular=skipped)

@@ -24,15 +24,19 @@ from .model import (
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 # Block size of `enumerate_deterministic`: BLOCK_BYTES // (8 (K+1)^2)
-# policies, 256 at K=7 and 202 at K=8.  The divisor, the bytes of one dense
+# policies, 512 at K=7 and 404 at K=8.  The divisor, the bytes of one dense
 # (K+1)^2 matrix, only sets the sizes; scoring builds no such matrix.
 # Basis, measured on brute force at Q=5 and Q=6 (tracemalloc peak of one
 # `mrp.score_maps` call on a block's action maps, median over the full
-# blocks): about 1.74 KB per policy of block at K=7 and 1.96 KB at K=8, so
-# a block peaks near 445 KB and 395 KB.  Blocks of 512 at K=7 scored
-# brute force about 10% faster, but raised the `brute` benchmark's peak
-# RSS by 0.3 MB, so the sizes stay.
-BLOCK_BYTES = 128 * 1024
+# blocks): about 1.75 KB per policy of block at K=7 and 1.95 KB at K=8, so
+# a block peaks near 0.9 MB and 0.8 MB, and brute force keeps little else
+# (a staircase of about 100 rows).  In the `brute` benchmark (perfbench,
+# --seconds 4, four runs each on a 2-CPU x86-64 host) blocks of 256 KiB
+# took 0.0334 s median against 0.0370 s for 128 KiB, peaking at 69.9-70.1
+# MB RSS against 69.1-69.3 MB; 512 KiB was no faster (0.0341 s) and peaked
+# at 71.4-71.8 MB, as high as the 71.3-71.5 MB of brute force before the
+# staircase merge, at 128 KiB.
+BLOCK_BYTES = 256 * 1024
 
 
 def policy_from_actions(params: ModelParams, actions: Sequence[int]) -> Policy:

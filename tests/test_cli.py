@@ -236,3 +236,13 @@ class TestVerify:
         assert line.startswith("PASS")
         assert "worst=0.000e+00" in line
         assert "no state has two feasible actions (0 pairs)" in line
+
+    def test_enumeration_over_the_cap_exit_3(self, capsys):
+        # ladder K=22 has more deterministic policies than the cap, so
+        # frontier-equivalence cannot run: the documented exit 3, no traceback
+        rc = main(["verify", "--alpha", "0.5", "--A", "3", "--M", "5", "--Q", "19",
+                   "--power", "0,1,4,9,16,25", "--trials", "1", "--slots", "1000"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: ") and "exceed the cap" in err

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,48 @@ class TestDropCollinear:
         assert pareto._drop_collinear(points) == [0, 7]
         first, last = lower_convex_hull(points).vertices
         assert first is points[0] and last is points[-1]
+
+
+@st.composite
+def reward_clouds(draw):
+    """A synthetic reward cloud, in enumeration order, with the ties brute
+    force meets: exact duplicates, near-duplicates within POINT_TOL in
+    either coordinate, and near-collinear triples within COLLINEAR_TOL."""
+    coord = st.floats(0.0, 10.0)
+    unit = st.floats(-1.0, 1.0)
+    cloud = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(["duplicate", "near", "collinear"]))
+        a = draw(st.sampled_from(cloud))
+        if kind == "duplicate":
+            cloud.append(a)
+        elif kind == "near":
+            cloud.append((a[0] + draw(unit) * POINT_TOL, a[1] + draw(unit) * POINT_TOL))
+        else:
+            c = draw(st.sampled_from(cloud))
+            t = draw(st.floats(0.0, 1.0))
+            cloud.append((a[0] + t * (c[0] - a[0]),
+                          a[1] + t * (c[1] - a[1]) + draw(unit) * COLLINEAR_TOL))
+    return draw(st.permutations(cloud))
+
+
+@given(cloud=reward_clouds(), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_block_merge_matches_one_hull(cloud, data):
+    """Brute force's block merge (`pareto._merge_staircase`, one block at a
+    time, then one hull of what it kept) returns the same vertices, each
+    the same representative point, as one `lower_convex_hull` call over the
+    whole cloud."""
+    points = [pt(p, d) for p, d in cloud]
+    power, delay = (np.array(c) for c in zip(*cloud))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(cloud)), max_size=6)))
+    staircase = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
+    for block in np.split(np.arange(len(cloud)), cuts):
+        staircase = pareto._merge_staircase(staircase, (power[block], delay[block], block))
+    merged = lower_convex_hull([points[i] for i in staircase[2]]).vertices
+    whole = lower_convex_hull(points).vertices
+    assert len(merged) == len(whole)
+    assert all(a is b for a, b in zip(merged, whole))
 
 
 class TestCurveInvariants:
@@ -406,6 +449,31 @@ class TestFrontierEquivalence:
         brute = brute_force_frontier(params)
         assert len(walk.vertices) == 1
         assert curves_match(walk, brute) <= 1e-12
+
+
+    @pytest.mark.parametrize("alpha", [0.4, 0.01])
+    def test_brute_force_is_the_hull_of_the_cloud(self, alpha):
+        # bit for bit: power, delay and policy bytes of every vertex
+        params = validate_params(alpha, 2, 3, 5, [0, 1, 4, 9])
+        points, skipped = deterministic_cloud(params)
+        brute = brute_force_frontier(params)
+        assert brute.skipped_singular == skipped
+        assert curve_repr(brute) == curve_repr(lower_convex_hull(points))
+
+    def test_brute_force_memory_is_bounded_by_block_and_staircase(self):
+        # 43,200 policies at ladder K=8 against 7,200 at K=7: the peak is
+        # one block's scoring plus the staircase, not the cloud
+        def peak(K):
+            params = validate_params(Q=K - 3, **LADDER)
+            brute_force_frontier(params)  # fills the per-shape caches
+            tracemalloc.start()
+            try:
+                brute_force_frontier(params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) <= 1.5 * peak(7)
 
 
 class TestCloud:
