@@ -9,8 +9,8 @@ Transition matrices and stationary distributions are plain read-only
 ndarrays.  Every policy is scored by one path, which takes a stack of N
 chains at once (N=1 for a single policy): build the band of each
 transition matrix lam, factor the normalized balance systems H from it
-(`lu_factor`), solve them with one step of iterative refinement, then take
-the rewards of the stationary distributions (`_score`).  The band has two
+(`lu_factor`), solve them with iterative refinement, then take the
+rewards of the stationary distributions (`_score`).  The band has two
 builders: `_lam_band` from policy matrices (`score_stack`) and `_map_band`
 from the action maps of deterministic policies (`score_maps`, bit for bit
 the same band and scores as their one-hot matrices, which are never built).
@@ -41,7 +41,7 @@ and pivots are bit for bit those of its own factorization.  The solve is
 the exception: a zero pivot gives inf, and 0*inf = NaN in the back
 substitution would cross into the previous block.  So the chains with a
 pivot below SINGULAR_TOL are removed from the factors before any solve.
-The two residuals (the refinement's x - lam x and the stationarity check's
+The residuals (the refinement's x - lam x and the stationarity check's
 lam pi - pi) each take one BLAS gbmv over the block-diagonal band of lam,
 which adds each entry of a row in column order, the exact zeros of other
 chains included, so a chain's product is bit for bit that of its band
@@ -57,6 +57,15 @@ smallest of a nonsingular chain 0.030 (the dense LU of H gave 5.0e-16 and
 of 9216 chains as singular.  The gap narrows as alpha nears 0 or 1,
 where nearly decomposable chains have pivots of order alpha^j or
 (1-alpha)^j.
+
+Refinement runs per chain until its correction is at most REFINE_TOL.  A
+well-conditioned chain stops after one step: on the brute-force instances
+and the walk at K=203 the first correction is at most 3.2e-14.  A nearly
+decomposable one takes more: at alpha=1e-4, A=M=2, Q=4, the chain whose
+mass sits in states 4 and 6 (cond(H) 8.1e12, smallest pivot 1.0e-8) has
+corrections 6.1e-5, 8.8e-9 and 8.5e-13, and its pi ends 2.3e-17 from the
+exact one (8.8e-9 after one step).  A correction that does not halve the
+last one is not applied, and that chain stops.
 """
 from __future__ import annotations
 
@@ -77,6 +86,10 @@ from .model import ModelParams, Policy
 # rounding-level pivots (at most 2.4e-15), nonsingular ones at least 0.030.
 SINGULAR_TOL = 1e-12
 STATIONARITY_TOL = 1e-10
+# A chain's iterative refinement stops once its correction is at most
+# REFINE_TOL, or after MAX_REFINE_STEPS steps (see the module docstring).
+REFINE_TOL = 1e-12
+MAX_REFINE_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -312,17 +325,46 @@ def _lam_matvec(band: np.ndarray, lower: int, upper: int, x: np.ndarray) -> np.n
     return y[:cols].reshape(x.shape)
 
 
+def _residual(lu: BandLU, x: np.ndarray) -> np.ndarray:
+    """e_0 - H x for every chain of the factors, with x of shape (chains, n)."""
+    r = np.empty_like(x)
+    r[:, 0] = 1.0 - x.sum(axis=1)
+    r[:, 1:] = x[:, :-1] - _lam_matvec(lu.band, lu.kl - 1, lu.ku, x)[:, :-1]
+    return r
+
+
 def _stationary(lu: BandLU) -> tuple[np.ndarray, np.ndarray]:
     """Stationary solves H pi = e_0 of the factored chains, each with one step
-    of iterative refinement against H itself; cleaned by `_clean_pi`, whose
+    of iterative refinement against H itself, and more for a chain whose
+    correction exceeds REFINE_TOL (`_refine`); cleaned by `_clean_pi`, whose
     mask of failed chains comes with them."""
     e0 = np.zeros(lu.band.shape[1:])
     e0[:, 0] = 1.0
     x = lu_solve(lu, e0)
-    r = np.empty_like(x)  # e_0 - H x
-    r[:, 0] = 1.0 - x.sum(axis=1)
-    r[:, 1:] = x[:, :-1] - _lam_matvec(lu.band, lu.kl - 1, lu.ku, x)[:, :-1]
-    return _clean_pi(lu.band, lu.kl - 1, lu.ku, x + lu_solve(lu, r))
+    d = lu_solve(lu, _residual(lu, x))
+    x += d
+    if np.abs(d).max(initial=0.0) > REFINE_TOL:
+        _refine(lu, x, np.abs(d).max(axis=1))
+    return _clean_pi(lu.band, lu.kl - 1, lu.ku, x)
+
+
+def _refine(lu: BandLU, x: np.ndarray, last: np.ndarray) -> None:
+    """Further refinement steps, in place, for the chains of x whose last
+    correction `last` exceeds REFINE_TOL, until it is at most REFINE_TOL,
+    after MAX_REFINE_STEPS steps in all, or up to a correction that does not
+    halve the last one, which is not applied.  Each chain's steps depend on
+    its own corrections alone, so its pi is bit for bit that of its own
+    solve."""
+    active = last > REFINE_TOL
+    for _ in range(MAX_REFINE_STEPS - 1):
+        d = lu_solve(lu, _residual(lu, x))
+        step = np.abs(d).max(axis=1)
+        active &= step <= last / 2
+        x[active] += d[active]
+        active &= step > REFINE_TOL
+        if not active.any():
+            return
+        last = step
 
 
 def _clean_pi(
