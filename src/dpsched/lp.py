@@ -19,12 +19,26 @@ the basic solution x_B, the duals y and the entering column (getrs).
   DEGENERATE_STREAK degenerate pivots in a row, Bland's rule (Bland 1977:
   lowest entering index, lowest leaving basis index) takes over until a
   pivot is nondegenerate.
-- Start: one artificial per row, after the rows with a negative right-hand
-  side are negated; phase 1 minimizes their sum.
+- Start: a crash basis (Bixby 1992) of the power slack and, for every state
+  k, the column (k, min(k, M)) of the drain policy, which sends as much as
+  it can.  For alpha < 1 a slot without an arrival lowers any positive
+  backlog, so the drain chain has one closed class and its columns form a
+  nonsingular basis whose solution is its stationary measure, >= 0.  Only
+  the slack can be negative; then the power row is negated and its
+  artificial takes the slack's place, so phase 1 minimizes one artificial.
+- Restart: from one artificial per row, after the rows with a negative
+  right-hand side are negated, with phase 1 minimizing their sum, when the
+  drain basis has an exactly zero LU pivot (alpha = 1 with A = M leaves
+  every state t >= A where it is, so its chain has several closed classes),
+  when the problem lacks `build_lp`'s shape, or when the solve from the
+  drain basis ends uncertified or unbounded.  An infeasible verdict stands:
+  phase 1 from a basis feasible for the equality rows minimizes the power
+  row's excess over the budget, which is positive exactly when the problem
+  is infeasible.
 - Phase 1 ends once the artificials sum to at most RATIO_TOL, and reports
   the problem infeasible if their least sum exceeds FEAS_TOL.  Artificials
   left in the basis at zero are pivoted out where a column allows it.
-- MAX_PIVOTS caps the pivots of both phases together.
+- MAX_PIVOTS caps the pivots of both phases, and of both starts, together.
 - Breakdown: a basis whose LU has an exactly zero pivot, non-finite basic
   values or duals, or a phase-1 ray (impossible in exact arithmetic, as the
   artificials' sum is bounded below by 0) raises SimplexBreakdown.
@@ -70,17 +84,20 @@ REDUCED_COST_TOL = 1e-9
 # An entry of the entering column may pivot only above this share of its
 # largest entry.  Basis: on ladder rung K=83 with Bland after 20 degenerate
 # pivots, an absolute 1e-10 let a rounding-level entry pivot and made the
-# next basis exactly singular; the shares 1e-10 to 1e-8 all solve the 50
-# budgets of K=83 to 2e-7 of the walk.
+# next basis exactly singular; the shares 1e-10 to 1e-9 all solve the 50
+# budgets of K=83 to 2e-7 of the walk (49 optimal to 4.4e-11, P_min
+# uncertified).  From 3e-9 the solve certifies P_min too, 1.2e-6 below the
+# walk's 80/3, where the duals reach 1e10.
 PIVOT_TOL = 1e-9
 # Ratios this close tie, and a step this short is degenerate.  Absolute:
 # x sums to 1, so the basic values are at most 1 (the power slack at most
 # p_th).
 RATIO_TOL = 1e-12
 # Degenerate pivots in a row before Bland's rule.  Basis, on the ladder
-# (50 budgets per rung, 5,000-pivot cap): 10 leaves 3 budgets at K=83
-# stalled under Bland; 15 leaves 13 stalled at K=203 and 30 leaves 3.  The
-# median at K=22 is 41.5 pivots at 10 or 15 and 58 at 20 to 30.
+# K=22, 43, 83 and 203 (50 budgets per rung, 5,000-pivot cap, drain start):
+# 10 leaves 2 budgets stalled at K=83 and 4 at K=203; 15, 20 and 30 leave
+# none.  The median is 15.5 pivots at K=22 for every streak, and the most
+# at K=203 is 642, 671 and 3,419 at 15, 20 and 30.
 DEGENERATE_STREAK = 30
 MAX_PIVOTS = 1_000_000
 
@@ -239,24 +256,69 @@ def _simplex_phase(
         streak = streak + 1 if step <= RATIO_TOL else 0
 
 
+def _drain_start(
+    lp: LpProblem, A: np.ndarray, b: np.ndarray
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Crash start from the drain policy, which sends min(k, M) in state k:
+    the standard form (A, b), signed and with its artificial column if it
+    needs one, and a basis of the policy's columns plus the power slack.
+    None if `lp` lacks `build_lp`'s shape or that basis's LU has an exactly
+    zero pivot.
+
+    min(k, M) is state k's largest feasible action, so its column is the
+    last of the state's row of the mask.  The basic solution is the drain
+    chain's stationary measure, so only the slack can be negative: then the
+    power row is negated and its artificial replaces the slack.
+    """
+    counts = feasibility_mask(lp.params).sum(axis=1)
+    if len(b) != len(counts) + 1 or counts.sum() != lp.n_vars:
+        return None
+    basis = np.concatenate([[lp.n_vars], np.cumsum(counts) - 1])
+    lu, piv, info = dgetrf(A[:, basis])
+    if info:
+        return None
+    if dgetrs(lu, piv, b)[0][0] >= 0:
+        return A, b, basis
+    sign = np.ones(len(b))
+    sign[0] = -1.0
+    basis[0] = A.shape[1]
+    return np.hstack([A * sign[:, None], np.eye(len(b), 1)]), b * sign, basis
+
+
 def solve_simplex(lp: LpProblem) -> LpSolution:
-    """Two-phase revised simplex from one artificial per row."""
-    n = lp.n_vars
+    """Two-phase revised simplex from the drain policy's basis.  Where that
+    basis is unavailable, or its solve ends uncertified or unbounded, the
+    solve restarts from one artificial per row; the pivots of both attempts
+    count together."""
     # standard form: the power row gets a slack, equalities as-is
     A = np.hstack([np.vstack([lp.a_power, lp.A_eq]), np.eye(len(lp.b_eq) + 1, 1)])
     b = np.concatenate([[lp.p_th], lp.b_eq])
-    n_total = n + 1
+    pivots = 0
+    crash = _drain_start(lp, A, b)
+    if crash is not None:
+        sol = _two_phase(lp, *crash, 0)
+        if sol.status in ("optimal", "infeasible"):
+            return sol
+        pivots = sol.iterations
     # nonnegative right-hand side, one artificial per row
-    negative = b < 0
-    A[negative] *= -1
-    b[negative] *= -1
-    A = np.hstack([A, np.eye(len(b))])
-    basis = np.arange(n_total, A.shape[1])
+    sign = np.where(b < 0, -1.0, 1.0)
+    A = np.hstack([A * sign[:, None], np.eye(len(b))])
+    return _two_phase(lp, A, b * sign, np.arange(lp.n_vars + 1, A.shape[1]), pivots)
+
+
+def _two_phase(
+    lp: LpProblem, A: np.ndarray, b: np.ndarray, basis: np.ndarray, pivots: int
+) -> LpSolution:
+    """Phases 1 and 2 on A@x = b from `basis`, where A is the standard form
+    with its artificial columns appended; `pivots` counts the pivots of an
+    earlier attempt."""
+    n = lp.n_vars
+    n_total = n + 1
     # phase 1: minimise the sum of the artificials; at or below RATIO_TOL
     # that sum is zero to rounding, and any further pivot only stalls
     c1 = np.zeros(A.shape[1])
     c1[n_total:] = 1.0
-    status, pivots, x_B, _ = _simplex_phase(A, b, c1, basis, A.shape[1], 0, RATIO_TOL)
+    status, pivots, x_B, _ = _simplex_phase(A, b, c1, basis, A.shape[1], pivots, RATIO_TOL)
     if status == "unbounded":
         raise SimplexBreakdown("phase 1 found a ray, though the artificials' sum is at least 0")
     if c1[basis] @ x_B > FEAS_TOL:

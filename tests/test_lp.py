@@ -216,8 +216,9 @@ class TestSimplexCore:
         assert sol.power <= 1.6 + 1e-9
 
     def test_pivot_cap_covers_both_phases(self, params_vi, monkeypatch):
-        # at p_th=1.0 both phases pivot (7 + 5), so a cap of one pivot
-        # less than the total trips only if it counts the phases together
+        # at p_th=1.0 both phases pivot from the drain basis (5 + 5), so a
+        # cap of one pivot less than the total trips only if it counts the
+        # phases together
         ends = []
         phase = lp_module._simplex_phase
 
@@ -228,7 +229,7 @@ class TestSimplexCore:
 
         monkeypatch.setattr(lp_module, "_simplex_phase", counted_phase)
         pivots = solve_simplex(build_lp(params_vi, 1.0)).iterations
-        assert ends == [7, pivots] and pivots == 7 + 5
+        assert ends == [5, pivots] and pivots == 5 + 5
         monkeypatch.setattr(lp_module, "MAX_PIVOTS", pivots)
         assert solve_simplex(build_lp(params_vi, 1.0)).iterations == pivots
         monkeypatch.setattr(lp_module, "MAX_PIVOTS", pivots - 1)
@@ -481,8 +482,10 @@ class TestSweep:
         reads 1.8e-6 (1.8e-16 relative to |y|@|b|), and a basic value reads
         -3.5e-8, below -FEAS_TOL, so the solve reports the point uncertified
         rather than optimal.  The cap of 5,000
-        pivots (the most any budget takes is 352) turns a degenerate stall
-        into a failure instead of a long run."""
+        pivots turns a degenerate stall into a failure instead of a long
+        run: the most any budget takes is 344, at P_min (148 from the drain
+        basis, which ends uncertified, then 196 from one artificial per
+        row), and 218 above it."""
         monkeypatch.setattr(lp_module, "MAX_PIVOTS", 5000)
         params = validate_params(0.5, 3, 5, 80, [0, 1, 4, 9, 16, 25])
         curve = algorithm1(params)
@@ -500,12 +503,76 @@ class TestSweep:
             assert float(np.min(sol.reduced_costs)) >= -1e-9
             assert abs(sol.duality_gap) <= 1e-9
 
+    def test_ladder_k203_formerly_stalled_budgets(self, monkeypatch):
+        """Ladder rung K=203, budgets 10-12 of 50 over [P_min, P_max]
+        (p_th 2.908-2.990): from one artificial per row they stalled under
+        Bland's rule past 5,000 pivots; from the drain basis each takes 71
+        and is optimal within 1e-6 of the walk's frontier."""
+        monkeypatch.setattr(lp_module, "MAX_PIVOTS", 5000)
+        params = validate_params(0.5, 3, 5, 200, [0, 1, 4, 9, 16, 25])
+        curve = algorithm1(params)
+        budgets = np.linspace(curve.min_power, curve.max_power, 50)[10:13]
+        for p in sweep(params, [float(b) for b in budgets]):
+            assert p.status == "optimal", p.p_th
+            assert abs(p.delay - curve.interpolate(p.p_th)) <= 1e-6
+
     def test_csv(self, params_vi):
         csv = sweep_to_csv(sweep(params_vi, [0.0, 1.6]))
         lines = csv.splitlines()
         assert lines[0] == "p_th,delay,status"
         assert lines[1].endswith("infeasible")
         assert lines[2].endswith("optimal")
+
+
+class TestStart:
+    """The solve starts from the drain policy's basis, and restarts from one
+    artificial per row only if that basis is singular or its solve ends
+    uncertified or unbounded."""
+
+    @pytest.fixture
+    def restarts(self, monkeypatch):
+        """The solves begun from one artificial per row: bases of
+        artificials only, whose indices all exceed the power slack's."""
+        calls = []
+        two_phase = lp_module._two_phase
+
+        def counted_two_phase(lp, A, b, basis, pivots):
+            if basis.min() > lp.n_vars:
+                calls.append(lp.p_th)
+            return two_phase(lp, A, b, basis, pivots)
+
+        monkeypatch.setattr(lp_module, "_two_phase", counted_two_phase)
+        return calls
+
+    def test_ladder_k22_never_restarts(self, restarts):
+        # from one artificial per row the median is 58 pivots
+        params = validate_params(0.5, 3, 5, 19, [0, 1, 4, 9, 16, 25])
+        curve = algorithm1(params)
+        points = sweep(params, [float(b) for b in np.linspace(curve.min_power, curve.max_power, 50)])
+        assert all(p.status == "optimal" for p in points)
+        assert not restarts
+        assert np.median([p.solution.iterations for p in points]) <= 20
+
+    def test_singular_drain_basis_restarts(self, restarts):
+        # at alpha=1, A=M=1 every state t >= 1 keeps its backlog under the
+        # drain policy, so its chain has several closed classes
+        params = edge_params("A=1", 1.0, 0.5, 1, 0, 3)
+        budgets = (0.5, 1.2, 1.25, 2.0, 5.0)
+        for p_th in budgets:
+            lp = build_lp(params, p_th)
+            sol, want = solve_simplex(lp), bland_reference(lp)
+            assert sol.status == want.status
+            if want.status == "optimal":
+                assert abs(sol.delay - want.delay) <= 1e-12
+        assert len(restarts) == len(budgets)
+
+    def test_uncertified_drain_solve_restarts(self, restarts):
+        # the steep budget of test_steep_budget_certified_relative_to_duals:
+        # from the drain basis the solve ends with a basic value of -0.19,
+        # and the restart certifies it
+        params = validate_params(0.5, 3, 5, 200, [0, 1, 4, 9, 16, 25])
+        assert solve_simplex(build_lp(params, 2.5000000000061187)).status == "optimal"
+        assert len(restarts) == 1
 
 
 class TestAgainstBland:
