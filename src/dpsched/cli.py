@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .errors import EnumerationTooLarge, ModelError
 from .model import Policy, load_params, validate_params
 from .lp import recover_policy, sweep, sweep_to_csv
-from .pareto import algorithm1, cloud_to_csv, deterministic_cloud
-from .policies import DEFAULT_ENUMERATION_CAP
+from .pareto import algorithm1, scored_blocks
+from .policies import DEFAULT_ENUMERATION_CAP, is_threshold_map
 from .sim import simulate
 from .verify import run_battery
 
@@ -60,6 +61,23 @@ def _load_model(args):
     return validate_params(**base)
 
 
+def write_cloud(params, out: Path, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """Write pareto_cloud.csv (power, delay, action map and threshold flag
+    of every deterministic policy with a nonsingular chain) and
+    pareto_cloud.dat (power and delay) in `out`, row by row from the stream
+    of scored blocks (`scored_blocks`), so memory is O(block).  Raises
+    EnumerationTooLarge before either file is opened."""
+    blocks = scored_blocks(params, cap=cap)
+    first = next(blocks)  # the cap is checked here, before any file is opened
+    with open(out / "pareto_cloud.csv", "w") as csv, open(out / "pareto_cloud.dat", "w") as dat:
+        csv.write("power,delay,actions,is_threshold\n")
+        for power, delay, maps, _ in chain([first], blocks):
+            flags = is_threshold_map(maps).tolist()
+            for p, d, acts, thr in zip(power.tolist(), delay.tolist(), maps.tolist(), flags):
+                csv.write(f"{p:.17g},{d:.17g},{' '.join(map(str, acts))},{int(thr)}\n")
+                dat.write(f"{p:.17g} {d:.17g}\n")
+
+
 def cmd_pareto(args) -> int:
     params = _load_model(args)
     out = Path(args.out_dir)
@@ -74,14 +92,10 @@ def cmd_pareto(args) -> int:
     if args.no_cloud:
         return 0
     try:
-        points, _ = deterministic_cloud(params, cap=args.cap)
+        write_cloud(params, out, args.cap)
     except EnumerationTooLarge as exc:
         print(f"cloud skipped: {exc}", file=sys.stderr)
         return 3
-    (out / "pareto_cloud.csv").write_text(cloud_to_csv(params, points))
-    (out / "pareto_cloud.dat").write_text(
-        "".join(f"{p.power:.17g} {p.delay:.17g}\n" for p in points)
-    )
     return 0
 
 

@@ -334,37 +334,28 @@ def _residual(lu: BandLU, x: np.ndarray) -> np.ndarray:
 
 
 def _stationary(lu: BandLU) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary solves H pi = e_0 of the factored chains, each with one step
-    of iterative refinement against H itself, and more for a chain whose
-    correction exceeds REFINE_TOL (`_refine`); cleaned by `_clean_pi`, whose
-    mask of failed chains comes with them."""
+    """Stationary solves H pi = e_0 of the factored chains, with iterative
+    refinement against H itself, cleaned by `_clean_pi`, whose mask of
+    failed chains comes with them.  Every chain takes the first correction;
+    a chain stops once its correction is at most REFINE_TOL, after
+    MAX_REFINE_STEPS steps, or at a correction that does not halve the last
+    one, which is not applied.  Each chain's steps depend on its own
+    corrections alone, so its pi is bit for bit that of its own solve."""
     e0 = np.zeros(lu.band.shape[1:])
     e0[:, 0] = 1.0
     x = lu_solve(lu, e0)
-    d = lu_solve(lu, _residual(lu, x))
-    x += d
-    if np.abs(d).max(initial=0.0) > REFINE_TOL:
-        _refine(lu, x, np.abs(d).max(axis=1))
-    return _clean_pi(lu.band, lu.kl - 1, lu.ku, x)
-
-
-def _refine(lu: BandLU, x: np.ndarray, last: np.ndarray) -> None:
-    """Further refinement steps, in place, for the chains of x whose last
-    correction `last` exceeds REFINE_TOL, until it is at most REFINE_TOL,
-    after MAX_REFINE_STEPS steps in all, or up to a correction that does not
-    halve the last one, which is not applied.  Each chain's steps depend on
-    its own corrections alone, so its pi is bit for bit that of its own
-    solve."""
-    active = last > REFINE_TOL
-    for _ in range(MAX_REFINE_STEPS - 1):
+    active = np.ones(len(x), dtype=bool)
+    last = np.inf
+    for _ in range(MAX_REFINE_STEPS):
         d = lu_solve(lu, _residual(lu, x))
         step = np.abs(d).max(axis=1)
         active &= step <= last / 2
-        x[active] += d[active]
+        np.add(x, d, out=x, where=active[:, None])
         active &= step > REFINE_TOL
         if not active.any():
-            return
+            break
         last = step
+    return _clean_pi(lu.band, lu.kl - 1, lu.ku, x)
 
 
 def _clean_pi(

@@ -3,7 +3,9 @@
 Two independent routes: a threshold walk that descends the frontier one
 vertex at a time, and a brute-force lower convex hull of every
 deterministic policy's reward pair.  Their agreement is the package's
-central cross-check.
+central cross-check.  That reward cloud is one stream of scored blocks
+(`scored_blocks`), which brute force folds into a staircase and `dpsched
+pareto` writes out row by row as its point cloud: neither keeps the cloud.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from .policies import (
     DEFAULT_ENUMERATION_CAP,
     enumerate_deterministic,
     initial_actions,
-    is_threshold,
     neighbors_increase_threshold,
     policy_from_actions,
 )
@@ -104,10 +105,11 @@ class ParetoCurve:
     def interpolate(self, power: float) -> float:
         """Optimal delay at a given power budget (piecewise linear).
 
-        Budgets above the maximum-power vertex return the minimum delay;
-        budgets below the minimum-power vertex are infeasible.
+        Budgets above the maximum-power vertex, +inf included, return the
+        minimum delay; budgets below the minimum-power vertex are infeasible,
+        and so is a NaN budget.
         """
-        if power < self.min_power - 1e-9:
+        if not power >= self.min_power - 1e-9:
             raise ValueError(
                 f"power {power} below the feasible minimum {self.min_power}"
             )
@@ -347,24 +349,21 @@ def _merge_staircase(staircase, block):
     return power[keep], delay[keep], payload[keep]
 
 
-def deterministic_cloud(
-    params: ModelParams, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[list[DelayPowerPoint], int]:
-    """Reward pairs of every deterministic policy, each with its policy,
-    scored a block of `enumerate_deterministic` at a time (`score_maps`);
-    singular chains are skipped and counted."""
-    points: list[DelayPowerPoint] = []
+def scored_blocks(params: ModelParams, cap: int = DEFAULT_ENUMERATION_CAP):
+    """The reward cloud of every deterministic policy, a block at a time:
+    for each block of `enumerate_deterministic`, scored by one `score_maps`
+    call, yield the powers, delays and action maps of its nonsingular
+    chains, in enumeration order, and the count of its singular ones.  The
+    first `next` raises EnumerationTooLarge if the count exceeds `cap`;
+    once the stream is exhausted, the singular chains skipped are logged."""
     skipped = 0
     for acts in enumerate_deterministic(params, cap=cap):
         _, kept, power, delay = score_maps(params, acts)
-        points += (
-            DelayPowerPoint(p, d, policy_from_actions(params, a))
-            for p, d, a in zip(power.tolist(), delay.tolist(), acts[kept])
-        )
-        skipped += len(acts) - kept.size
+        singular = len(acts) - kept.size
+        skipped += singular
+        yield power, delay, acts[kept], singular
     if skipped:
         log.warning("skipped %d deterministic policies with singular chains", skipped)
-    return points, skipped
 
 
 def brute_force_frontier(
@@ -372,21 +371,17 @@ def brute_force_frontier(
 ) -> ParetoCurve:
     """Frontier by exhaustive enumeration: the oracle route.
 
-    Each block of `enumerate_deterministic` is scored (`score_maps`) and
-    merged into the staircase of the rows scored so far (`_merge_staircase`),
-    so memory is O(block + staircase): the staircase ends with 97 rows on
-    the reference instance at Q=6 and 121 at ladder K=9 (259,200
-    policies).  One `lower_convex_hull` over the staircase's bare reward
-    points gives the curve of the whole cloud, and only its vertices get a
-    policy."""
+    Each block of the scored stream (`scored_blocks`) is merged into the
+    staircase of the rows scored so far (`_merge_staircase`), so memory is
+    O(block + staircase): the staircase ends with 97 rows on the reference
+    instance at Q=6 and 121 at ladder K=9 (259,200 policies).  One
+    `lower_convex_hull` over the staircase's bare reward points gives the
+    curve of the whole cloud, and only its vertices get a policy."""
     staircase = (np.empty(0), np.empty(0), np.empty((0, params.K + 1), dtype=np.intp))
     skipped = 0
-    for acts in enumerate_deterministic(params, cap=cap):
-        _, kept, power, delay = score_maps(params, acts)
-        staircase = _merge_staircase(staircase, (power, delay, acts[kept]))
-        skipped += len(acts) - kept.size
-    if skipped:
-        log.warning("skipped %d deterministic policies with singular chains", skipped)
+    for power, delay, maps, singular in scored_blocks(params, cap):
+        staircase = _merge_staircase(staircase, (power, delay, maps))
+        skipped += singular
     power, delay, maps = staircase
     points = list(map(DelayPowerPoint, power.tolist(), delay.tolist()))
     # the staircase holds no two equal reward pairs: a vertex names its row
@@ -396,17 +391,3 @@ def brute_force_frontier(
         for v in lower_convex_hull(points).vertices
     )
     return ParetoCurve(vertices=vertices, skipped_singular=skipped)
-
-
-def cloud_to_csv(params: ModelParams, points: Sequence[DelayPowerPoint]) -> str:
-    """CSV of a deterministic point cloud, flagging threshold policies."""
-    lines = ["power,delay,actions,is_threshold"]
-    for pt in points:
-        acts = ""
-        thr = ""
-        if pt.policy is not None:
-            amap = pt.policy.action_map()
-            acts = " ".join(str(a) for a in amap)
-            thr = "1" if is_threshold(params, pt.policy) is not None else "0"
-        lines.append(f"{pt.power:.17g},{pt.delay:.17g},{acts},{thr}")
-    return "\n".join(lines) + "\n"

@@ -1,8 +1,9 @@
 """Policy generation and classification.
 
-Exhaustive deterministic enumeration (input to the brute-force oracle),
-threshold recognition, and one-step threshold neighbor generation for the
-frontier walk.
+Exhaustive deterministic enumeration (input to the brute-force oracle and
+the point cloud), threshold recognition (of any policy, and of a stack of
+deterministic action maps at once), and one-step threshold neighbor
+generation for the frontier walk.
 """
 from __future__ import annotations
 
@@ -102,6 +103,14 @@ def is_threshold(params: ModelParams, policy: Policy) -> Optional[ThresholdPolic
     if np.max(np.abs(rebuilt.f - f)) > det_tol:
         return None
     return tp
+
+
+def is_threshold_map(acts: np.ndarray) -> np.ndarray:
+    """Whether `is_threshold` accepts the deterministic policies of the
+    action maps acts (..., K+1), by one vectorised rule: a map is a
+    threshold strategy exactly when it is nondecreasing and state 1
+    transmits (thresholds[0] = 0)."""
+    return (np.diff(acts, axis=-1) >= 0).all(axis=-1) & (acts[..., 1] >= 1)
 
 
 def initial_actions(params: ModelParams) -> np.ndarray:

@@ -38,6 +38,7 @@ class TestPareto:
         assert rc == 3
         assert (tmp_path / "pareto_curve.csv").exists()
         assert not (tmp_path / "pareto_cloud.csv").exists()
+        assert not (tmp_path / "pareto_cloud.dat").exists()
         assert "cloud skipped" in capsys.readouterr().err
 
     def test_cap_defaults_to_the_enumeration_cap(self):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpsched import model, pareto, policies
+from dpsched.cli import main, write_cloud
 from dpsched.errors import InvalidPolicy, SingularChain
 from dpsched.model import validate_params
-from dpsched.mrp import DelayPowerPoint, evaluate
+from dpsched.mrp import DelayPowerPoint, evaluate, score_maps
 from dpsched.pareto import (
     COLLINEAR_TOL,
     POINT_TOL,
@@ -18,10 +19,10 @@ from dpsched.pareto import (
     _perp_distance,
     algorithm1,
     brute_force_frontier,
-    cloud_to_csv,
-    deterministic_cloud,
     lower_convex_hull,
+    scored_blocks,
 )
+from dpsched.policies import enumerate_deterministic, is_threshold, policy_from_actions
 from dpsched.verify import curves_match
 
 from conftest import EDGE_FAMILIES, edge_params, raised_threshold_reference, random_params
@@ -105,6 +106,34 @@ def walk_reference(params):
         walk.append(cur_pt)
         current = {nb.thresholds: nb for (_, nb) in tied}
     return ParetoCurve(vertices=tuple(drop_collinear_reference(walk)))
+
+
+def cloud_reference(params):
+    """The point cloud as `dpsched pareto` built it, one `DelayPowerPoint`
+    with its `Policy` per nonsingular chain (`pareto.deterministic_cloud`),
+    and wrote it, each row's map and threshold flag taken from its policy
+    (`pareto.cloud_to_csv` and the CLI's .dat lines), kept verbatim but
+    for the skipped-singular warning and the singular count.  Returns the
+    texts of pareto_cloud.csv and pareto_cloud.dat."""
+    points = []
+    for acts in enumerate_deterministic(params):
+        _, kept, power, delay = score_maps(params, acts)
+        points += (
+            DelayPowerPoint(p, d, policy_from_actions(params, a))
+            for p, d, a in zip(power.tolist(), delay.tolist(), acts[kept])
+        )
+    lines = ["power,delay,actions,is_threshold"]
+    for pt in points:
+        acts = ""
+        thr = ""
+        if pt.policy is not None:
+            amap = pt.policy.action_map()
+            acts = " ".join(str(a) for a in amap)
+            thr = "1" if is_threshold(params, pt.policy) is not None else "0"
+        lines.append(f"{pt.power:.17g},{pt.delay:.17g},{acts},{thr}")
+    csv = "\n".join(lines) + "\n"
+    dat = "".join(f"{p.power:.17g} {p.delay:.17g}\n" for p in points)
+    return csv, dat
 
 
 def curve_repr(curve):
@@ -253,6 +282,13 @@ class TestCurveInvariants:
         assert curve.interpolate(5.0) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ValueError):
             curve.interpolate(0.1)
+
+    def test_interpolation_of_a_nan_budget_raises(self, params_vi):
+        # +inf is a budget above every vertex; NaN is no budget at all
+        curve = algorithm1(params_vi)
+        assert curve.interpolate(float("inf")) == curve.vertices[0].delay
+        with pytest.raises(ValueError, match="below the feasible minimum"):
+            curve.interpolate(float("nan"))
 
     def test_serialization(self, params_vi):
         curve = algorithm1(params_vi)
@@ -453,11 +489,15 @@ class TestFrontierEquivalence:
 
     @pytest.mark.parametrize("alpha", [0.4, 0.01])
     def test_brute_force_is_the_hull_of_the_cloud(self, alpha):
-        # bit for bit: power, delay and policy bytes of every vertex
+        # bit for bit: power, delay and policy bytes of every vertex, against
+        # one hull of the whole cloud of the scored stream
         params = validate_params(alpha, 2, 3, 5, [0, 1, 4, 9])
-        points, skipped = deterministic_cloud(params)
+        blocks = list(scored_blocks(params))
+        power, delay, maps = (np.concatenate(c) for c in list(zip(*blocks))[:3])
+        points = [DelayPowerPoint(p, d, policy_from_actions(params, a))
+                  for p, d, a in zip(power.tolist(), delay.tolist(), maps)]
         brute = brute_force_frontier(params)
-        assert brute.skipped_singular == skipped
+        assert brute.skipped_singular == sum(b[3] for b in blocks)
         assert curve_repr(brute) == curve_repr(lower_convex_hull(points))
 
     def test_brute_force_memory_is_bounded_by_block_and_staircase(self):
@@ -477,12 +517,42 @@ class TestFrontierEquivalence:
 
 
 class TestCloud:
-    def test_cloud_size_and_csv(self, params_vi):
-        points, skipped = deterministic_cloud(params_vi)
-        assert len(points) + skipped == 2304
-        csv = cloud_to_csv(params_vi, points)
-        lines = csv.splitlines()
+    def test_cloud_size_and_csv(self, params_vi, tmp_path):
+        blocks = list(scored_blocks(params_vi))
+        kept = sum(len(b[2]) for b in blocks)
+        assert kept + sum(b[3] for b in blocks) == 2304
+        write_cloud(params_vi, tmp_path, 2304)
+        lines = (tmp_path / "pareto_cloud.csv").read_text().splitlines()
         assert lines[0] == "power,delay,actions,is_threshold"
-        assert len(lines) == len(points) + 1
+        assert len(lines) == kept + 1
         flags = {line.rsplit(",", 1)[1] for line in lines[1:]}
         assert flags == {"0", "1"}
+        assert len((tmp_path / "pareto_cloud.dat").read_text().splitlines()) == kept
+
+    @pytest.mark.parametrize("alpha, A, M, Q, power", [
+        (0.4, 2, 3, 5, [0, 1, 4, 9]),
+        (0.01, 2, 3, 5, [0, 1, 4, 9]),
+        (0.5, 3, 5, 5, LADDER["power"]),
+    ], ids=["reference", "alpha=0.01", "ladder K=8"])
+    def test_cli_cloud_files_match_reference(self, alpha, A, M, Q, power, tmp_path):
+        flags = ["--alpha", str(alpha), "--A", str(A), "--M", str(M), "--Q", str(Q),
+                 "--power", ",".join(map(str, power))]
+        assert main(["pareto", *flags, "--out-dir", str(tmp_path)]) == 0
+        csv, dat = cloud_reference(validate_params(alpha, A, M, Q, power))
+        assert (tmp_path / "pareto_cloud.csv").read_bytes() == csv.encode()
+        assert (tmp_path / "pareto_cloud.dat").read_bytes() == dat.encode()
+
+    def test_cloud_memory_is_bounded_by_block(self, tmp_path):
+        # 43,200 policies at ladder K=8 against 7,200 at K=7: the peak is
+        # one block's scoring and rows, not the cloud
+        def peak(K):
+            params = validate_params(Q=K - 3, **LADDER)
+            write_cloud(params, tmp_path)  # fills the per-shape caches
+            tracemalloc.start()
+            try:
+                write_cloud(params, tmp_path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) <= 1.5 * peak(7)

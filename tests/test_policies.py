@@ -21,6 +21,7 @@ from dpsched.policies import (
     enumerate_deterministic,
     initial_actions,
     is_threshold,
+    is_threshold_map,
     neighbors_increase_threshold,
     policy_from_actions,
 )
@@ -220,6 +221,32 @@ def test_is_threshold_matches_per_state_reference(params, rng):
         assert is_threshold(params, pol) == reference_is_threshold(params, pol)
     assert n_threshold > 0
     assert n_split_threshold > 0 or params.Q == 0
+
+
+# The reference instance at Q=0..5, A=1 (M=3, Q=4), A=M=3 (Q=3), A=M=1
+# (Q=6) and ladder K=6 (Q=3).
+MAP_RULE_INSTANCES = [validate_params(0.4, 2, 3, Q, [0, 1, 4, 9]) for Q in range(6)] + [
+    validate_params(0.4, 1, 3, 4, [0, 1, 4, 9]),
+    validate_params(0.4, 3, 3, 3, [0, 1, 4, 9]),
+    validate_params(0.4, 1, 1, 6, [0, 1]),
+    validate_params(Q=3, **LADDER),
+]
+
+
+def test_threshold_map_rule_agrees_with_is_threshold():
+    """`is_threshold_map` of each block of deterministic action maps accepts
+    exactly the maps whose policy `is_threshold` accepts, on all 4,717 maps
+    of the instances."""
+    n_maps = n_threshold = 0
+    for params in MAP_RULE_INSTANCES:
+        for block in enumerate_deterministic(params):
+            want = [is_threshold(params, policy_from_actions(params, a)) is not None
+                    for a in block]
+            assert is_threshold_map(block).tolist() == want
+            n_maps += len(block)
+            n_threshold += sum(want)
+    assert n_maps == 4717
+    assert 0 < n_threshold < n_maps
 
 
 def neighbor_thresholds(params, ts):
