@@ -8,46 +8,63 @@ segment slope in the (power, delay) plane).
 Transition matrices and stationary distributions are plain read-only
 ndarrays.  Every policy is scored by one path, which takes a stack of N
 chains at once (N=1 for a single policy): build the band of each
-transition matrix lam, factor the normalized balance systems H from it
-(`lu_factor`), solve them with iterative refinement, then take the
-rewards of the stationary distributions (`_score`).  The band has two
+transition matrix lam, cut each chain to its closed prefix
+(`_prefix_sizes`), factor the normalized balance systems H of the
+prefixes (`lu_factor`), solve them with iterative refinement, then take
+the rewards of the stationary distributions (`_score`).  The band has two
 builders: `_lam_band` from policy matrices (`score_stack`) and `_map_band`
 from the action maps of deterministic policies (`score_maps`, bit for bit
 the same band and scores as their one-hot matrices, which are never built).
 Both lay the band out with its row t varying fastest, (A+M+1, N, K+1)
 viewing (N, K+1, A+M+1) memory: the BLAS band storage of the
-block-diagonal lam (Anderson et al., LAPACK Users' Guide, 1999), which the
-factors keep and the band products read without a copy.  No dense
+block-diagonal lam (Anderson et al., LAPACK Users' Guide, 1999).  No dense
 (K+1)^2 matrix is built on that path; `build_transition_enumerative`
-gives lam to the callers that want it, and `stationary_distribution(lam)`
-enters the same path through the band gathered out of lam.
+gives lam to the callers that want it.
 
 From state i the chain moves only to i-m or i-m+A (0 <= m <= M), so
 lam - I has A sub- and M super-diagonals and only the ones row of H is
 dense.  Substituting tail sums for pi turns that row into e_0, and H
 factors as a band matrix (LAPACK gbtrf/gbtrs, partial pivoting within
 the band) in O(K (A+M) A) time and O(K (A+M)) memory, against O(K^3)
-and O(K^2) dense.  The
-same factors give the mixing solve H^-1 delta_k.
+and O(K^2) dense.
+
+The closed prefix of a chain is 0..n_c-1, n_c the smallest n such that
+(i) no move leaves states 0..n-1 and (ii) every state >= n moves to a
+lower state with positive probability.  By (ii) every state >= n_c
+reaches the prefix, and by (i) never returns, so those states are
+transient and every closed class lies in the prefix: the chain is
+singular (has more than one closed class) exactly when the prefix chain
+is, and pi is the prefix chain's pi followed by exact zeros.  Both
+conditions are read off the nonzero pattern of lam's band (per column,
+its highest nonzero row and whether a nonzero lies above the diagonal),
+so both builders give the same n_c.  On the ladder K=203 walk the 322
+chains have 64 of 204 states on average, and the brute-force chains 78%
+of theirs.  Two paths stay at full size: `stationary_distribution(lam)`,
+an independent re-solve of a given matrix, and the factor of F in
+`mixing_analysis`, whose v = H^-1 delta_k lives on all K+1 states.
 
 The N balance systems of a stack are laid side by side as one
-block-diagonal band of N(K+1) columns with the same kl and ku, so one
-gbtrf and one gbtrs call serve the whole stack.  This is exact: the band
-entries that cross blocks are exact zeros, so partial pivoting never picks
-a row of another block (gbtf2 takes the first entry of largest magnitude,
-and skips the update of a column whose pivot is exactly zero), and the
-rank-one updates add exact zeros outside the block; each block's factors
-and pivots are bit for bit those of its own factorization.  The solve is
-the exception: a zero pivot gives inf, and 0*inf = NaN in the back
+block-diagonal band with the same kl and ku, a block of n_c columns per
+chain, so one gbtrf and one gbtrs call serve the whole stack.  This is
+exact: the band entries that cross blocks are exact zeros (no move leaves
+a prefix), so partial pivoting never picks a row of another block (gbtf2
+takes the first entry of largest magnitude, and skips the update of a
+column whose pivot is exactly zero), and the rank-one updates add exact
+zeros outside the block; each block's factors and pivots are bit for bit
+those of its own factorization, wherever it starts.  The solve is the
+exception: a zero pivot gives inf, and 0*inf = NaN in the back
 substitution would cross into the previous block.  So the chains with a
 pivot below SINGULAR_TOL are removed from the factors before any solve.
 The residuals (the refinement's x - lam x and the stationarity check's
 lam pi - pi) each take one BLAS gbmv over the block-diagonal band of lam,
 which adds each entry of a row in column order, the exact zeros of other
 chains included, so a chain's product is bit for bit that of its band
-alone.  The reward dot products are stacked `matmul` products, which call
-the same BLAS dot per chain as an unstacked product does (`einsum` and
-elementwise sums round differently).
+alone.  Every per-chain reduction (the ones row, the sum of pi, the
+reward and delay dot products, the largest correction and residual) is
+one segment of a ufunc `reduceat` over the chain's own columns, which
+rounds the same wherever the segment starts.  Padding the chains of a
+stack to one length would not: pairwise sums and BLAS dots round
+differently over a longer vector.
 
 A chain is classified singular when a pivot of the banded LU falls below
 SINGULAR_TOL.  On the brute-force instances (alpha=0.4, A=2, M=3, Q=5 and
@@ -56,16 +73,20 @@ smallest of a nonsingular chain 0.030 (the dense LU of H gave 5.0e-16 and
 0.030), and the tolerance 1e-12 classifies the same 539 of 2304 and 2795
 of 9216 chains as singular.  The gap narrows as alpha nears 0 or 1,
 where nearly decomposable chains have pivots of order alpha^j or
-(1-alpha)^j.
+(1-alpha)^j; there the transient states past the prefix no longer blur
+the verdict: at alpha=0.999 the prefix solve misclassifies 3 of 2304
+chains (Q=5) and 48 of 9216 (Q=6) against the exact closed-class count,
+the full-size solve 11 and 116.
 
 Refinement runs per chain until its correction is at most REFINE_TOL.  A
 well-conditioned chain stops after one step: on the brute-force instances
-and the walk at K=203 the first correction is at most 3.2e-14.  A nearly
-decomposable one takes more: at alpha=1e-4, A=M=2, Q=4, the chain whose
-mass sits in states 4 and 6 (cond(H) 8.1e12, smallest pivot 1.0e-8) has
-corrections 6.1e-5, 8.8e-9 and 8.5e-13, and its pi ends 2.3e-17 from the
-exact one (8.8e-9 after one step).  A correction that does not halve the
-last one is not applied, and that chain stops.
+and the walk at K=203 the first correction is at most 2.6e-14, and one
+flat maximum settles the whole stack.  A nearly decomposable one takes
+more: at alpha=1e-4, A=M=2, Q=4, the chain whose mass sits in states 4
+and 6 (cond(H) 8.1e12, smallest pivot 1.0e-8) has corrections 6.1e-5,
+8.8e-9 and 8.5e-13, and its pi ends 2.3e-17 from the exact one (8.8e-9
+after one step).  A correction that does not halve the last one is not
+applied, and that chain stops.
 """
 from __future__ import annotations
 
@@ -111,11 +132,6 @@ def _matrix(policy: Union[Policy, np.ndarray]) -> np.ndarray:
     return policy.f if isinstance(policy, Policy) else policy
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b per row of a stack: one BLAS dot each, as unstacked."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _lam_band(params: ModelParams, f: np.ndarray) -> np.ndarray:
     """Band of the transition matrices of the feasible policy rows f
     (..., M+1): band[t, ..., k] = lam[k - M + t, k] for t = 0..A+M, so
@@ -127,7 +143,7 @@ def _lam_band(params: ModelParams, f: np.ndarray) -> np.ndarray:
     row K are exact zeros, since f is zero on infeasible actions.  The band
     is a view of (..., K+1, A+M+1) memory, t varying fastest: the BLAS band
     storage of the block-diagonal lam of a stack, which `lu_factor` keeps
-    and `_lam_matvec` reads without a copy.
+    without a copy unless it cuts chains to their prefixes.
     """
     A, M, alpha = params.A, params.M, params.alpha
     band = np.moveaxis(np.zeros(f.shape[:-1] + (A + M + 1,)), -1, 0)
@@ -150,7 +166,7 @@ def _map_band(params: ModelParams, acts: np.ndarray) -> np.ndarray:
     t = np.arange(0, flat.size, w) + (M - acts).ravel()
     flat[t] = 1 - params.alpha
     flat[t + A] = params.alpha
-    return np.moveaxis(band, -1, 0)
+    return band.transpose(2, 0, 1)
 
 
 def _band_index(n: int, lower: int, upper: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,13 +240,15 @@ def build_transition_piecewise(params: ModelParams, policy: Policy) -> np.ndarra
 @dataclass(frozen=True)
 class BandLU:
     """Banded LU factors of the balance systems H of a stack of chains,
-    taken through the tail-sum substitution pi = D z (`lu_factor`).
+    each on its first states (its closed prefix, when scored), taken
+    through the tail-sum substitution pi = D z (`lu_factor`).
 
     `chains` holds the stack indices of the chains factored (those whose
-    pivots all pass SINGULAR_TOL), and band the bands of their transition
-    matrices, (kl+ku, chains, n) as `_lam_band`'s with t varying fastest:
-    the BLAS band storage (kl+ku, chains n) of their block-diagonal lam,
-    with kl-1 sub- and ku super-diagonals."""
+    pivots all pass SINGULAR_TOL), laid side by side as the blocks of one
+    block-diagonal band: chain chains[i] has `sizes[i]` columns from
+    `starts[i]` on, and `columns` names the stack entry c n + k of every
+    column.  band holds their lam bands in BLAS band storage (kl+ku,
+    columns), with kl-1 sub- and ku super-diagonals."""
 
     band: np.ndarray
     ab: np.ndarray
@@ -238,137 +256,213 @@ class BandLU:
     kl: int
     ku: int
     chains: np.ndarray
+    columns: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
 
 
-def _balance_band(band: np.ndarray, lower: int, upper: int) -> np.ndarray:
-    """H D of every chain of a stack of lam bands (lower+upper+1, N, n) in
-    LAPACK band storage, the chains side by side as one block-diagonal band:
-    with kl = lower+1 and ku = upper, ab[kl + ku + r - k, c n + k] =
-    (H D)[r, k] of chain c, and the top kl rows are the fill-in space of
-    gbtrf."""
+# Sums of distinct powers 2^t, t < _EXACT_BITS, are exact in double precision.
+_EXACT_BITS = 52
+
+
+@lru_cache(maxsize=16)
+def _pattern_weights(w: int, upper: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights that map a band column's nonzero pattern to its sums of 2^t
+    over the nonzeros t of each run of _EXACT_BITS rows, and to its count
+    of moves down (t < upper)."""
+    t = np.arange(w)
+    return _read_only(np.exp2(t % _EXACT_BITS)), _read_only((t < upper).astype(float))
+
+
+def _prefix_sizes(band: np.ndarray, upper: int) -> np.ndarray:
+    """The closed prefix n_c of each chain of a stack of lam bands
+    (lower+upper+1, N, n), laid out as the builders lay it: the smallest n
+    such that no move leaves states 0..n-1 and every state >= n moves to a
+    lower one with positive probability, read off the band's nonzero
+    pattern (see the module docstring)."""
     w, N, n = band.shape
+    # entries are probabilities, so ceil gives the nonzero pattern
+    pattern = np.ceil(band.transpose(1, 2, 0).reshape(-1, w))
+    powers, down = _pattern_weights(w, upper)
+    # one past the last nonzero t of each column: the exponent of its
+    # pattern sums (a column of lam is never all zero)
+    end = np.frexp(pattern[:, :_EXACT_BITS] @ powers[:_EXACT_BITS])[1]
+    for lo in range(_EXACT_BITS, w, _EXACT_BITS):
+        e = np.frexp(pattern[:, lo:lo + _EXACT_BITS] @ powers[lo:lo + _EXACT_BITS])[1]
+        end = np.where(e > 0, e + lo, end)
+    col = np.arange(N * n)  # column c n + k is state k of chain c
+    starts = col[::n]
+    # the highest row column k reaches, k - upper + its last nonzero t, in
+    # the stack's numbering; n_c - 1 is at least the chain's last state
+    # without a move down, which is folded into its first state's value
+    reach = end + (col - (upper + 1))
+    reach[::n] = np.maximum(reach[::n], np.maximum.reduceat(np.where(pattern @ down, 0, col), starts))
+    # the running maximum leaks from a chain into the next one, but stays
+    # below the next chain's first column, so no cut there fails by it
+    closed = np.maximum.accumulate(reach) <= col
+    return np.minimum.reduceat(np.where(closed, col, N * n), starts) - starts + 1
+
+
+def _balance_band(band: np.ndarray, lower: int, upper: int, sizes: np.ndarray) -> np.ndarray:
+    """H D of every chain of a stack of lam bands in BLAS band storage
+    (lower+upper+1, columns), one block of `sizes[i]` columns per chain, as
+    LAPACK band storage of one block-diagonal band: with kl = lower+1 and
+    ku = upper, ab[kl + ku + r - k, s + k] = (H D)[r, k] of the chain whose
+    block starts at column s, and the top kl rows are the fill-in space of
+    gbtrf.  Each block must have at least kl columns."""
+    w = len(band)
     kl, ku = lower + 1, upper
-    # band of H: ab[kl + t, c n + k] = H[k - ku + t, k] of chain c, where
-    # H's row r is row r-1 of lam - I and lam's row K is dropped
-    ab = np.zeros((kl + w + 1, N * n), order="F")
-    ab[kl + 1:] = band.reshape(w, -1)
-    ab[kl + ku + 1] -= 1.0  # the diagonal (lam's row K is dropped next)
-    h = ab.reshape(-1, N, n)
-    k = np.arange(max(n - kl, 0), n)
-    h[kl + n + ku - k, :, k] = 0.0
+    rows = kl + w + 1
+    ends = sizes.cumsum()
+    ab = np.zeros((rows, band.shape[1]), order="F")
+    flat = ab.T.reshape(-1)  # entry [i, j] is flat[j rows + i]
+    # band of H: ab[kl + t, s + k] = H[k - ku + t, k], where H's row r is
+    # row r-1 of lam - I, and the block's last row of lam, in rows kl+ku+1+d
+    # of its last columns d, is dropped
+    ab[kl + 1:] = band
+    ab[kl + ku + 1] -= 1.0  # the diagonal
+    flat[(ends * rows)[:, None] - (kl + (rows - 1) * np.arange(kl))] = 0.0
     # (H D)[r, k] = H[r, k] - H[r, k-1] is ab[i, j] - ab[i+1, j-1], one
-    # offset apart in Fortran order; at k = 0 that reads the previous
-    # chain's last column, which holds zeros there but above row kl + ku
-    flat = ab.T.reshape(-1)
+    # offset apart in Fortran order; at a block's first column that reads
+    # the previous block's last column, which holds zeros there but above
+    # row kl + ku: no move leaves a block
     flat[kl + w:] -= flat[: -(kl + w)]  # numpy reads the overlapping right side first
-    h[kl : kl + ku, :, 0] = 0.0
-    h[kl + ku, :, 0] = 1.0  # the ones row of H times D
+    # a block's first column above row kl + ku + 1: zeros, and the ones row
+    # of H times D
+    first = np.arange(kl, kl + ku + 1)
+    flat[((ends - sizes) * rows)[:, None] + first] = first == kl + ku
     return ab
 
 
-def lu_factor(band: np.ndarray, lower: int, upper: int) -> BandLU:
-    """Factor the normalized balance systems H (a ones row over the first K
-    rows of lam - I) of a transition matrix, or of a stack of them, given
-    by lam's band (lower+upper+1, n) or stack of bands (lower+upper+1, N,
-    n), laid out as `_lam_band`'s (t varying fastest, or else copied so).
+def lu_factor(band: np.ndarray, lower: int, upper: int,
+              sizes: Optional[np.ndarray] = None) -> BandLU:
+    """Factor the normalized balance systems H (a ones row over the first
+    n-1 rows of lam - I) of a transition matrix, or of a stack of them,
+    given by lam's band (lower+upper+1, n) or stack of bands (lower+upper+1,
+    N, n), each chain on its first `sizes` states (all n by default), which
+    no move may leave.
 
     With z_k = sum_{j>=k} pi_j, pi = D z for the unit upper bidiagonal D
     (pi_k = z_k - z_{k+1}); the ones row of H D is e_0, so H D is banded
     with kl = lower+1 sub- and ku = upper super-diagonals and factors by
     LAPACK's dgbtrf (partial pivoting within the band) in O(K (kl+ku) kl).
-    The stack is factored as one block-diagonal band; a chain with a pivot
-    of U below SINGULAR_TOL is removed from the factors, so that no solve
-    sees it (`BandLU.chains` lists the chains kept).
+    The stack is factored as one block-diagonal band, a block per chain of
+    its own size; a chain with a pivot of U below SINGULAR_TOL is removed
+    from the factors, so that no solve sees it (`BandLU.chains` lists the
+    chains kept).
     """
     w, n = band.shape[0], band.shape[-1]
-    band = band.reshape(w, -1, n)
-    kl, ku = lower + 1, upper
-    ab, piv, _ = dgbtrf(_balance_band(band, lower, upper), kl, ku, overwrite_ab=1)
-    pivots = np.abs(ab[kl + ku]).reshape(-1, n).min(axis=1)  # the diagonal of U
-    chains = np.flatnonzero(pivots >= SINGULAR_TOL)
-    band = band.transpose(1, 2, 0)  # (N, n, w)
-    if chains.size < pivots.size:
-        ab = ab[:, (chains[:, None] * n + np.arange(n)).ravel()]
-        # pivots are global row numbers: shift each kept block to its new place
-        shift = (chains - np.arange(chains.size))[:, None] * n
-        piv = (piv.reshape(-1, n)[chains] - shift).ravel()
-        band = band[chains]
+    cols = band.reshape(w, -1, n).transpose(1, 2, 0).reshape(-1, w)  # column c n + k
+    N = len(cols) // n
+    if sizes is None:
+        sizes = np.full(N, n)
+    columns = (np.arange(n) < sizes[:, None]).ravel().nonzero()[0]
     # BLAS band storage, t varying fastest: a builder's band is kept as it
-    # is when no chain is dropped; a band gathered out of lam is copied
-    band = np.ascontiguousarray(band).transpose(2, 0, 1)
-    return BandLU(band, ab, piv, kl, ku, chains)
+    # is unless cut to the prefixes, a band gathered out of lam is copied
+    cols = cols.take(columns, axis=0) if columns.size < len(cols) else np.ascontiguousarray(cols)
+    kl, ku = lower + 1, upper
+    ab, piv, _ = dgbtrf(_balance_band(cols.T, lower, upper, sizes), kl, ku, overwrite_ab=1)
+    starts = sizes.cumsum() - sizes
+    kept = np.minimum.reduceat(np.abs(ab[kl + ku]), starts) >= SINGULAR_TOL  # U's diagonal
+    chains = kept.nonzero()[0]
+    if chains.size < N:
+        keep = kept.repeat(sizes).nonzero()[0]
+        ab, cols, columns = ab.T.take(keep, axis=0).T, cols.take(keep, axis=0), columns[keep]
+        # pivots are global row numbers: shift each kept block to its new place
+        shift = starts - ((sizes * kept).cumsum() - sizes * kept)
+        sizes = sizes[chains]
+        piv = piv.take(keep) - shift[chains].repeat(sizes)
+        starts = sizes.cumsum() - sizes
+    return BandLU(cols.T, ab, piv, kl, ku, chains, columns, starts, sizes)
 
 
 def lu_solve(lu: BandLU, b: np.ndarray) -> np.ndarray:
-    """x = H^-1 b for every chain of the factors, with b of shape (chains, n)
-    (or (n,) for one chain): solve for z, then x = D z."""
+    """x = H^-1 b for every chain of the factors, b holding their columns in
+    order, flat or shaped (for one full-size chain, (n,)): solve for z,
+    then x = D z block by block."""
     if not lu.chains.size:
         return b.copy()  # gbtrs rejects an empty band
     z, _ = dgbtrs(lu.ab, lu.kl, lu.ku, b.ravel(), lu.piv)
-    z = z.reshape(b.shape)
-    x = z.copy()
-    x[..., :-1] -= z[..., 1:]
-    return x
+    x = np.empty_like(z)
+    np.subtract(z[:-1], z[1:], out=x[:-1])
+    last = lu.starts + (lu.sizes - 1)
+    x[last] = z[last]  # a block's last tail sum is its last mass
+    return x.reshape(b.shape)
 
 
 def _lam_matvec(band: np.ndarray, lower: int, upper: int, x: np.ndarray) -> np.ndarray:
-    """lam x per chain of a stack of lam bands (lower+upper+1, N, n), with
-    x of shape (N, n): one BLAS gbmv over the block-diagonal band.  Its
-    entries that cross chains are exact zeros, which add nothing, so each
-    chain's product is bit for bit the product of its band alone."""
+    """lam x per chain of a stack of lam bands in BLAS band storage
+    (lower+upper+1, ..., columns), with x holding their columns: one BLAS
+    gbmv over the block-diagonal band.  Its entries that cross chains are
+    exact zeros, which add nothing, so each chain's product is bit for bit
+    the product of its band alone."""
     w, cols = len(band), x.size
-    # the wrapper wants at least kl+ku+1 rows and one entry of x, also for
-    # a stack narrower than that or empty: rows past the stack and the
-    # entry past x are never read into y[:cols]
-    y = dgbmv(max(cols, w), cols, lower, upper, 1.0, band.reshape(w, cols),
-              np.concatenate((x.ravel(), [0.0])))
+    if not cols:
+        return x.copy()
+    # the wrapper wants at least kl+ku+1 rows, also for a stack narrower
+    # than that: rows past the stack are never read into y[:cols]
+    y = dgbmv(max(cols, w), cols, lower, upper, 1.0, band.reshape(w, cols), x.ravel())
     return y[:cols].reshape(x.shape)
 
 
 def _residual(lu: BandLU, x: np.ndarray) -> np.ndarray:
-    """e_0 - H x for every chain of the factors, with x of shape (chains, n)."""
+    """e_0 - H x for every chain of the factors, x holding their columns."""
     r = np.empty_like(x)
-    r[:, 0] = 1.0 - x.sum(axis=1)
-    r[:, 1:] = x[:, :-1] - _lam_matvec(lu.band, lu.kl - 1, lu.ku, x)[:, :-1]
+    np.subtract(x[:-1], _lam_matvec(lu.band, lu.kl - 1, lu.ku, x)[:-1], out=r[1:])
+    r[lu.starts] = 1.0 - np.add.reduceat(x, lu.starts)
     return r
 
 
+def _exceeds(lu: BandLU, a: np.ndarray, bound: float) -> np.ndarray:
+    """Whether an entry of a, holding the columns of the factored chains,
+    exceeds bound, per chain: one flat maximum first, as usually none
+    does."""
+    if a.max() <= bound:
+        return np.zeros(lu.starts.size, dtype=bool)
+    return np.maximum.reduceat(a, lu.starts) > bound
+
+
 def _stationary(lu: BandLU) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary solves H pi = e_0 of the factored chains, with iterative
-    refinement against H itself, cleaned by `_clean_pi`, whose mask of
-    failed chains comes with them.  Every chain takes the first correction;
-    a chain stops once its correction is at most REFINE_TOL, after
-    MAX_REFINE_STEPS steps, or at a correction that does not halve the last
-    one, which is not applied.  Each chain's steps depend on its own
-    corrections alone, so its pi is bit for bit that of its own solve."""
-    e0 = np.zeros(lu.band.shape[1:])
-    e0[:, 0] = 1.0
+    """Stationary solves H pi = e_0 of the factored chains, their columns
+    in order, with iterative refinement against H itself, cleaned by
+    `_clean_pi`, whose mask of failed chains comes with them.  Every chain
+    takes the first correction; a chain stops once its correction is at
+    most REFINE_TOL, after MAX_REFINE_STEPS steps, or at a correction that
+    does not halve the last one, which is not applied.  Each chain's steps
+    depend on its own corrections alone, so its pi is bit for bit that of
+    its own solve."""
+    if not lu.chains.size:
+        return np.empty(0), np.zeros(0, dtype=bool)
+    e0 = np.zeros(lu.columns.size)
+    e0[lu.starts] = 1.0
     x = lu_solve(lu, e0)
-    active = np.ones(len(x), dtype=bool)
-    last = np.inf
-    for _ in range(MAX_REFINE_STEPS):
+    active, last = True, np.inf
+    for i in range(MAX_REFINE_STEPS):
         d = lu_solve(lu, _residual(lu, x))
-        step = np.abs(d).max(axis=1)
-        active &= step <= last / 2
-        np.add(x, d, out=x, where=active[:, None])
+        size = np.abs(d)
+        if not i and size.max() <= REFINE_TOL:
+            x += d  # the usual case: every chain takes its first correction and stops
+            break
+        step = np.maximum.reduceat(size, lu.starts)
+        active = active & (step <= last / 2)
+        np.add(x, d, out=x, where=active.repeat(lu.sizes))
         active &= step > REFINE_TOL
         if not active.any():
             break
         last = step
-    return _clean_pi(lu.band, lu.kl - 1, lu.ku, x)
+    return _clean_pi(lu, x)
 
 
-def _clean_pi(
-    band: np.ndarray, lower: int, upper: int, pi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clip and normalize the stationary solves pi (chains, n) of the chains
-    of a stack of lam bands.  Returns them with the mask of the chains that
+def _clean_pi(lu: BandLU, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clip and normalize the stationary solves pi of the factored chains,
+    their columns in order.  Returns them with the mask of the chains that
     fail: mass below -SINGULAR_TOL or a stationarity residual above
     STATIONARITY_TOL."""
-    failed = (pi < -SINGULAR_TOL).any(axis=1)
+    failed = _exceeds(lu, -pi, SINGULAR_TOL)
     pi = np.maximum(pi, 0.0)
-    pi = pi / pi.sum(axis=1, keepdims=True)  # sum(pi) = z_0 = 1: never 0
-    failed |= np.abs(_lam_matvec(band, lower, upper, pi) - pi).max(axis=1) > STATIONARITY_TOL
+    pi /= np.add.reduceat(pi, lu.starts).repeat(lu.sizes)  # sum(pi) = z_0 = 1: never 0
+    failed |= _exceeds(lu, np.abs(_lam_matvec(lu.band, lu.kl - 1, lu.ku, pi) - pi),
+                       STATIONARITY_TOL)
     return pi, failed
 
 
@@ -395,14 +489,15 @@ def _bandwidths(lam: np.ndarray) -> tuple[int, int]:
 
 def stationary_distribution(lam: np.ndarray) -> np.ndarray:
     """Read-only stationary distribution of the transition matrix lam, from
-    the banded factors of its normalized balance system: the path of
-    `score_stack`, entered through the band gathered out of lam."""
+    the banded factors of its normalized balance system over all its
+    states: the solve of `score_stack`, entered through the band gathered
+    out of lam."""
     lower, upper = _bandwidths(lam)
     lu = lu_factor(_gather_band(lam, lower, upper), lower, upper)
     pi, failed = _stationary(lu)
     if not lu.chains.size or failed[0]:
         raise _singular(lu)
-    return _read_only(pi[0])
+    return _read_only(pi)
 
 
 def power_reward_vector(params: ModelParams, policy: Union[Policy, np.ndarray]) -> np.ndarray:
@@ -411,24 +506,13 @@ def power_reward_vector(params: ModelParams, policy: Union[Policy, np.ndarray]) 
 
 
 def average_power(params: ModelParams, policy: Policy, pi: np.ndarray) -> float:
-    return float(_dot(power_reward_vector(params, policy), pi))
-
-
-@lru_cache(maxsize=16)
-def _states(n: int) -> np.ndarray:
-    return _read_only(np.arange(n, dtype=float)[:, None])  # a column
-
-
-def _delays(params: ModelParams, pi: np.ndarray) -> np.ndarray:
-    """Average delays in slots of pi (one distribution or a stack) by
-    Little's law: mean backlog over the arrival rate alpha*A, minus the
-    one-slot arrival itself; not yet clipped at 0."""
-    backlog = (pi[..., None, :] @ _states(params.K + 1))[..., 0, 0]  # a BLAS dot each
-    return backlog / (params.alpha * params.A) - 1.0
+    return float(power_reward_vector(params, policy) @ pi)
 
 
 def average_delay(params: ModelParams, pi: np.ndarray) -> float:
-    d = float(_delays(params, pi))
+    """Average delay in slots of pi by Little's law: mean backlog over the
+    arrival rate alpha*A, minus the one-slot arrival itself."""
+    d = float(np.arange(params.K + 1.0) @ pi) / (params.alpha * params.A) - 1.0
     if d < -STATIONARITY_TOL:
         raise SingularChain(f"negative average delay {d}")
     return max(d, 0.0)
@@ -437,20 +521,19 @@ def average_delay(params: ModelParams, pi: np.ndarray) -> float:
 def _score(params: ModelParams, band: np.ndarray, rewards: np.ndarray):
     """Score the chains of a stack of lam bands (A+M+1, N, K+1), with
     per-state powers rewards (N, K+1), through one block-diagonal
-    factorization of their balance systems: the core of `score_stack` and
-    `score_maps`."""
-    lu = lu_factor(band, params.A, params.M)
+    factorization of their balance systems, each on its closed prefix: the
+    core of `score_stack` and `score_maps`.  Every reduction runs over a
+    chain's own states."""
+    lu = lu_factor(band, params.A, params.M, _prefix_sizes(band, params.M))
     pi, failed = _stationary(lu)
-    delay = _delays(params, pi)
+    power = np.add.reduceat(rewards.reshape(-1).take(lu.columns) * pi, lu.starts)
+    backlog = np.add.reduceat(lu.columns % (params.K + 1) * pi, lu.starts)
+    delay = backlog / (params.alpha * params.A) - 1.0
     failed |= delay < -STATIONARITY_TOL
-    if lu.chains.size < len(rewards):
-        rewards = rewards[lu.chains]
-    power = _dot(rewards, pi)
-    delay = np.maximum(delay, 0.0)
     if failed.any():
         kept = ~failed
-        return lu, lu.chains[kept], power[kept], delay[kept]
-    return lu, lu.chains, power, delay
+        return lu, lu.chains[kept], power[kept], np.maximum(delay[kept], 0.0)
+    return lu, lu.chains, power, np.maximum(delay, 0.0)
 
 
 def score_stack(params: ModelParams, f: np.ndarray):
@@ -474,19 +557,12 @@ def score_maps(params: ModelParams, acts: np.ndarray):
     return _score(params, _map_band(params, acts), params.power_array[acts])
 
 
-def _solve(params: ModelParams, policy: Policy):
-    """Score one policy (the one-chain stack): the banded LU factors of its
-    balance system (which carry the band of its transition matrix) and its
-    reward point."""
+def evaluate(params: ModelParams, policy: Policy) -> DelayPowerPoint:
+    """Average (power, delay) reward pair of a policy (the one-chain stack)."""
     lu, chains, power, delay = score_stack(params, policy.f[None])
     if not chains.size:
         raise _singular(lu)
-    return lu, DelayPowerPoint(power=power.item(), delay=delay.item(), policy=policy)
-
-
-def evaluate(params: ModelParams, policy: Policy) -> DelayPowerPoint:
-    """Average (power, delay) reward pair of a policy."""
-    return _solve(params, policy)[1]
+    return DelayPowerPoint(power=power.item(), delay=delay.item(), policy=policy)
 
 
 def mix_policies(F: Policy, F2: Policy, epsilon: float) -> Policy:
@@ -568,8 +644,12 @@ def mixing_analysis(params: ModelParams, F: Policy, F2: Policy) -> MixingAnalysi
             f"policies differ in {len(rows)} rows, expected exactly 1"
         )
     k = rows[0]
-    lu_a, point_a = _solve(params, F)
+    point_a = evaluate(params, F)
     point_b = evaluate(params, F2)
+    # v lives on all K+1 states: F's balance system is factored in full
+    lu_a = lu_factor(_lam_band(params, F.f), params.A, params.M)
+    if not lu_a.chains.size:
+        raise _singular(lu_a)
     # H_F2 - H_F is zero outside column k, which depends on row k of the
     # policy only; its ones row cancels too
     K, M = params.K, params.M

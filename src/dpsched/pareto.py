@@ -44,6 +44,11 @@ SLOPE_TOL = 1e-9
 # above the minimum power: the truncation of ROADMAP item 1 (see the FOUND
 # line on it in CHANGES.md).
 POWER_STEP_FLOOR = 1e-12
+# A candidate less than this share of the current power below it ties with
+# it: the chain solves score walk vertices within 1e-14 relative of their
+# exact values (the exact-oracle test in tests/test_mrp.py), so such a step
+# is rounding, not a power saving the floor refused.
+POWER_TIE_RTOL = 2e-14
 # A middle point within this perpendicular distance of the chord joining
 # its neighbors is treated as collinear and dropped.
 COLLINEAR_TOL = 1e-9
@@ -67,8 +72,9 @@ class ParetoCurve:
     vertices: tuple[DelayPowerPoint, ...]
     skipped_singular: int = 0
     # Why the walk stopped: "power_resolution" if its last step refused a
-    # candidate only for lowering power by no more than POWER_STEP_FLOOR,
-    # else "exhausted"; None for curves not found by the walk.
+    # candidate only for lowering power by no more than POWER_STEP_FLOOR
+    # (and by more than a tie, POWER_TIE_RTOL), else "exhausted"; None for
+    # curves not found by the walk.
     stop_reason: Optional[str] = None
 
     @property
@@ -302,7 +308,8 @@ def algorithm1(params: ModelParams) -> ParetoCurve:
         p_p, d_p, _ = best
         walk.append(best)
         current = {acts.tobytes(): acts for _, _, acts in tied}
-    floored = any(d >= d_p - SLOPE_TOL and p < p_p for p, d, _ in candidates.values())
+    floored = any(d >= d_p - SLOPE_TOL and p < p_p * (1 - POWER_TIE_RTOL)
+                  for p, d, _ in candidates.values())
     kept = [walk[i] for i in _drop_collinear([DelayPowerPoint(p, d) for p, d, _ in walk])]
     maps = np.array([acts for _, _, acts in kept])
     return ParetoCurve(

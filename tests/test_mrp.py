@@ -1,5 +1,7 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from dpsched import errors, mrp
+from dpsched import errors, mrp, pareto
 from dpsched.model import (
     Policy,
     ThresholdPolicy,
@@ -42,11 +46,16 @@ def dense_factor(lam):
 
 
 def dense_stationary(lam):
-    e0 = np.zeros(lam.shape[0])
+    n = lam.shape[0]
+    e0 = np.zeros(n)
     e0[0] = 1.0
     pi = lu_solve(dense_factor(lam), e0, check_finite=False)
-    bandwidths = mrp._bandwidths(lam)
-    (pi,), (failed,) = mrp._clean_pi(mrp._gather_band(lam, *bandwidths), *bandwidths, pi[None])
+    lower, upper = mrp._bandwidths(lam)
+    # the checks of `_clean_pi` on lam's band, one block of all n states
+    band = np.asfortranarray(mrp._gather_band(lam, lower, upper))
+    one_chain = SimpleNamespace(band=band, kl=lower + 1, ku=upper,
+                                starts=np.array([0]), sizes=np.array([n]))
+    pi, (failed,) = mrp._clean_pi(one_chain, pi)
     if failed:
         raise errors.SingularChain("dense solve fails the checks of _clean_pi")
     return pi
@@ -77,14 +86,35 @@ EDGE_INSTANCES = {
 }
 
 
+def closed_prefix(lam):
+    """The smallest n such that no move leaves states 0..n-1 and every
+    state >= n moves to a lower one, from the dense lam one state at a
+    time: start past the last state without a move down, and grow the
+    prefix to the highest state it reaches until it reaches no further."""
+    nz = lam != 0
+    top = [int(np.flatnonzero(nz[:, k]).max()) for k in range(len(lam))]
+    size = 1 + max(k for k in range(len(lam)) if not nz[:k, k].any())
+    while max(top[:size]) >= size:
+        size = max(top[:size]) + 1
+    return size
+
+
+def chain_sum(v):
+    """The sum of one chain's entries as the stacked path takes it: one
+    segment of `np.add.reduceat`."""
+    return np.add.reduceat(v, [0])[0]
+
+
 def single_chain_solve(params, policy):
     """Reference: the one-policy-at-a-time path that the stacked one
-    replaced: the bands of one chain gathered from its dense lam, its own
-    dgbtrf, dgbtrs and dgbmv calls, its refinement steps, the checks of
-    `_clean_pi` and the rewards, all with unstacked products.  Returns
-    (power, delay, pi), or None for a singular chain."""
-    lam = mrp.build_transition_enumerative(params, policy)
-    n = lam.shape[0]
+    replaced: the chain cut to its closed prefix (`closed_prefix`), the
+    bands of the prefix gathered from its dense lam, its own dgbtrf,
+    dgbtrs and dgbmv calls, its refinement steps, the checks of
+    `_clean_pi` and the rewards, all on the prefix alone.  Returns (power,
+    delay, pi), pi zero past the prefix, or None for a singular chain."""
+    full = mrp.build_transition_enumerative(params, policy)
+    n = closed_prefix(full)
+    lam = full[:n, :n]
     kl, ku = params.A + 1, params.M
     t = np.arange(params.A + params.M + 2)[:, None]
     k = np.arange(n)
@@ -111,7 +141,7 @@ def single_chain_solve(params, policy):
         # BLAS band storage of lam (kl = A, ku = M) is g[1:]; gbmv wants at
         # least kl+ku+1 rows, and a Q=0 chain has fewer
         y = dgbmv(max(n, len(g) - 1), n, params.A, params.M, 1.0,
-                  np.asfortranarray(g[1:]), np.append(x, 0.0))
+                  np.asfortranarray(g[1:]), x)
         return y[:n]
 
     e0 = np.zeros(n)
@@ -120,7 +150,7 @@ def single_chain_solve(params, policy):
     last = np.inf
     for _ in range(mrp.MAX_REFINE_STEPS):
         r = e0.copy()
-        r[0] -= pi.sum()
+        r[0] -= chain_sum(pi)
         r[1:] -= lam_times(pi)[:-1] - pi[:-1]
         d = solve(r)
         step = np.abs(d).max()
@@ -133,13 +163,29 @@ def single_chain_solve(params, policy):
     if np.any(pi < -mrp.SINGULAR_TOL):
         return None
     pi = np.clip(pi, 0.0, None)
-    pi = pi / pi.sum()
+    pi = pi / chain_sum(pi)
     if np.max(np.abs(lam_times(pi) - pi)) > mrp.STATIONARITY_TOL:
         return None
-    d = float(np.arange(n, dtype=float) @ pi) / (params.alpha * params.A) - 1.0
+    d = chain_sum(np.arange(n) * pi) / (params.alpha * params.A) - 1.0
     if d < -mrp.STATIONARITY_TOL:
         return None
-    return float((policy.f @ params.power_array) @ pi), max(d, 0.0), pi
+    power = chain_sum((policy.f @ params.power_array)[:n] * pi)
+    return float(power), max(float(d), 0.0), np.append(pi, np.zeros(len(full) - n))
+
+
+def stacked_stationary(params, band, prefix=True):
+    """pi of each chain of a stack of lam bands from one stacked solve, on
+    the chains' closed prefixes (or at full size), zero past the prefix,
+    (N, K+1); and the mask of the chains that the pivot test or
+    `_clean_pi` calls singular."""
+    sizes = mrp._prefix_sizes(band, params.M) if prefix else None
+    lu = mrp.lu_factor(band, params.A, params.M, sizes)
+    pis, failed = mrp._stationary(lu)
+    pi = np.zeros(band.shape[1:])
+    pi.reshape(-1)[lu.columns] = pis
+    singular = np.ones(len(pi), dtype=bool)
+    singular[lu.chains[~failed]] = False
+    return pi, singular
 
 
 def stacked_points(params, policies):
@@ -165,8 +211,9 @@ def assert_stack_matches_single_chains(params, policies):
 
 
 def smallest_pivot(params, policy):
-    band = mrp._lam_band(params, policy.f[None])
-    ab, _, _ = dgbtrf(mrp._balance_band(band, params.A, params.M), params.A + 1, params.M)
+    band = mrp._lam_band(params, policy.f)
+    ab, _, _ = dgbtrf(mrp._balance_band(band, params.A, params.M, np.array([params.K + 1])),
+                      params.A + 1, params.M)
     return np.min(np.abs(ab[params.A + 1 + params.M]))
 
 
@@ -474,7 +521,7 @@ class TestBandedSolve:
             n = params.K + 1
             D = np.eye(n) - np.eye(n, k=1)  # pi = D z, z the tail sums
             want = balance_matrix(lam) @ D
-            ab = mrp._balance_band(mrp._lam_band(params, pol.f[None]), params.A, params.M)
+            ab = mrp._balance_band(mrp._lam_band(params, pol.f), params.A, params.M, np.array([n]))
             kl, ku = params.A + 1, params.M
             assert ab.shape == (2 * kl + ku + 1, n)
             assert not ab[:kl].any()  # fill-in space of gbtrf
@@ -564,7 +611,10 @@ STACK_INSTANCES = {
     "reference": (validate_params(alpha=0.4, **REFERENCE), 539),
     "Q6": (validate_params(alpha=0.4, **dict(REFERENCE, Q=6)), 2795),
     "alpha0.01": (validate_params(alpha=0.01, **REFERENCE), 538),
-    "alpha0.99": (validate_params(alpha=0.99, **REFERENCE), 541),
+    # 539 since each chain is solved on its closed prefix, the exact count;
+    # the full-size solve called two chains singular that have one closed
+    # class: action maps (0,1,1,2,1,1,1,2) and (0,1,1,3,1,1,1,2)
+    "alpha0.99": (validate_params(alpha=0.99, **REFERENCE), 539),
     "alpha1": (validate_params(alpha=1.0, **REFERENCE), 1986),
     "A1M3Q6": (validate_params(0.4, 1, 3, 6, [0, 1, 4, 9]), 1574),
     "Q0": (validate_params(0.4, 2, 3, 0, [0, 1, 4, 9]), 0),
@@ -624,7 +674,7 @@ class TestStackedSolve:
             assert lu.chains.size == 0
             assert mrp.lu_solve(lu, np.zeros((0, params.K + 1))).shape == (0, params.K + 1)
             pis, failed = mrp._stationary(lu)
-            assert pis.shape == (0, params.K + 1) and failed.shape == (0,)
+            assert pis.shape == (0,) and failed.shape == (0,)
             assert stacked_points(params, pols) == [None] * 3
             with pytest.raises(errors.SingularChain, match="pivot below"):
                 mrp.evaluate(params, pols[0])
@@ -644,11 +694,17 @@ def assert_same_bits(got, want):
 def assert_maps_score_as_matrices(params, acts):
     """`score_maps` against `score_stack` of the maps' one-hot policy
     matrices, bit for bit: the chains kept, their powers and delays, and the
-    factors.  Returns the factors and the chains kept."""
+    factors; and the maps in reverse order give each chain the same bits.
+    Returns the factors and the chains kept."""
     lu, *got = mrp.score_maps(params, acts)
     want_lu, *want = mrp.score_stack(params, _action_matrix(params, acts))
-    for a, b in zip(got + [lu.band, lu.ab, lu.piv, lu.chains],
-                    want + [want_lu.band, want_lu.ab, want_lu.piv, want_lu.chains]):
+    fields = ("band", "ab", "piv", "chains", "columns", "starts", "sizes")
+    for a, b in zip(got + [getattr(lu, f) for f in fields],
+                    want + [getattr(want_lu, f) for f in fields]):
+        assert_same_bits(a, b)
+    _, kept, power, delay = mrp.score_maps(params, acts[::-1])
+    order = np.argsort(len(acts) - 1 - kept)
+    for a, b in zip(got, [len(acts) - 1 - kept[order], power[order], delay[order]]):
         assert_same_bits(a, b)
     return lu, got[0]
 
@@ -687,7 +743,7 @@ class TestMapBand:
             lu = mrp.lu_factor(band, params.A, params.M)
             assert 0 < lu.chains.size < len(acts)
             assert not np.shares_memory(lu.band, band) and t_fastest(lu.band)
-            assert_same_bits(lu.band, band[:, lu.chains])
+            assert_same_bits(lu.band, band[:, lu.chains].reshape(len(band), -1))
             band = build(acts[lu.chains])
             lu = mrp.lu_factor(band, params.A, params.M)
             assert lu.chains.size == band.shape[1]
@@ -697,7 +753,7 @@ class TestMapBand:
         band = mrp._gather_band(lam, params.A, params.M)
         lu = mrp.lu_factor(band, params.A, params.M)
         assert t_fastest(lu.band)
-        assert_same_bits(lu.band[:, 0], band)
+        assert_same_bits(lu.band, band)
 
     @pytest.mark.parametrize("name", STACK_INSTANCES)
     def test_every_brute_block_scores_as_its_matrices(self, name):
@@ -771,9 +827,8 @@ def test_stacked_chain_solve_edge_instances(
     assert_stack_matches_single_chains(params, pols)
     f = np.stack([p.f for p in pols])
     lam = mrp.build_transition_enumerative(params, f)
-    lu = mrp.lu_factor(mrp._lam_band(params, f), params.A, params.M)
-    pis, failed = mrp._stationary(lu)
-    for c, pi, fail in zip(lu.chains.tolist(), pis, failed):
+    pis, singular = stacked_stationary(params, mrp._lam_band(params, f))
+    for c, (pi, fail) in enumerate(zip(pis, singular)):
         want = single_chain_solve(params, pols[c])
         if fail:
             assert want is None
@@ -801,3 +856,207 @@ def test_refinement_of_a_nearly_decomposable_chain():
     assert np.array_equal(pi, single_chain_solve(params, pol)[2])
     other = policy_from_actions(params, initial_actions(params))
     assert_stack_matches_single_chains(params, [other, pol, other])
+
+
+def exact_stationary(lam):
+    """The stationary distribution of lam, a chain with one closed class,
+    in exact fractions: Gaussian elimination of its normalized balance
+    system H (a ones row over the first K rows of lam - I)."""
+    n = len(lam)
+    rows = [[Fraction(1)] * n + [Fraction(1)]]
+    rows += [[Fraction(float(lam[r, c])) - (r == c) for c in range(n)] + [Fraction(0)]
+             for r in range(n - 1)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [row[n] / row[r] for r, row in enumerate(rows)]
+
+
+def closed_class_count(lam):
+    """The number of closed classes of lam's nonzero graph (exact): its
+    strongly connected components with no edge out."""
+    graph = csr_matrix(lam.T != 0)  # an edge i -> j where lam[j, i] != 0
+    count, label = connected_components(graph, directed=True, connection="strong")
+    i, j = graph.nonzero()
+    closed = np.ones(count, dtype=bool)
+    closed[label[i][label[i] != label[j]]] = False
+    return int(closed.sum())
+
+
+# Every deterministic policy of these instances is solved on its closed
+# prefix and at full size, against the exact closed-class count.
+PREFIX_INSTANCES = {
+    "alpha0.4": validate_params(alpha=0.4, **REFERENCE),
+    "alpha0.01": validate_params(alpha=0.01, **REFERENCE),
+    "alpha0.9": validate_params(alpha=0.9, **REFERENCE),
+    "alpha0.999": validate_params(alpha=0.999, **REFERENCE),
+    "alpha1": validate_params(alpha=1.0, **REFERENCE),
+    "A1": validate_params(0.4, 1, 3, 5, [0, 1, 4, 9]),
+    "M=A": validate_params(0.4, 2, 2, 5, [0, 1, 3]),
+    "Q6": validate_params(alpha=0.4, **dict(REFERENCE, Q=6)),
+    "Q6alpha0.999": validate_params(alpha=0.999, **dict(REFERENCE, Q=6)),
+}
+
+
+class TestClosedPrefix:
+    """Each chain solved on its closed prefix (`mrp._prefix_sizes`) against
+    the same chain solved on all its states and the exact closed-class
+    count."""
+
+    @pytest.mark.parametrize("name", PREFIX_INSTANCES)
+    def test_prefix_solve_is_exact(self, name):
+        params = PREFIX_INSTANCES[name]
+        n = params.K + 1
+        wrong = {"prefix": 0, "full": 0}
+        for acts in enumerate_deterministic(params):
+            lam = mrp.build_transition_enumerative(params, _action_matrix(params, acts))
+            band = mrp._map_band(params, acts)
+            sizes = mrp._prefix_sizes(band, params.M)
+            assert sizes.tolist() == [closed_prefix(chain) for chain in lam]
+            # a chain whose state K has no move down is solved in full
+            assert (sizes[~lam[:, :-1, -1].any(axis=1)] == n).all()
+            singular = np.array([closed_class_count(chain) > 1 for chain in lam])
+            pi, prefix_singular = stacked_stationary(params, band)
+            full_pi, full_singular = stacked_stationary(params, band, prefix=False)
+            wrong["prefix"] += int((prefix_singular != singular).sum())
+            wrong["full"] += int((full_singular != singular).sum())
+            both = ~prefix_singular & ~full_singular
+            apart = np.abs(pi - full_pi).max(axis=1) > 1e-9
+            # where the two differ more, the full solve is the one off
+            for c in np.flatnonzero(both & apart):
+                exact = np.array(exact_stationary(lam[c]), dtype=float)
+                assert np.max(np.abs(pi[c] - exact)) <= 1e-15
+            wrong["apart"] = wrong.get("apart", 0) + int((both & apart).sum())
+        assert wrong["prefix"] <= wrong["full"]
+        # only alpha=0.999 at Q=6 has full solves more than 1e-9 off
+        assert (wrong["apart"] > 0) == (name == "Q6alpha0.999")
+
+    def test_chain_without_a_move_down_from_k_is_solved_in_full(self):
+        # at alpha=1 a state sending A bits moves only to itself: the drain
+        # policy, min(k, M), keeps states 0..A, unless state K sends A
+        params = STACK_INSTANCES["alpha1"][0]
+        acts = np.array([np.minimum(np.arange(params.K + 1), params.M)] * 2)
+        acts[1, -1] = params.A
+        band = mrp._map_band(params, acts)
+        assert mrp._prefix_sizes(band, params.M).tolist() == [params.A + 1, params.K + 1]
+
+    def test_band_wider_than_the_exact_pattern_sums(self):
+        # M=60: the band has 63 rows, more than one run of 2^t sums, and a
+        # random policy's column has nonzeros in all of them
+        params = validate_params(0.5, 2, 60, 70, [m * m for m in range(61)])
+        rng = np.random.default_rng(5)
+        pols = [random_policy(params, rng), random_deterministic(params, rng),
+                policy_from_actions(params, initial_actions(params))]
+        f = np.stack([p.f for p in pols])
+        lam = mrp.build_transition_enumerative(params, f)
+        sizes = mrp._prefix_sizes(mrp._lam_band(params, f), params.M)
+        assert sizes.tolist() == [closed_prefix(chain) for chain in lam]
+        assert sizes.min() == params.A + 1 and sizes.max() == params.K + 1
+        assert assert_stack_matches_single_chains(params, pols) == 0
+
+    def test_stacks_mixing_prefix_lengths_full_chains_and_singular_ones(self):
+        params = STACK_INSTANCES["reference"][0]
+        pols = deterministic_policies(params)
+        acts = np.array([p.action_map() for p in pols])
+        sizes = mrp._prefix_sizes(mrp._map_band(params, acts), params.M)
+        _, kept, _, _ = mrp.score_maps(params, acts)
+        nonsingular = np.zeros(len(acts), dtype=bool)
+        nonsingular[kept] = True
+        # a nonsingular chain of every prefix length, and singular chains
+        # of a short prefix and of full length
+        picks = [int(np.flatnonzero(nonsingular & (sizes == s))[0]) for s in range(3, params.K + 2)]
+        picks[2:2] = [int(np.flatnonzero(~nonsingular & (sizes == 4))[0])]
+        picks.append(int(np.flatnonzero(~nonsingular & (sizes == params.K + 1))[0]))
+        assert set(sizes[picks]) == set(range(3, params.K + 2))
+        for order in (picks, picks[::-1], picks[1::2] + picks[::2]):
+            assert assert_stack_matches_single_chains(params, [pols[i] for i in order]) == 2
+            lu, kept = assert_maps_score_as_matrices(params, acts[order])
+            assert len(kept) == len(order) - 2 and len(set(lu.sizes.tolist())) > 1
+
+    def test_recorded_walk_stacks(self, monkeypatch):
+        # the stacks of the ladder K=203 walk, one chain at a time and as
+        # matrices, in both orders
+        params = validate_params(0.5, 3, 5, 200, [0, 1, 4, 9, 16, 25])
+        stacks = []
+        score_maps = pareto.score_maps
+
+        def record(params, acts):
+            stacks.append(acts.copy())
+            return score_maps(params, acts)
+
+        monkeypatch.setattr(pareto, "score_maps", record)
+        algorithm1(params)
+        assert len(stacks) == 161
+        for i, acts in enumerate(stacks):
+            lu, kept, power, delay = mrp.score_maps(params, acts)
+            assert kept.tolist() == list(range(len(acts)))
+            assert lu.sizes.max() < params.K + 1
+            assert_maps_score_as_matrices(params, acts)
+            for c in range(len(acts)):
+                _, _, p, d = mrp.score_maps(params, acts[c:c + 1])
+                assert (p.item(), d.item()) == (power[c], delay[c])
+            if i % 8 == 0:
+                pols = [policy_from_actions(params, a) for a in acts]
+                assert assert_stack_matches_single_chains(params, pols) == 0
+
+
+def gth_stationary(lam, n):
+    """The stationary distribution of lam on its closed prefix 0..n-1, in
+    exact fractions, by GTH elimination (Grassmann, Taksar & Heyman 1985):
+    states n-1 down to 1 are censored out one at a time, each pivot the
+    state's outflow to the states left, and fill-in stays in lam's band.
+    No subtraction occurs.  Needs every state of the prefix to reach
+    state 0."""
+    out = [{} for _ in range(n)]  # out[i][j]: probability of i -> j
+    into = [set() for _ in range(n)]
+    for j, i in zip(*np.nonzero(lam[:n, :n])):
+        out[i][j] = Fraction(float(lam[j, i]))
+        into[j].add(i)
+    for m in range(n - 1, 0, -1):
+        down = [(j, p) for j, p in out[m].items() if j < m]
+        pivot = sum(p for _, p in down)
+        for i in [i for i in into[m] if i < m]:
+            out[i][m] /= pivot
+            for j, p in down:
+                out[i][j] = out[i].get(j, 0) + out[i][m] * p
+                into[j].add(i)
+    x = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for j in range(1, n):
+        x[j] = sum((x[i] * out[i][j] for i in into[j] if i < j), Fraction(0))
+    total = sum(x)
+    return [v / total for v in x]
+
+
+class TestExactOracle:
+    """The walk's vertices against exact rational values (GTH on the closed
+    prefix, `gth_stationary`)."""
+
+    LADDER = dict(alpha=0.5, A=3, M=5, power=[0, 1, 4, 9, 16, 25])
+
+    def exact_point(self, params, vertex):
+        lam = mrp.build_transition_enumerative(params, vertex.policy)
+        pi = gth_stationary(lam, closed_prefix(lam))
+        acts = vertex.policy.action_map()
+        power = sum(int(params.power[a]) * p for a, p in zip(acts, pi))
+        delay = sum(k * p for k, p in enumerate(pi)) / Fraction(params.alpha * params.A) - 1
+        return power, delay
+
+    def test_gth_on_the_prefix_is_the_full_exact_solve(self):
+        params = validate_params(Q=19, **self.LADDER)  # ladder K=22
+        for vertex in algorithm1(params).vertices:
+            lam = mrp.build_transition_enumerative(params, vertex.policy)
+            n = closed_prefix(lam)
+            assert gth_stationary(lam, n) + [0] * (params.K + 1 - n) == exact_stationary(lam)
+
+    @pytest.mark.parametrize("K", [22, 83, 203])
+    def test_walk_vertices_within_1e14_of_exact(self, K):
+        params = validate_params(Q=K - 3, **self.LADDER)
+        worst = Fraction(0)
+        for vertex in algorithm1(params).vertices:
+            for got, want in zip((vertex.power, vertex.delay), self.exact_point(params, vertex)):
+                worst = max(worst, abs(Fraction(got) - want) / (abs(want) or 1))
+        assert worst <= Fraction(1, 10**14)
