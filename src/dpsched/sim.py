@@ -14,36 +14,53 @@ transmission draw; and the next backlog is t - s clamped to [0, Q].  Given
 the draws, each slot is a fixed map of the backlog, so that path is
 computed exactly without a per-slot loop:
 
-1. The slots are cut into B = ceil(slots / L) blocks of L = floor(sqrt(slots))
-   consecutive slots, stored step-major (step j of every block is one row).
-2. Pass 1 runs every block from all Q+1 start states at once, all blocks in
-   lockstep, and gives each block's map from start state to end state.
-   Lanes that meet stay together, since they see the same draws (the
-   coupling behind Propp & Wilson's coupling from the past, 1996); once
-   every block's lanes have met, one lane per block is kept.  That lane is
-   then the block's path whatever its start state, so pass 1 records t
-   and s from the next step on.  The last block's padding steps only
-   reach its end map, which is never read.
-3. Chaining the maps from the empty buffer gives each block's true start
-   state.
-4. Pass 2 reruns every block from its true start state and records t and s
-   for the steps before the lanes met: all L steps if they never met.  One
-   step body serves both passes.  The padding steps are dropped before any
-   statistic.
-5. The statistics are vectorised.  The power sum is a sequential
-   np.add.accumulate, so it rounds exactly like a running sum.
+1. The draw rule becomes one table.  The cuts are the sorted distinct
+   cumulative probabilities below each state's last one, and a draw's bin
+   is the number of cuts <= the draw.  Every state's thresholds are cuts,
+   so the bin fixes every state's rank exactly, draws equal to a cut
+   included.  sent[bin*(K+1) + t] is the action of total backlog t in that
+   bin, and nxt[key] the next backlog, t - sent[key] clamped to [0, Q].
+2. Each slot's event, bin*(K+1) + A*a, is built once, vectorised and in
+   slot order; its key is then event + q.  The slots are cut into
+   B = ceil(slots / L) blocks of L = floor(sqrt(slots)) consecutive slots,
+   and the events are copied once to step-major order (step j of every
+   block is one row).  Padding slots past the end have no arrival and draw
+   0.0, below every cut, so their event is 0.
+3. A step of all blocks is one lookup, q = nxt[event + q].  Pass 1 runs
+   every block from all Q+1 start states at once, all blocks in lockstep,
+   and gives each block's map from start state to end state.  Lanes that
+   meet stay together, since they see the same draws (the coupling behind
+   Propp & Wilson's coupling from the past, 1996); once every block's lanes
+   have met, one lane per block is kept.  That lane is then the block's
+   path whatever its start state, so pass 1 records q from the next step
+   on.  The last block's padding steps only reach its end map, which is
+   never read.
+4. Chaining the maps from the empty buffer gives each block's true start
+   state, and pass 2 reruns every block from it, recording q for the steps
+   before the lanes met: all L steps if they never met.
+5. Adding the q path to the events gives every slot's key, and the keys
+   give every statistic: one bincount of the keys before burn-in and one
+   after give the occupancy and both violation counters, and
+   power[sent[key]] the power path, summed by a sequential
+   np.add.accumulate, so it rounds exactly like a running sum.  The
+   padding slots are dropped before any statistic.
 
-Cost: the Python loops run L + m lockstep steps of numpy work over B-wide
-rows, m <= L being the steps pass 1 takes until it finds every block's
-lanes met (it looks every _MERGE_CHECK_EVERY steps; m = 17 of L = 1000 on
-the reference instance at 10^6 slots), and B-1 chaining steps; each step
-also visits the W-1 threshold rows of the action table, W being the most
-actions any state randomizes over.
-The work is O(slots) once the lanes have merged.  A chain whose lanes never
-merge (e.g. alpha = 1 under a policy that sends A in every state it
-reaches) keeps all Q+1 lanes and runs 2L steps, so pass 1 costs
-O(slots * (Q+1)); at Q = 200 and 10^6 slots that is about as slow as a
-per-slot loop.
+Cost: the Python loops run L + m lockstep steps, each one add and one
+gather over B-wide rows (Q+1 rows of them until the lanes meet), m <= L
+being the steps pass 1 takes until it finds every block's lanes met (it
+looks every _MERGE_CHECK_EVERY steps; m = 17 of L = 1000 on the reference
+instance at 10^6 slots), and B-1 chaining steps.  The rest is a fixed few
+passes over the slots, plus one per cut for up to _FEW_CUTS cuts; with
+more, a draw is compared only with the cuts in its cell of a grid.  The
+table has (len(cuts)+1)*(K+1) keys, and len(cuts) grows with the states
+that randomize: the LP optimum of the reference instance, one randomized
+row, has 1 cut and 16 keys, but ladder K=203 with every row randomized
+has 999 cuts and 204,000 keys, and ladder K=2003 9,999 cuts and 2.0e7
+keys, which take about 1 GB.  The work is O(slots) once the lanes have
+merged.  A chain whose lanes never merge (e.g. alpha = 1 under a policy
+that sends A in every state it reaches) keeps all Q+1 lanes and runs 2L
+steps, so pass 1 costs O(slots * (Q+1)): 0.3-0.5 s at Q = 200 and 10^6
+slots on a 2-CPU x86-64 host.
 """
 from __future__ import annotations
 
@@ -53,7 +70,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import InvalidPolicy, ModelError
 from .model import ModelParams, Policy
 
 TRACE_ROW_CAP = 100_000
@@ -63,6 +80,11 @@ Z_95 = 1.959963984540054
 _MERGE_CHECK_EVERY = 8
 # one shared nan, so that results of equal runs still compare equal
 _NO_HALFWIDTH = float("nan")
+# up to this many cuts a draw is compared with each; beyond, with the cuts
+# of its grid cell only
+_FEW_CUTS = 4
+# draws are binned this many at a time
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -91,16 +113,13 @@ class SimulationResult:
     delay_halfwidth: float
 
 
-def _action_tables(params: ModelParams, policy: Policy):
-    """Per-state action lookup, keyed by key = t*W + r.
+def _draw_table(policy: Policy):
+    """The cuts and sent[bin*(K+1) + t], the action of total backlog t at
+    a draw in that bin.
 
-    W is the largest number of nonzero actions in a state.  At total
-    backlog t and transmission draw u the rank r is the number of entries
-    of thr[:, t] that are <= u; thr[i, t] is state t's (i+1)-th cumulative
-    probability over its nonzero actions, and its last one (1.0 in the draw
-    rule) and the padding of states with fewer actions are 2.0, above any
-    draw.  act[key] is state t's r-th nonzero action and nxt[key] the next
-    backlog, t - act[key] clamped to [0, Q].
+    A threshold of state t, one of its cumulative probabilities below its
+    last, equal to cut i is <= every draw of bins i+1 and up, so t's rank
+    in bin b is the number of its thresholds at cuts below b.
     """
     f = policy.f
     nz = f > 0.0
@@ -108,20 +127,53 @@ def _action_tables(params: ModelParams, policy: Policy):
     width = int(n_act.max())
     # nonzero columns of each row first, in increasing order
     cols = np.argsort(~nz, axis=1, kind="stable")[:, :width]
-    thr = np.take_along_axis(np.cumsum(f, axis=1), cols[:, : width - 1], axis=1)
-    thr[np.arange(width - 1) >= n_act[:, None] - 1] = 2.0
-    act = cols.reshape(-1)
-    nxt = np.clip(np.repeat(np.arange(params.K + 1), width) - act, 0, params.Q)
-    return np.ascontiguousarray(thr.T), act, nxt
+    below = np.arange(width - 1) < n_act[:, None] - 1
+    thr = np.take_along_axis(np.cumsum(f, axis=1), cols[:, :-1], axis=1)[below]
+    cuts = np.unique(thr)
+    n_bins = len(cuts) + 1
+    first_bin = np.nonzero(below)[0] * n_bins + np.searchsorted(cuts, thr) + 1
+    rank = np.bincount(first_bin, minlength=len(f) * n_bins)
+    rank = rank.reshape(len(f), n_bins).cumsum(axis=1)
+    return cuts, np.take_along_axis(cols, rank, axis=1).T.reshape(-1)
 
 
-def _key(t, u, thr):
-    """Lookup key t*W + r of one slot at total backlog t (any shape, last
-    axis = blocks) and transmission draw u."""
-    key = t * (len(thr) + 1)
-    for row in thr:
-        key += row.take(t) <= u
-    return key
+def _bin_grid(cuts, dtype):
+    """Tables for counting the cuts <= a draw u in [0, 1).
+
+    Cell floor(u*G) of a grid of G cells, G a power of two so that u*G is
+    exact, splits the cuts: those in a lower cell are below u, those in a
+    higher one above it (a cut >= 1, never reached, goes in the last cell).
+    base[c] counts the cuts in cells below c, and row p of `within` holds
+    the p-th cut of each cell (2.0, above any draw, where it has fewer).
+    With at most _FEW_CUTS cuts the grid is one cell.
+    """
+    G = 1 if len(cuts) <= _FEW_CUTS else 1 << (2 * len(cuts) - 1).bit_length()
+    cell = np.clip(cuts * G, 0, G - 1).astype(np.intp)
+    base = np.searchsorted(cell, np.arange(G)).astype(dtype)
+    per_cell = np.bincount(cell, minlength=G)
+    within = np.full((int(per_cell.max(initial=0)), G), 2.0)
+    within[np.arange(len(cuts)) - base[cell], cell] = cuts
+    return G, base, within
+
+
+def _bin(u, grid, out):
+    """out = the number of cuts <= each draw of u."""
+    G, base, within = grid
+    if G == 1:
+        out[...] = 0
+        for row in within:
+            out += u >= row[0]
+        return
+    cell = (u * G).astype(np.intp)
+    base.take(cell, out=out)
+    for row in within:
+        out += u >= row.take(cell)
+
+
+def _step(nxt, event, q):
+    """Backlogs after one slot of the blocks from backlogs q (last axis =
+    blocks), `event` being the slot's event row."""
+    return nxt.take(event + q)
 
 
 def _halfwidth(batch_means: np.ndarray) -> float:
@@ -143,48 +195,54 @@ def simulate(
     The first min(slots // 10, 10^4) slots are burn-in and excluded from
     the averages.  Delay is estimated via Little's law from the average
     buffer occupancy, matching the analytic route.  Raises ModelError for
-    slots < 1 or seed < 0.
+    slots < 1 or seed < 0, and InvalidPolicy for a policy whose shape is
+    not (K+1, M+1) of `params`.
     """
     if slots < 1:
         raise ModelError(f"slots must be >= 1, got {slots}")
     if seed < 0:
         raise ModelError(f"seed must be >= 0, got {seed}")
     alpha, A, Q, K = params.alpha, params.A, params.Q, params.K
-    # t - s lies in [-M, K]
-    dt = np.min_scalar_type(-max(K, params.M) - 1)
+    if policy.f.shape != (K + 1, params.M + 1):
+        raise InvalidPolicy(
+            f"policy of shape {policy.f.shape} does not fit these parameters, "
+            f"which need {(K + 1, params.M + 1)}"
+        )
+    cuts, sent = _draw_table(policy)
+    size = len(sent)
+    t_key = np.tile(np.arange(K + 1), size // (K + 1))
+    d_key = t_key - sent
+    # signed key and backlog types that hold size and Q + 1
+    kt = np.min_scalar_type(-size - 1)
+    qt = np.min_scalar_type(-Q - 1)
+    nxt = np.clip(d_key, 0, Q).astype(qt)
+
     L = int(np.sqrt(slots))
     B = -(-slots // L)
     arr_ss, tx_ss = np.random.SeedSequence(seed).spawn(2)
-    buf = np.zeros(B * L)
-    np.random.Generator(np.random.PCG64(arr_ss)).random(out=buf[:slots])
-    arrivals = buf[:slots] < alpha
-    inc = np.zeros(B * L, dtype=dt)
-    np.multiply(arrivals, A, out=inc[:slots], casting="unsafe")
-    inc_steps = np.ascontiguousarray(inc.reshape(B, L).T)
-    np.random.Generator(np.random.PCG64(tx_ss)).random(out=buf[:slots])
-    buf[slots:] = 0.0
-    draws = np.ascontiguousarray(buf.reshape(B, L).T)
-    del buf
-    thr, act, nxt = _action_tables(params, policy)
-    t_rec = np.empty((L, B), dtype=dt)
-    s_rec = np.empty((L, B), dtype=dt)
-
-    def step(q, j, record):
-        """Step j from backlogs q (last axis = blocks); returns the next
-        backlogs and, if `record`, stores the step's t and s."""
-        t = q + inc_steps[j]
-        key = _key(t, draws[j], thr)
-        if record:
-            t_rec[j] = t
-            s_rec[j] = act.take(key)
-        return nxt.take(key)
+    arr_gen = np.random.Generator(np.random.PCG64(arr_ss))
+    tx_gen = np.random.Generator(np.random.PCG64(tx_ss))
+    grid = _bin_grid(cuts, kt)
+    events = np.zeros(B * L, dtype=kt)
+    u = np.empty(_CHUNK)
+    A_key = kt.type(A)
+    for lo in range(0, slots, _CHUNK):
+        n = min(_CHUNK, slots - lo)
+        ev = events[lo : lo + n]
+        _bin(tx_gen.random(out=u[:n]), grid, ev)
+        ev *= K + 1
+        ev += (arr_gen.random(out=u[:n]) < alpha) * A_key
+    steps = np.ascontiguousarray(events.reshape(B, L).T)
+    q_rec = np.empty((L, B), dtype=qt)
 
     # pass 1: each block's end state from every start state; once every
     # block's lanes have met, the lane left is the path, so it is recorded
-    lanes = np.repeat(np.arange(Q + 1)[:, None], B, axis=1)
+    lanes = np.repeat(np.arange(Q + 1, dtype=qt)[:, None], B, axis=1)
     met = L  # pass 1 recorded steps met..L-1
     for j in range(L):
-        lanes = step(lanes, j, record=lanes.ndim == 1)
+        if lanes.ndim == 1:
+            q_rec[j] = lanes
+        lanes = _step(nxt, steps[j], lanes)
         if lanes.ndim == 2 and j % _MERGE_CHECK_EVERY == 0 and (lanes == lanes[0]).all():
             lanes = lanes[0]
             met = j + 1
@@ -199,24 +257,31 @@ def simulate(
         start = np.array(starts)
 
     # pass 2: the steps before the lanes met, from the true start states
-    q = start
+    q = start.astype(qt)
     for j in range(met):
-        q = step(q, j, record=True)
-    t_path = t_rec.T.reshape(-1)[:slots]
-    s_path = s_rec.T.reshape(-1)[:slots]
-    q_path = t_path - inc[:slots]
-    d_path = t_path - s_path
-    underflow = int(np.count_nonzero(d_path < 0))
-    overflow = int(np.count_nonzero(d_path > Q))
+        q_rec[j] = q
+        q = _step(nxt, steps[j], q)
+    del steps
+    q_path = q_rec.T.reshape(-1)[:slots]
+    del q_rec
+    key = events[:slots]
+    key += q_path
 
     burn = min(slots // 10, 10_000)
     n_eff = slots - burn
     n_batch = n_eff // L
-    counts = np.bincount(t_path[burn:], minlength=K + 1).tolist()
+    post = np.bincount(key[burn:], minlength=size)
+    every = post + np.bincount(key[:burn], minlength=size)
+    underflow = int(every[d_key < 0].sum())
+    overflow = int(every[d_key > Q].sum())
+    counts = post.reshape(-1, K + 1).sum(axis=0).tolist()
     total = sum(counts)
     q_post = q_path[burn:]
     q_sum = float(q_post.sum(dtype=np.int64))
-    p_post = params.power_array[s_path[burn:]]
+    power_key = params.power_array[sent]
+    p_post = np.empty(n_eff)
+    for lo in range(0, n_eff, _CHUNK):
+        power_key.take(key[burn + lo : burn + lo + _CHUNK], out=p_post[lo : lo + _CHUNK])
     power_hw = _halfwidth(p_post[: n_batch * L].reshape(n_batch, L).mean(axis=1))
     delay_hw = _halfwidth(
         q_post[: n_batch * L].reshape(n_batch, L).mean(axis=1) / (alpha * A)
@@ -225,8 +290,10 @@ def simulate(
 
     if trace_path is not None:
         cap = min(slots, TRACE_ROW_CAP)
+        t_path = t_key.take(key[:cap])
+        q_cap = q_path[:cap]
         rows = np.column_stack(
-            [np.arange(cap), arrivals[:cap], t_path[:cap], s_path[:cap], q_path[:cap]]
+            [np.arange(cap), t_path != q_cap, t_path, sent.take(key[:cap]), q_cap]
         )
         text = ("%d,%d,%d,%d,%d\n" * cap) % tuple(rows.reshape(-1).tolist())
         Path(trace_path).write_text("n,a,t,s,q\n" + text)

@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from bisect import bisect_right
 from pathlib import Path
 
@@ -5,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpsched import mrp, sim
-from dpsched.errors import ModelError
+from dpsched import lp, mrp, sim
+from dpsched.errors import InvalidPolicy, ModelError
 from dpsched.model import (
     Policy,
     ThresholdPolicy,
@@ -289,6 +291,17 @@ class TestValidation:
         with pytest.raises(ModelError, match="seed must be >= 0, got -1"):
             simulate(params_vi, pol, slots=10, seed=-1)
 
+    @pytest.mark.parametrize("dQ", (-1, 1))
+    def test_policy_of_another_buffer(self, params_vi, rng, dQ):
+        # without the check, a policy with more rows than K+1 would run
+        pol = random_policy(params_vi, rng)
+        other = validate_params(
+            params_vi.alpha, params_vi.A, params_vi.M, params_vi.Q + dQ, params_vi.power
+        )
+        want = re.escape(str(pol.f.shape)) + ".*" + re.escape(str((other.K + 1, other.M + 1)))
+        with pytest.raises(InvalidPolicy, match=want):
+            simulate(other, pol, slots=1000, seed=0)
+
     def test_burn_in_rule(self, params_vi, rng):
         pol = random_policy(params_vi, rng)
         assert simulate(params_vi, pol, slots=50, seed=0).burn_in == 5
@@ -352,6 +365,52 @@ class TestSamePathAsLoop:
         row = path.read_text().splitlines()[n + 1]
         assert row == f"{n},1,{params_vi.A},1,0"
 
+    def test_keys_need_int32(self):
+        # every row randomized at ladder K=203: about 1000 cuts, so the
+        # table has more keys than int16 holds, and draws are binned on a grid
+        params = validate_params(0.5, 3, 5, 200, [0, 1, 4, 9, 16, 25])
+        pol = random_policy(params, np.random.default_rng(203))
+        cuts, sent = sim._draw_table(pol)
+        assert len(cuts) > sim._FEW_CUTS
+        assert len(sent) > np.iinfo(np.int16).max + 1
+        assert_same_path(params, pol, 20_000, seed=203)
+
+    def test_deterministic_table_of_128_keys(self):
+        # one bin and K + 1 = 128 keys: the key type must hold K + 1 itself
+        params = validate_params(0.5, 2, 3, 125, [0, 1, 4, 9])
+        f = np.zeros((params.K + 1, params.M + 1))
+        f[np.arange(params.K + 1), np.minimum(np.arange(params.K + 1), params.A)] = 1.0
+        pol = Policy(params, f)
+        assert len(sim._draw_table(pol)[1]) == 128
+        assert_same_path(params, pol, 3000, seed=128)
+
+    @pytest.mark.parametrize(
+        "instance, pool",
+        [
+            (EXACT_INSTANCES["reference"], (2, 4, 8, 12)),
+            ((0.5, 3, 5, 19, [0, 1, 4, 9, 16, 25]), tuple(range(1, 16))),
+        ],
+    )
+    def test_states_sharing_a_cut(self, instance, pool):
+        # each state's thresholds are drawn from one pool of multiples of
+        # 1/16, so states share them and their cuts merge; the small pool
+        # leaves at most _FEW_CUTS cuts, the large one more
+        params = validate_params(*instance)
+        rng = np.random.default_rng(len(pool))
+        f = np.zeros((params.K + 1, params.M + 1))
+        n_thr = 0
+        for k in range(params.K + 1):
+            acts = feasible_actions(params, k)
+            cums = np.sort(rng.choice(pool, len(acts) - 1, replace=False)) / 16
+            f[k, acts] = np.diff(np.concatenate([[0.0], cums, [1.0]]))
+            n_thr += len(acts) - 1
+        pol = Policy(params, f)
+        cuts, _ = sim._draw_table(pol)
+        assert len(cuts) < n_thr
+        assert (len(cuts) > sim._FEW_CUTS) == (len(pool) > sim._FEW_CUTS)
+        for seed in range(3):
+            assert_same_path(params, pol, 12345, seed)
+
     @pytest.mark.parametrize("slots", (1, 7, 500, 100_000, 150_000))
     def test_trace_bytes(self, params_vi, slots, tmp_path):
         pol = random_policy(params_vi, np.random.default_rng(slots))
@@ -362,18 +421,60 @@ class TestSamePathAsLoop:
         assert new.count(b"\n") == min(slots, 100_000) + 1
 
 
+def grid_cuts():
+    """Cuts on a grid of 512 cells: two cuts one ulp apart share a cell,
+    k/64 sits on a cell boundary, and 1.0 is above every draw."""
+    cuts = np.random.default_rng(40).random(40)
+    return np.concatenate([cuts, np.nextafter(cuts, 1.0), np.arange(1, 64) / 64, [1.0]])
+
+
+@pytest.mark.parametrize(
+    "cuts",
+    [[], [0.5, np.nextafter(0.5, 1.0), 1.0], grid_cuts()],
+    ids=["none", "few", "grid"],
+)
+def test_draw_bins_match_searchsorted(cuts):
+    """A draw's bin is the number of cuts <= it."""
+    cuts = np.unique(cuts)
+    rng = np.random.default_rng(len(cuts))
+    u = np.concatenate(
+        [[0.0, np.nextafter(1.0, 0.0)], cuts, np.nextafter(cuts, 0.0), rng.random(1000)]
+    )
+    u = u[u < 1.0]
+    got = np.empty(len(u), dtype=np.int32)
+    sim._bin(u, sim._bin_grid(cuts, np.int32), got)
+    assert np.array_equal(got, np.searchsorted(cuts, u, side="right"))
+
+
+def test_peak_memory_of_a_million_slots():
+    """The sim benchmark's run: 10^6 slots on the reference instance under
+    the LP optimum at p_th = 1.2 (one randomized row).  Its tracemalloc peak
+    was 25.0 MB when each step compared the draws with every threshold row;
+    the table gives about 10 MB."""
+    params = validate_params(*EXACT_INSTANCES["reference"])
+    pol = lp.recover_policy(params, lp.solve_simplex(lp.build_lp(params, 1.2)))
+    assert np.count_nonzero((pol.f > 0).sum(axis=1) > 1) == 1
+    tracemalloc.start()
+    try:
+        simulate(params, pol, 1_000_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25.0e6
+
+
 @pytest.fixture
-def key_calls(monkeypatch):
-    """Counts the calls of `sim._key`: pass 1 makes L of them, pass 2 one
+def step_calls(monkeypatch):
+    """Counts the calls of `sim._step`: pass 1 makes L of them, pass 2 one
     per step it replays."""
     calls = []
-    key = sim._key
+    step = sim._step
 
     def counted(*args):
         calls.append(None)
-        return key(*args)
+        return step(*args)
 
-    monkeypatch.setattr(sim, "_key", counted)
+    monkeypatch.setattr(sim, "_step", counted)
     return calls
 
 
@@ -402,21 +503,21 @@ class TestPassTwoReplay:
     replays only the steps before that, from the true start states."""
 
     @pytest.mark.parametrize("name", sorted(MERGE_CASES))
-    def test_same_path_and_replayed_steps(self, key_calls, name):
+    def test_same_path_and_replayed_steps(self, step_calls, name):
         instance, slots, seed, met = MERGE_CASES[name]
         params, pol = instance()
         L = int(np.sqrt(slots))
         assert steps_until_met(params, pol, slots, seed) == met
         assert_same_path(params, pol, slots, seed)
-        assert len(key_calls) == L + (L if met is None else met)
+        assert len(step_calls) == L + (L if met is None else met)
 
-    def test_pass_two_replays_fewer_than_L_steps(self, key_calls):
+    def test_pass_two_replays_fewer_than_L_steps(self, step_calls):
         # lanes of the reference instance meet within a few dozen steps;
         # replaying all L = 316 steps would mean the full second pass is back
         params, pol = reference_random_policy(100_000)
         simulate(params, pol, 100_000, seed=1)
         L = 316
-        replayed = len(key_calls) - L
+        replayed = len(step_calls) - L
         assert 0 < replayed < L // 2
 
 
