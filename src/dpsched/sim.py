@@ -14,49 +14,57 @@ transmission draw; and the next backlog is t - s clamped to [0, Q].  Given
 the draws, each slot is a fixed map of the backlog, so that path is
 computed exactly without a per-slot loop:
 
-1. The draw rule becomes one table.  The cuts are the sorted distinct
-   cumulative probabilities below each state's last one, and a draw's bin
-   is the number of cuts <= the draw.  Every state's thresholds are cuts,
-   so the bin fixes every state's rank exactly, draws equal to a cut
-   included.  sent[bin*(K+1) + t] is the action of total backlog t in that
-   bin, and nxt[key] the next backlog, t - sent[key] clamped to [0, Q].
-2. Each slot's event, bin*(K+1) + A*a, is built once, vectorised and in
-   slot order; its key is then event + q.  The slots are cut into
+1. The draw rule becomes one function of a key.  The cuts are the sorted
+   distinct cumulative probabilities below each state's last one, and a
+   draw's bin is the number of cuts <= the draw.  Every state's thresholds
+   are cuts, so the bin fixes every state's rank exactly, draws equal to a
+   cut included: state t's rank in bin b is the number of its thresholds at
+   cuts below b.  A key is (bin << shift) + t, 2^shift > K, and sent[key]
+   is the action of total backlog t in that bin and nxt[key] the next
+   backlog, t - sent[key] clamped to [0, Q].  Up to _TABLE_KEYS keys both
+   are tables; beyond, they are worked out per slot, one comparison per
+   threshold column, so memory does not grow with the cuts.
+2. Each slot's event, (bin << shift) + A*a, is built once, vectorised and
+   in slot order; its key is then event + q.  The slots are cut into
    B = ceil(slots / L) blocks of L = floor(sqrt(slots)) consecutive slots,
    and the events are copied once to step-major order (step j of every
    block is one row).  Padding slots past the end have no arrival and draw
    0.0, below every cut, so their event is 0.
-3. A step of all blocks is one lookup, q = nxt[event + q].  Pass 1 runs
-   every block from all Q+1 start states at once, all blocks in lockstep,
-   and gives each block's map from start state to end state.  Lanes that
-   meet stay together, since they see the same draws (the coupling behind
-   Propp & Wilson's coupling from the past, 1996); once every block's lanes
-   have met, one lane per block is kept.  That lane is then the block's
-   path whatever its start state, so pass 1 records q from the next step
-   on.  The last block's padding steps only reach its end map, which is
-   never read.
+3. A step of all blocks is q = nxt[event + q], one lookup with the tables.
+   Pass 1 runs every block from all Q+1 start states at once, all blocks in
+   lockstep, and gives each block's map from start state to end state.
+   Lanes that meet stay together, since they see the same draws (the
+   coupling behind Propp & Wilson's coupling from the past, 1996); once
+   every block's lanes have met, one lane per block is kept.  That lane is
+   then the block's path whatever its start state, so pass 1 records q from
+   the next step on.  The last block's padding steps only reach its end
+   map, which is never read.
 4. Chaining the maps from the empty buffer gives each block's true start
    state, and pass 2 reruns every block from it, recording q for the steps
    before the lanes met: all L steps if they never met.
 5. Adding the q path to the events gives every slot's key, and the keys
-   give every statistic: one bincount of the keys before burn-in and one
-   after give the occupancy and both violation counters, and
-   power[sent[key]] the power path, summed by a sequential
-   np.add.accumulate, so it rounds exactly like a running sum.  The
-   padding slots are dropped before any statistic.
+   give every statistic: the distinct keys before burn-in and after, with
+   their counts (a bincount up to _TABLE_KEYS keys, np.unique beyond),
+   give the occupancy and both violation counters, and power[sent[key]]
+   the power path, summed by a sequential np.add.accumulate, so it rounds
+   exactly like a running sum.  The padding slots are dropped before any
+   statistic.
 
-Cost: the Python loops run L + m lockstep steps, each one add and one
-gather over B-wide rows (Q+1 rows of them until the lanes meet), m <= L
-being the steps pass 1 takes until it finds every block's lanes met (it
-looks every _MERGE_CHECK_EVERY steps; m = 17 of L = 1000 on the reference
-instance at 10^6 slots), and B-1 chaining steps.  The rest is a fixed few
-passes over the slots, plus one per cut for up to _FEW_CUTS cuts; with
-more, a draw is compared only with the cuts in its cell of a grid.  The
-table has (len(cuts)+1)*(K+1) keys, and len(cuts) grows with the states
-that randomize: the LP optimum of the reference instance, one randomized
-row, has 1 cut and 16 keys, but ladder K=203 with every row randomized
-has 999 cuts and 204,000 keys, and ladder K=2003 9,999 cuts and 2.0e7
-keys, which take about 1 GB.  The work is O(slots) once the lanes have
+Cost: the Python loops run L + m lockstep steps over B-wide rows (Q+1 rows
+of them until the lanes meet), m <= L being the steps pass 1 takes until
+it finds every block's lanes met (it looks every _MERGE_CHECK_EVERY steps;
+m = 17 of L = 1000 on the reference instance at 10^6 slots), and B-1
+chaining steps.  With the tables a step is one add and one gather; the
+rest is a fixed few passes over the slots, plus one per cut for up to
+_FEW_CUTS cuts and a binary search over the cuts beyond.  The keys number
+(len(cuts)+1) << shift, and len(cuts) grows with the states that
+randomize: the LP optimum of the reference instance, one randomized row,
+has 1 cut and 16 keys, and ladder K=203 with every row randomized 999
+cuts and 256,000 keys, both tabled.  Ladder K=2003 with every row
+randomized has 9,999 cuts and 2.0e7 keys, which the tables would hold in
+about 1 GB; there a step takes, per lane, a gather, a comparison and an
+add per threshold column, as many passes as one per action and step, and
+memory stays O(slots + (Q+1)*B).  The work is O(slots) once the lanes have
 merged.  A chain whose lanes never merge (e.g. alpha = 1 under a policy
 that sends A in every state it reaches) keeps all Q+1 lanes and runs 2L
 steps, so pass 1 costs O(slots * (Q+1)): 0.3-0.5 s at Q = 200 and 10^6
@@ -80,9 +88,10 @@ Z_95 = 1.959963984540054
 _MERGE_CHECK_EVERY = 8
 # one shared nan, so that results of equal runs still compare equal
 _NO_HALFWIDTH = float("nan")
-# up to this many cuts a draw is compared with each; beyond, with the cuts
-# of its grid cell only
+# up to this many cuts a draw is compared with each; beyond, binary search
 _FEW_CUTS = 4
+# the draw rule is tabled up to this many keys, (cuts + 1) << shift
+_TABLE_KEYS = 1 << 18
 # draws are binned this many at a time
 _CHUNK = 1 << 14
 
@@ -113,67 +122,92 @@ class SimulationResult:
     delay_halfwidth: float
 
 
-def _draw_table(policy: Policy):
-    """The cuts and sent[bin*(K+1) + t], the action of total backlog t at
-    a draw in that bin.
+def _draw_rule(policy: Policy, Q: int, shift: int, qt):
+    """The cuts of the policy's draw rule, of_sent and next_of, keys being
+    (bin << shift) + t with 2^shift > K.
 
-    A threshold of state t, one of its cumulative probabilities below its
-    last, equal to cut i is <= every draw of bins i+1 and up, so t's rank
-    in bin b is the number of its thresholds at cuts below b.
+    of_sent(values) gives a function of keys (and an optional out array):
+    values[the action sent at each key].  next_of(event, q) gives the next
+    backlogs, of type qt, of slots with events (bin << shift) + A*a at
+    backlogs q.  A threshold of state t at cut i is <= every draw of bins
+    i+1 and up, so t's rank in bin b is the number of its thresholds whose
+    i+1 is <= b, one comparison per threshold column.  Up to _TABLE_KEYS
+    keys the actions and next backlogs are tables, and a lookup is one
+    gather; beyond, they are worked out per slot, so memory stays
+    O((K+1)*(M+1)) however many cuts there are.
     """
-    f = policy.f
+    # states K+1..2^shift-1, never reached, get no thresholds
+    f = np.zeros((1 << shift, policy.f.shape[1]))
+    f[: len(policy.f)] = policy.f
     nz = f > 0.0
     n_act = nz.sum(axis=1)
     width = int(n_act.max())
     # nonzero columns of each row first, in increasing order
     cols = np.argsort(~nz, axis=1, kind="stable")[:, :width]
     below = np.arange(width - 1) < n_act[:, None] - 1
-    thr = np.take_along_axis(np.cumsum(f, axis=1), cols[:, :-1], axis=1)[below]
-    cuts = np.unique(thr)
-    n_bins = len(cuts) + 1
-    first_bin = np.nonzero(below)[0] * n_bins + np.searchsorted(cuts, thr) + 1
-    rank = np.bincount(first_bin, minlength=len(f) * n_bins)
-    rank = rank.reshape(len(f), n_bins).cumsum(axis=1)
-    return cuts, np.take_along_axis(cols, rank, axis=1).T.reshape(-1)
+    thr = np.take_along_axis(np.cumsum(f, axis=1), cols[:, :-1], axis=1)
+    cuts = np.unique(thr[below])
+    # the first bin at which each threshold counts (none, in padding), in
+    # int32 to keep the per-slot temporaries small
+    first_bin = np.where(below, np.searchsorted(cuts, thr) + 1, len(cuts) + 1)
+    thr_cols = np.ascontiguousarray(first_bin.T, dtype=np.int32)
+    acts = cols.reshape(-1)
+    nxt = np.clip(np.repeat(np.arange(len(f)), width) - acts, 0, Q)
+
+    mask = (1 << shift) - 1
+
+    def at(event, t):
+        """Place t*width + rank in acts and nxt of each slot (intp events)
+        at total backlog t."""
+        b = (event >> shift).astype(np.int32)
+        place = t * width
+        for col in thr_cols:
+            place += b >= col.take(t)
+        return place
+
+    def next_of(event, q):
+        # t is freed only after the gather: freed before it, its pages went
+        # back to the system and faulted in again every step, which made
+        # the steps of ladder K=2003 1.3 times as long
+        t = q + (event & mask)
+        return nxt.take(at(event, t))
+
+    def of_sent(values):
+        by_place = values[acts]
+        return lambda key, out=None: by_place.take(at(key, key & mask), out=out)
+
+    size = (len(cuts) + 1) << shift
+    if size > _TABLE_KEYS:
+        return cuts, of_sent, next_of
+    keys = np.arange(size)
+    place = at(keys, keys & mask)
+    sent, nxt_key = acts.take(place), nxt.take(place).astype(qt)
+    return cuts, lambda values: values[sent].take, lambda event, q: nxt_key.take(event + q)
 
 
-def _bin_grid(cuts, dtype):
-    """Tables for counting the cuts <= a draw u in [0, 1).
-
-    Cell floor(u*G) of a grid of G cells, G a power of two so that u*G is
-    exact, splits the cuts: those in a lower cell are below u, those in a
-    higher one above it (a cut >= 1, never reached, goes in the last cell).
-    base[c] counts the cuts in cells below c, and row p of `within` holds
-    the p-th cut of each cell (2.0, above any draw, where it has fewer).
-    With at most _FEW_CUTS cuts the grid is one cell.
-    """
-    G = 1 if len(cuts) <= _FEW_CUTS else 1 << (2 * len(cuts) - 1).bit_length()
-    cell = np.clip(cuts * G, 0, G - 1).astype(np.intp)
-    base = np.searchsorted(cell, np.arange(G)).astype(dtype)
-    per_cell = np.bincount(cell, minlength=G)
-    within = np.full((int(per_cell.max(initial=0)), G), 2.0)
-    within[np.arange(len(cuts)) - base[cell], cell] = cuts
-    return G, base, within
-
-
-def _bin(u, grid, out):
+def _bin(u, cuts, out):
     """out = the number of cuts <= each draw of u."""
-    G, base, within = grid
-    if G == 1:
-        out[...] = 0
-        for row in within:
-            out += u >= row[0]
+    if len(cuts) > _FEW_CUTS:
+        out[...] = np.searchsorted(cuts, u, side="right")
         return
-    cell = (u * G).astype(np.intp)
-    base.take(cell, out=out)
-    for row in within:
-        out += u >= row.take(cell)
+    out[...] = 0
+    for c in cuts:
+        out += u >= c
 
 
-def _step(nxt, event, q):
+def _key_counts(key, size):
+    """The distinct values of `key`, of [0, size), and their counts."""
+    if size > _TABLE_KEYS:
+        return np.unique(key, return_counts=True)
+    n = np.bincount(key)
+    seen = np.flatnonzero(n)
+    return seen, n[seen]
+
+
+def _step(next_of, event, q):
     """Backlogs after one slot of the blocks from backlogs q (last axis =
     blocks), `event` being the slot's event row."""
-    return nxt.take(event + q)
+    return next_of(event, q)
 
 
 def _halfwidth(batch_means: np.ndarray) -> float:
@@ -208,29 +242,30 @@ def simulate(
             f"policy of shape {policy.f.shape} does not fit these parameters, "
             f"which need {(K + 1, params.M + 1)}"
         )
-    cuts, sent = _draw_table(policy)
-    size = len(sent)
-    t_key = np.tile(np.arange(K + 1), size // (K + 1))
-    d_key = t_key - sent
-    # signed key and backlog types that hold size and Q + 1
-    kt = np.min_scalar_type(-size - 1)
+    # signed backlog type that holds Q + 1
     qt = np.min_scalar_type(-Q - 1)
-    nxt = np.clip(d_key, 0, Q).astype(qt)
+    # key = (bin << shift) + t, t = key & mask
+    shift = K.bit_length()
+    mask = (1 << shift) - 1
+    cuts, of_sent, next_of = _draw_rule(policy, Q, shift, qt)
+    sent_of = of_sent(np.arange(params.M + 1))
+    size = (len(cuts) + 1) << shift
+    # a signed key type that holds size; intp past a table, for its gathers
+    kt = np.dtype(np.intp) if size > _TABLE_KEYS else np.min_scalar_type(-size - 1)
 
     L = int(np.sqrt(slots))
     B = -(-slots // L)
     arr_ss, tx_ss = np.random.SeedSequence(seed).spawn(2)
     arr_gen = np.random.Generator(np.random.PCG64(arr_ss))
     tx_gen = np.random.Generator(np.random.PCG64(tx_ss))
-    grid = _bin_grid(cuts, kt)
     events = np.zeros(B * L, dtype=kt)
     u = np.empty(_CHUNK)
     A_key = kt.type(A)
     for lo in range(0, slots, _CHUNK):
         n = min(_CHUNK, slots - lo)
         ev = events[lo : lo + n]
-        _bin(tx_gen.random(out=u[:n]), grid, ev)
-        ev *= K + 1
+        _bin(tx_gen.random(out=u[:n]), cuts, ev)
+        ev <<= shift
         ev += (arr_gen.random(out=u[:n]) < alpha) * A_key
     steps = np.ascontiguousarray(events.reshape(B, L).T)
     q_rec = np.empty((L, B), dtype=qt)
@@ -242,7 +277,7 @@ def simulate(
     for j in range(L):
         if lanes.ndim == 1:
             q_rec[j] = lanes
-        lanes = _step(nxt, steps[j], lanes)
+        lanes = _step(next_of, steps[j], lanes)
         if lanes.ndim == 2 and j % _MERGE_CHECK_EVERY == 0 and (lanes == lanes[0]).all():
             lanes = lanes[0]
             met = j + 1
@@ -250,17 +285,17 @@ def simulate(
     if lanes.ndim == 1:
         start = np.concatenate([[0], lanes[:-1]])
     else:
-        ends = lanes.T.tolist()
         starts = [0]
         for b in range(B - 1):
-            starts.append(ends[b][starts[-1]])
+            starts.append(lanes[starts[-1], b])
         start = np.array(starts)
+    del lanes
 
     # pass 2: the steps before the lanes met, from the true start states
     q = start.astype(qt)
     for j in range(met):
         q_rec[j] = q
-        q = _step(nxt, steps[j], q)
+        q = _step(next_of, steps[j], q)
     del steps
     q_path = q_rec.T.reshape(-1)[:slots]
     del q_rec
@@ -270,18 +305,21 @@ def simulate(
     burn = min(slots // 10, 10_000)
     n_eff = slots - burn
     n_batch = n_eff // L
-    post = np.bincount(key[burn:], minlength=size)
-    every = post + np.bincount(key[:burn], minlength=size)
-    underflow = int(every[d_key < 0].sum())
-    overflow = int(every[d_key > Q].sum())
-    counts = post.reshape(-1, K + 1).sum(axis=0).tolist()
+    post, n_post = _key_counts(key[burn:], size)
+    pre, n_pre = _key_counts(key[:burn], size)
+    counts = np.bincount(post & mask, weights=n_post, minlength=K + 1).tolist()
     total = sum(counts)
+    seen = np.concatenate([pre, post])
+    n_seen = np.concatenate([n_pre, n_post])
+    d = (seen & mask) - sent_of(seen)
+    underflow = int(n_seen[d < 0].sum())
+    overflow = int(n_seen[d > Q].sum())
     q_post = q_path[burn:]
     q_sum = float(q_post.sum(dtype=np.int64))
-    power_key = params.power_array[sent]
+    power_of = of_sent(params.power_array)
     p_post = np.empty(n_eff)
     for lo in range(0, n_eff, _CHUNK):
-        power_key.take(key[burn + lo : burn + lo + _CHUNK], out=p_post[lo : lo + _CHUNK])
+        power_of(key[burn + lo : burn + lo + _CHUNK], out=p_post[lo : lo + _CHUNK])
     power_hw = _halfwidth(p_post[: n_batch * L].reshape(n_batch, L).mean(axis=1))
     delay_hw = _halfwidth(
         q_post[: n_batch * L].reshape(n_batch, L).mean(axis=1) / (alpha * A)
@@ -290,10 +328,10 @@ def simulate(
 
     if trace_path is not None:
         cap = min(slots, TRACE_ROW_CAP)
-        t_path = t_key.take(key[:cap])
+        t_path = key[:cap] & mask
         q_cap = q_path[:cap]
         rows = np.column_stack(
-            [np.arange(cap), t_path != q_cap, t_path, sent.take(key[:cap]), q_cap]
+            [np.arange(cap), t_path != q_cap, t_path, sent_of(key[:cap]), q_cap]
         )
         text = ("%d,%d,%d,%d,%d\n" * cap) % tuple(rows.reshape(-1).tolist())
         Path(trace_path).write_text("n,a,t,s,q\n" + text)

@@ -105,6 +105,13 @@ def assert_same_path(params, policy, slots, seed):
     return got
 
 
+def draw_cuts(params, policy):
+    """The cuts of the policy's draw rule and its number of keys."""
+    shift = params.K.bit_length()
+    cuts = sim._draw_rule(policy, params.Q, shift, np.int16)[0]
+    return cuts, (len(cuts) + 1) << shift
+
+
 def unchecked_policy(params, rng):
     """Random row-stochastic policy over the nonzero actions, mask not
     enforced: state 0 always underflows and full states can overflow.  No
@@ -367,12 +374,13 @@ class TestSamePathAsLoop:
 
     def test_keys_need_int32(self):
         # every row randomized at ladder K=203: about 1000 cuts, so the
-        # table has more keys than int16 holds, and draws are binned on a grid
+        # table has more keys than int16 holds, and draws are binned by
+        # binary search
         params = validate_params(0.5, 3, 5, 200, [0, 1, 4, 9, 16, 25])
         pol = random_policy(params, np.random.default_rng(203))
-        cuts, sent = sim._draw_table(pol)
+        cuts, size = draw_cuts(params, pol)
         assert len(cuts) > sim._FEW_CUTS
-        assert len(sent) > np.iinfo(np.int16).max + 1
+        assert np.iinfo(np.int16).max + 1 < size <= sim._TABLE_KEYS
         assert_same_path(params, pol, 20_000, seed=203)
 
     def test_deterministic_table_of_128_keys(self):
@@ -381,7 +389,7 @@ class TestSamePathAsLoop:
         f = np.zeros((params.K + 1, params.M + 1))
         f[np.arange(params.K + 1), np.minimum(np.arange(params.K + 1), params.A)] = 1.0
         pol = Policy(params, f)
-        assert len(sim._draw_table(pol)[1]) == 128
+        assert draw_cuts(params, pol)[1] == 128
         assert_same_path(params, pol, 3000, seed=128)
 
     @pytest.mark.parametrize(
@@ -405,7 +413,7 @@ class TestSamePathAsLoop:
             f[k, acts] = np.diff(np.concatenate([[0.0], cums, [1.0]]))
             n_thr += len(acts) - 1
         pol = Policy(params, f)
-        cuts, _ = sim._draw_table(pol)
+        cuts, _ = draw_cuts(params, pol)
         assert len(cuts) < n_thr
         assert (len(cuts) > sim._FEW_CUTS) == (len(pool) > sim._FEW_CUTS)
         for seed in range(3):
@@ -421,17 +429,56 @@ class TestSamePathAsLoop:
         assert new.count(b"\n") == min(slots, 100_000) + 1
 
 
-def grid_cuts():
-    """Cuts on a grid of 512 cells: two cuts one ulp apart share a cell,
-    k/64 sits on a cell boundary, and 1.0 is above every draw."""
+class TestUntabledDrawRule:
+    """Past _TABLE_KEYS keys the draw rule is worked out per slot from the
+    threshold columns instead of tabled; the path is still the loop's."""
+
+    @pytest.fixture(autouse=True)
+    def untabled(self, monkeypatch):
+        monkeypatch.setattr(sim, "_TABLE_KEYS", 0)
+
+    @pytest.mark.parametrize("slots", (7, 12345))
+    @pytest.mark.parametrize("name", sorted(EXACT_INSTANCES))
+    def test_random_policies(self, name, slots):
+        params = validate_params(*EXACT_INSTANCES[name])
+        rng = np.random.default_rng([slots, len(name)])
+        assert_same_path(params, random_policy(params, rng), slots, int(rng.integers(2**32)))
+
+    def test_violation_counters(self):
+        params = validate_params(0.9, 2, 3, 5, [0, 1, 4, 9])
+        pol = unchecked_policy(params, np.random.default_rng(1001))
+        got = assert_same_path(params, pol, 1001, seed=1001)
+        assert got.overflow_violations > 0 and got.underflow_violations > 0
+
+    def test_lanes_that_never_merge(self):
+        params, pol = swap_policy()
+        assert_same_path(params, pol, 12345, seed=3)
+
+    def test_many_cuts(self):
+        # every row randomized at ladder K=22: over _FEW_CUTS cuts
+        params = validate_params(0.5, 3, 5, 19, [0, 1, 4, 9, 16, 25])
+        pol = random_policy(params, np.random.default_rng(22))
+        assert len(draw_cuts(params, pol)[0]) > sim._FEW_CUTS
+        assert_same_path(params, pol, 5000, seed=22)
+
+    def test_trace_bytes(self, params_vi, tmp_path):
+        pol = random_policy(params_vi, np.random.default_rng(500))
+        simulate(params_vi, pol, 500, 5, trace_path=tmp_path / "new.csv")
+        loop_simulate(params_vi, pol, 500, 5, trace_path=tmp_path / "loop.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def many_cuts():
+    """Random cuts with their neighbours one ulp up, the multiples of 1/64,
+    and 1.0, which is above every draw."""
     cuts = np.random.default_rng(40).random(40)
     return np.concatenate([cuts, np.nextafter(cuts, 1.0), np.arange(1, 64) / 64, [1.0]])
 
 
 @pytest.mark.parametrize(
     "cuts",
-    [[], [0.5, np.nextafter(0.5, 1.0), 1.0], grid_cuts()],
-    ids=["none", "few", "grid"],
+    [[], [0.5, np.nextafter(0.5, 1.0), 1.0], many_cuts()],
+    ids=["none", "few", "many"],
 )
 def test_draw_bins_match_searchsorted(cuts):
     """A draw's bin is the number of cuts <= it."""
@@ -442,7 +489,7 @@ def test_draw_bins_match_searchsorted(cuts):
     )
     u = u[u < 1.0]
     got = np.empty(len(u), dtype=np.int32)
-    sim._bin(u, sim._bin_grid(cuts, np.int32), got)
+    sim._bin(u, cuts, got)
     assert np.array_equal(got, np.searchsorted(cuts, u, side="right"))
 
 
@@ -461,6 +508,27 @@ def test_peak_memory_of_a_million_slots():
     finally:
         tracemalloc.stop()
     assert peak <= 25.0e6
+
+
+def test_peak_memory_of_a_policy_randomized_in_every_state():
+    """Ladder K=2003 with every row randomized has about 10^4 cuts, so a
+    table of its draw rule would have about 2e7 keys (1.03 GB in tracemalloc
+    for a 10^5-slot run when the rule was always tabled).  Past _TABLE_KEYS
+    the rule is worked out per slot: 10^4 slots peak at about 7.1 MB,
+    against 9.2 MB with a threshold comparison per action and step."""
+    params = validate_params(0.5, 3, 5, 2000, [0, 1, 4, 9, 16, 25])
+    pol = random_policy(params, np.random.default_rng(2003))
+    _, size = draw_cuts(params, pol)
+    assert size > 10**7 > sim._TABLE_KEYS
+    tracemalloc.start()
+    try:
+        got = simulate(params, pol, 10_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.2e6
+    want = loop_simulate(params, pol, 10_000, seed=0)
+    assert {f: repr(getattr(got, f)) for f in LOOP_FIELDS} == {f: repr(v) for f, v in want.items()}
 
 
 @pytest.fixture
