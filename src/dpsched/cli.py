@@ -136,6 +136,8 @@ def cmd_verify(args) -> int:
     )
     for r in results:
         print(r.line())
+    if any(r.passed is None for r in results):
+        return 3  # frontier-equivalence over the enumeration cap
     return 0 if all(r.passed for r in results) else 1
 
 

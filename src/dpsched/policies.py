@@ -28,15 +28,17 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 # policies, 512 at K=7 and 404 at K=8.  The divisor, the bytes of one dense
 # (K+1)^2 matrix, only sets the sizes; scoring builds no such matrix.
 # Basis, measured on brute force at Q=5 and Q=6 (tracemalloc peak of one
-# `mrp.score_maps` call on a block's action maps, median over the full
-# blocks): about 1.75 KB per policy of block at K=7 and 1.95 KB at K=8, so
-# a block peaks near 0.9 MB and 0.8 MB, and brute force keeps little else
-# (a staircase of about 100 rows).  In the `brute` benchmark (perfbench,
-# --seconds 4, four runs each on a 2-CPU x86-64 host) blocks of 256 KiB
-# took 0.0334 s median against 0.0370 s for 128 KiB, peaking at 69.9-70.1
-# MB RSS against 69.1-69.3 MB; 512 KiB was no faster (0.0341 s) and peaked
-# at 71.4-71.8 MB, as high as the 71.3-71.5 MB of brute force before the
-# staircase merge, at 128 KiB.
+# block of `pareto.scored_blocks`, median over the full blocks): about 1.57
+# KB per policy of block at K=7 and 1.69 KB at K=8 (2.15 and 2.29 KB while
+# every chain of a block was factored), so a block peaks near 0.8 MB and
+# 0.7 MB, and brute force keeps little else (a staircase of about 100
+# rows).  In the `brute` benchmark (perfbench, --seconds 4, four runs each
+# on a 2-CPU x86-64 host), with one chain factored per run of policies that
+# share it, blocks of 512 KiB took 0.0214-0.0231 s against 0.0242-0.0257 s
+# for 256 KiB, but peaked at 70.7-70.8 MB RSS against 69.5-69.8 MB; while
+# every chain was factored, 256 KiB took 0.0334 s median against 0.0370 s
+# for 128 KiB (69.9-70.1 MB against 69.1-69.3 MB), and 512 KiB was no
+# faster.
 BLOCK_BYTES = 256 * 1024
 
 

@@ -5,7 +5,7 @@ import pytest
 from dpsched.cli import build_parser, main
 from dpsched.model import ThresholdPolicy, threshold_to_policy, validate_params
 from dpsched.pareto import algorithm1
-from dpsched.policies import DEFAULT_ENUMERATION_CAP
+from dpsched.policies import DEFAULT_ENUMERATION_CAP, count_deterministic
 
 VI_FLAGS = ["--alpha", "0.4", "--A", "2", "--M", "3", "--Q", "5", "--power", "0,1,4,9"]
 
@@ -240,10 +240,21 @@ class TestVerify:
 
     def test_enumeration_over_the_cap_exit_3(self, capsys):
         # ladder K=22 has more deterministic policies than the cap, so
-        # frontier-equivalence cannot run: the documented exit 3, no traceback
+        # frontier-equivalence cannot run: the documented exit 3, no
+        # traceback, and the other five checks still run and print
+        params = validate_params(0.5, 3, 5, 19, [0, 1, 4, 9, 16, 25])
         rc = main(["verify", "--alpha", "0.5", "--A", "3", "--M", "5", "--Q", "19",
                    "--power", "0,1,4,9,16,25", "--trials", "1", "--slots", "1000"])
         out, err = capsys.readouterr()
         assert rc == 3
-        assert out == ""
-        assert err.startswith("error: ") and "exceed the cap" in err
+        assert err == ""
+        lines = out.splitlines()
+        assert [l.split()[1] for l in lines] == [
+            "transition-equivalence", "frontier-equivalence", "lp-curve-overlap",
+            "mixing-geometry", "lp-equalities", "simulation-agreement"]
+        skipped = [l for l in lines if l.startswith("SKIP")]
+        assert skipped == [lines[1]]
+        assert lines[1].split(None, 2)[2] == (
+            f"not run: {count_deterministic(params)} deterministic policies "
+            f"exceed the cap of {DEFAULT_ENUMERATION_CAP}")
+        assert all(l.startswith(("PASS", "FAIL")) for l in lines if l != lines[1])

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from dpsched import errors, lp as lp_module, mrp
@@ -77,7 +77,9 @@ def bland_phase(
 
 def bland_reference(lp: LpProblem) -> LpSolution:
     """Reference: the two-phase dense tableau simplex with Bland's rule that
-    `solve_simplex` used before the revised simplex, kept verbatim."""
+    `solve_simplex` used before the revised simplex, kept verbatim, plus
+    the duality gap of its final basis, whose inverse is the tableau's
+    artificial columns."""
     n = lp.n_vars
     # standard form: power row gets a slack, equalities as-is
     A = np.vstack([lp.a_power, lp.A_eq])
@@ -118,6 +120,7 @@ def bland_reference(lp: LpProblem) -> LpSolution:
     x_full[basis] = b1
     x = x_full[:n]
     reduced = (c2 - c2[basis] @ T)[:n_total]
+    y = c2[basis] @ T[:, n_total:]  # duals of the sign-flipped rows
     delay = float(lp.c @ x) - 1.0
     power = float(lp.a_power @ x)
     return LpSolution(
@@ -131,6 +134,7 @@ def bland_reference(lp: LpProblem) -> LpSolution:
             np.max(np.abs(lp.A_eq @ x - lp.b_eq)) if lp.A_eq.size else 0.0
         ),
         normalization_residual=abs(float(np.sum(x)) - 1.0),
+        duality_gap=float(c2[basis] @ b1 - y @ b),
     )
 
 
@@ -612,17 +616,25 @@ class TestAgainstBland:
     budget=st.floats(0.0, 1.05),
 )
 @settings(max_examples=60, deadline=None)
+# the tableau calls this optimal with delay -0.333 and an equality residual
+# of 1.6e-4; the solve and the walk both give 0
+@example(family="alpha->0", alpha=0.5, eps=1e-4, A=3, extra_m=0, Q=2, budget=1e-4)
 def test_edge_instances_match_bland(family, alpha, eps, A, extra_m, Q, budget):
     """alpha near 0 and 1 (alpha = 1 included), Q = 0, M = A and A = 1, at a
-    budget up to 1.05 power[M]: the status of the Bland tableau, its delay
-    to 1e-9, the budget kept, and no reduced cost below -1e-9."""
+    budget up to 1.05 power[M]: the status of the Bland tableau, the budget
+    kept, no reduced cost below -1e-9, and the delay to 1e-9: the
+    tableau's where its own certificate holds (equality residual at most
+    1e-9, finite duality gap), else the walk's frontier at the budget."""
     params = edge_params(family, alpha, eps, A, extra_m, Q)
     p_th = budget * float(params.power_array[params.M])
     lp = build_lp(params, p_th)
     sol, want = solve_simplex(lp), bland_reference(lp)
     assert sol.status == want.status
     if want.status == "optimal":
-        assert abs(sol.delay - want.delay) <= 1e-9
+        if want.equilibrium_residual <= 1e-9 and np.isfinite(want.duality_gap):
+            assert abs(sol.delay - want.delay) <= 1e-9
+        else:
+            assert abs(sol.delay - algorithm1(params).interpolate(p_th)) <= 1e-9
         assert sol.power <= p_th + 1e-9
         assert float(np.min(sol.reduced_costs)) >= -1e-9
 

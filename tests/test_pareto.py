@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpsched import model, pareto, policies
+from dpsched import model, mrp, pareto, policies
 from dpsched.cli import main, write_cloud
 from dpsched.errors import InvalidPolicy, SingularChain
 from dpsched.model import validate_params
@@ -514,6 +514,75 @@ class TestFrontierEquivalence:
                 tracemalloc.stop()
 
         assert peak(8) <= 1.5 * peak(7)
+
+
+def block_bytes(block):
+    power, delay, maps, singular = block
+    return power.tobytes(), delay.tobytes(), maps.tobytes(), singular
+
+
+def whole_block_scores(params):
+    """Per block of `enumerate_deterministic` as `pareto` sees it, the
+    scores of one `score_maps` call on the whole block, laid out as
+    `scored_blocks` yields them, as bytes."""
+    out = []
+    for acts in pareto.enumerate_deterministic(params):
+        _, kept, power, delay = score_maps(params, acts)
+        out.append(block_bytes((power, delay, acts[kept], len(acts) - kept.size)))
+    return out
+
+
+def count_factored(monkeypatch):
+    """A list that gets the count of chains of every `mrp.lu_factor` call."""
+    factored = []
+    original = mrp.lu_factor
+
+    def spy(band, lower, upper, sizes=None):
+        factored.append(band.shape[1])
+        return original(band, lower, upper, sizes)
+
+    monkeypatch.setattr(mrp, "lu_factor", spy)
+    return factored
+
+
+class TestRunsOfOneChain:
+    """`scored_blocks` factors only the first map of each run of maps with
+    one closed-prefix chain, and yields the scores of `score_maps` on the
+    whole block."""
+
+    @given(
+        family=st.sampled_from(EDGE_FAMILIES),
+        alpha=st.floats(0.05, 0.95),
+        eps=st.floats(1e-4, 0.02),
+        A=st.integers(1, 3),
+        extra_m=st.integers(0, 2),
+        Q=st.integers(0, 4),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_edge_instances_match_whole_blocks(self, family, alpha, eps, A, extra_m, Q):
+        params = edge_params(family, alpha, eps, A, extra_m, Q)
+        got = [block_bytes(b) for b in scored_blocks(params)]
+        assert got == whole_block_scores(params)
+
+    def test_repeats_apart_match_whole_blocks(self, params_vi, monkeypatch):
+        # shuffled rows put the maps of a chain apart: fewer runs share a
+        # factorization, and every block still scores as a whole
+        rng = np.random.default_rng(5)
+        blocks = [acts[rng.permutation(len(acts))] for acts in enumerate_deterministic(params_vi)]
+        monkeypatch.setattr(pareto, "enumerate_deterministic", lambda params, cap=None: iter(blocks))
+        factored = count_factored(monkeypatch)
+        got = [block_bytes(b) for b in scored_blocks(params_vi)]
+        assert 1073 < sum(factored) < 2304
+        assert got == whole_block_scores(params_vi)
+
+    @pytest.mark.parametrize("Q, policies, chains", [(5, 2304, 1073), (6, 9216, 4246)])
+    def test_chains_factored(self, Q, policies, chains, monkeypatch):
+        params = validate_params(0.4, 2, 3, Q, [0, 1, 4, 9])
+        factored = count_factored(monkeypatch)
+        blocks = list(scored_blocks(params))
+        assert sum(len(b[2]) + b[3] for b in blocks) == policies
+        assert sum(factored) == chains
+        assert [block_bytes(b) for b in blocks] == whole_block_scores(params)
 
 
 class TestCloud:
