@@ -16,8 +16,10 @@ import sys
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 from .errors import EnumerationTooLarge, ModelError
-from .model import Policy, load_params, validate_params
+from .model import Policy, load_params, parse_power, validate_params
 from .lp import recover_policy, sweep, sweep_to_csv
 from .pareto import algorithm1, scored_blocks
 from .policies import DEFAULT_ENUMERATION_CAP, is_threshold_map
@@ -54,7 +56,7 @@ def _load_model(args):
         if val is not None:
             base[key] = val
     if args.power is not None:
-        base["power"] = [float(v) for v in args.power.split(",")]
+        base["power"] = parse_power(args.power)
     missing = {"alpha", "A", "M", "Q", "power"} - set(base)
     if missing:
         raise ModelError(f"missing parameters: {sorted(missing)} (use flags or --config)")
@@ -64,18 +66,23 @@ def _load_model(args):
 def write_cloud(params, out: Path, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
     """Write pareto_cloud.csv (power, delay, action map and threshold flag
     of every deterministic policy with a nonsingular chain) and
-    pareto_cloud.dat (power and delay) in `out`, row by row from the stream
-    of scored blocks (`scored_blocks`), so memory is O(block).  Raises
-    EnumerationTooLarge before either file is opened."""
+    pareto_cloud.dat (power and delay) in `out`, block by block from the
+    stream of scored blocks (`scored_blocks`), so memory is O(block).  Each
+    value is formatted once, by one %-format pass per block and file: the
+    .dat rows first, whose power and delay strings the .csv rows reuse.
+    Raises EnumerationTooLarge before either file is opened."""
     blocks = scored_blocks(params, cap=cap)
     first = next(blocks)  # the cap is checked here, before any file is opened
+    csv_row = "%s," + " ".join(["%d"] * (params.K + 1)) + ",%d\n"
     with open(out / "pareto_cloud.csv", "w") as csv, open(out / "pareto_cloud.dat", "w") as dat:
         csv.write("power,delay,actions,is_threshold\n")
         for power, delay, maps, _ in chain([first], blocks):
-            flags = is_threshold_map(maps).tolist()
-            for p, d, acts, thr in zip(power.tolist(), delay.tolist(), maps.tolist(), flags):
-                csv.write(f"{p:.17g},{d:.17g},{' '.join(map(str, acts))},{int(thr)}\n")
-                dat.write(f"{p:.17g} {d:.17g}\n")
+            n = len(power)
+            pairs = ("%.17g %.17g\n" * n) % tuple(np.column_stack([power, delay]).ravel().tolist())
+            dat.write(pairs)
+            rows = zip(pairs.replace(" ", ",").splitlines(), *maps.T.tolist(),
+                       is_threshold_map(maps).tolist())
+            csv.write((csv_row * n) % tuple(chain.from_iterable(rows)))
 
 
 def cmd_pareto(args) -> int:

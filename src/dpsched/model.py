@@ -7,6 +7,7 @@ and fully validated at construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -88,9 +89,12 @@ class ModelParams:
         """Largest total-backlog state, K = Q + A."""
         return self.Q + self.A
 
-    @property
+    @cached_property
     def power_array(self) -> np.ndarray:
-        return np.asarray(self.power, dtype=float)
+        """The power table as a read-only float array, converted once."""
+        a = np.asarray(self.power, dtype=float)
+        a.setflags(write=False)
+        return a
 
 
 def validate_params(
@@ -102,15 +106,44 @@ def validate_params(
 ) -> ModelParams:
     """Validate and freeze a candidate parameter set.
 
-    Raises a subclass of ModelError naming the violated constraint.
+    Raises a subclass of ModelError naming the violated constraint.  A, M
+    and Q may be given as any integral number (2, 2.0, numpy.int64(2));
+    a non-integral one raises ModelError rather than being truncated.
     """
     return ModelParams(
         alpha=float(alpha),
-        A=int(A),
-        M=int(M),
-        Q=int(Q),
+        A=_integer("A", A),
+        M=_integer("M", M),
+        Q=_integer("Q", Q),
         power=tuple(float(p) for p in power),
     )
+
+
+def _integer(name: str, value) -> int:
+    """value as an int if it is an integral number, else ModelError naming
+    the field."""
+    try:
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != value:
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+    return i
+
+
+def _parse(key: str, text: str, kind: type):
+    """text as an int or a float, or ModelError naming the parameter."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ModelError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {text!r}") from None
+
+
+def parse_power(text: str) -> list[float]:
+    """The comma-separated power table P_0..P_M, or ModelError naming a
+    malformed entry."""
+    return [_parse(f"power[{m}]", v, float) for m, v in enumerate(text.split(","))]
 
 
 def feasible_actions(params: ModelParams, k: int) -> range:
@@ -353,7 +386,8 @@ def parse_param_text(text: str) -> ModelParams:
     """Parse the flat key-value parameter format.
 
     Keys: alpha, A, M, Q, power (comma-separated list).  Lines starting
-    with '#' are comments.
+    with '#' are comments.  A malformed number raises ModelError naming
+    its key.
     """
     kv: dict[str, str] = {}
     for line in text.splitlines():
@@ -368,11 +402,11 @@ def parse_param_text(text: str) -> ModelParams:
     if missing:
         raise ModelError(f"missing parameter keys: {sorted(missing)}")
     return validate_params(
-        alpha=float(kv["alpha"]),
-        A=int(kv["A"]),
-        M=int(kv["M"]),
-        Q=int(kv["Q"]),
-        power=[float(p) for p in kv["power"].split(",")],
+        alpha=_parse("alpha", kv["alpha"], float),
+        A=_parse("A", kv["A"], int),
+        M=_parse("M", kv["M"], int),
+        Q=_parse("Q", kv["Q"], int),
+        power=parse_power(kv["power"]),
     )
 
 

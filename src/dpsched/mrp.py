@@ -162,18 +162,35 @@ def _lam_band(params: ModelParams, f: np.ndarray) -> np.ndarray:
 
 def _map_band(params: ModelParams, acts: np.ndarray) -> np.ndarray:
     """The band of `_lam_band`, laid out as its, for a stack of action maps
-    acts (N, K+1), bit for bit that of their one-hot policy matrices, by
-    two scatter writes: 1-alpha at t = M-a and alpha at t = M-a+A for the
-    action a of each state.  A >= 1 puts the two in different rows, where
-    `_lam_band` adds alpha to an exact zero, and its other terms are exact
-    zeros."""
+    acts (..., K+1) or for the flat actions of a stack's prefix columns,
+    bit for bit that of their one-hot policy matrices, by two scatter
+    writes: 1-alpha at t = M-a and alpha at t = M-a+A for the action a of
+    each state.  A >= 1 puts the two in different rows, where `_lam_band`
+    adds alpha to an exact zero, and its other terms are exact zeros."""
     A, M, w = params.A, params.M, params.A + params.M + 1
     band = np.zeros(acts.shape + (w,))
     flat = band.reshape(-1)
     t = np.arange(0, flat.size, w) + (M - acts).ravel()
     flat[t] = 1 - params.alpha
     flat[t + A] = params.alpha
-    return band.transpose(2, 0, 1)
+    return band.transpose(acts.ndim, *range(acts.ndim))
+
+
+def _map_sizes(params: ModelParams, acts: np.ndarray) -> np.ndarray:
+    """The closed prefix n_c of each action map of a stack acts (N, K+1),
+    by the integer rule of the module docstring: `_prefix_sizes` of their
+    band, without the band."""
+    n, A = acts.shape[1], params.A
+    k = np.arange(n)
+    # state k reaches k - a + A at most, so a prefix 0..k is closed where
+    # the running maximum of k - a is at most k - A
+    lead = k - acts
+    # n_c - 1 is at least the last state without a move down (state 0 has
+    # none), which is folded into state 0's value; with alpha = 1 every
+    # move takes an arrival, so a state moves down only if a > A
+    down = acts > (A if params.alpha == 1 else 0)
+    lead[:, 0] = np.maximum(lead[:, 0], (n - 1 - A) - down[:, ::-1].argmin(axis=1))
+    return (np.maximum.accumulate(lead, axis=1) <= k - A).argmax(axis=1) + 1
 
 
 def _band_index(n: int, lower: int, upper: int) -> tuple[np.ndarray, np.ndarray]:
@@ -253,9 +270,10 @@ class BandLU:
     `chains` holds the stack indices of the chains factored (those whose
     pivots all pass SINGULAR_TOL), laid side by side as the blocks of one
     block-diagonal band: chain chains[i] has `sizes[i]` columns from
-    `starts[i]` on, and `columns` names the stack entry c n + k of every
-    column.  band holds their lam bands in BLAS band storage (kl+ku,
-    columns), with kl-1 sub- and ku super-diagonals."""
+    `starts[i]` to `last[i]`, and `columns` picks them out of the columns
+    `lu_factor` was given (slice(None) when it kept every chain).  band
+    holds their lam bands in BLAS band storage (kl+ku, columns), with kl-1
+    sub- and ku super-diagonals."""
 
     band: np.ndarray
     ab: np.ndarray
@@ -263,8 +281,9 @@ class BandLU:
     kl: int
     ku: int
     chains: np.ndarray
-    columns: np.ndarray
+    columns: Union[np.ndarray, slice]
     starts: np.ndarray
+    last: np.ndarray
     sizes: np.ndarray
 
 
@@ -310,17 +329,32 @@ def _prefix_sizes(band: np.ndarray, upper: int) -> np.ndarray:
     return np.minimum.reduceat(np.where(closed, col, N * n), starts) - starts + 1
 
 
-def _balance_band(band: np.ndarray, lower: int, upper: int, sizes: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _balance_offsets(kl: int, ku: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets into the Fortran-order entries of `_balance_band`'s ab:
+    before a block's end, of the entries of the lam row the block drops;
+    after its start, of its first column's rows kl..kl+ku, with their
+    values (zeros, and the ones row at kl+ku)."""
+    first = np.arange(kl, kl + ku + 1)
+    return (_read_only(kl + (rows - 1) * np.arange(kl)), _read_only(first),
+            _read_only((first == kl + ku).astype(float)))
+
+
+def _balance_band(band: np.ndarray, lower: int, upper: int, sizes: np.ndarray,
+                  ends: Optional[np.ndarray] = None) -> np.ndarray:
     """H D of every chain of a stack of lam bands in BLAS band storage
-    (lower+upper+1, columns), one block of `sizes[i]` columns per chain, as
-    LAPACK band storage of one block-diagonal band: with kl = lower+1 and
-    ku = upper, ab[kl + ku + r - k, s + k] = (H D)[r, k] of the chain whose
-    block starts at column s, and the top kl rows are the fill-in space of
-    gbtrf.  Each block must have at least kl columns."""
+    (lower+upper+1, columns), one block of `sizes[i]` columns per chain
+    (ending at `ends[i]`, sizes' cumulative sums), as LAPACK band storage
+    of one block-diagonal band: with kl = lower+1 and ku = upper,
+    ab[kl + ku + r - k, s + k] = (H D)[r, k] of the chain whose block
+    starts at column s, and the top kl rows are the fill-in space of gbtrf.
+    Each block must have at least kl columns."""
     w = len(band)
     kl, ku = lower + 1, upper
     rows = kl + w + 1
-    ends = sizes.cumsum()
+    if ends is None:
+        ends = sizes.cumsum()
+    dropped, first, ones = _balance_offsets(kl, ku, rows)
     ab = np.zeros((rows, band.shape[1]), order="F")
     flat = ab.T.reshape(-1)  # entry [i, j] is flat[j rows + i]
     # band of H: ab[kl + t, s + k] = H[k - ku + t, k], where H's row r is
@@ -328,7 +362,7 @@ def _balance_band(band: np.ndarray, lower: int, upper: int, sizes: np.ndarray) -
     # of its last columns d, is dropped
     ab[kl + 1:] = band
     ab[kl + ku + 1] -= 1.0  # the diagonal
-    flat[(ends * rows)[:, None] - (kl + (rows - 1) * np.arange(kl))] = 0.0
+    flat[(ends * rows)[:, None] - dropped] = 0.0
     # (H D)[r, k] = H[r, k] - H[r, k-1] is ab[i, j] - ab[i+1, j-1], one
     # offset apart in Fortran order; at a block's first column that reads
     # the previous block's last column, which holds zeros there but above
@@ -336,8 +370,7 @@ def _balance_band(band: np.ndarray, lower: int, upper: int, sizes: np.ndarray) -
     flat[kl + w:] -= flat[: -(kl + w)]  # numpy reads the overlapping right side first
     # a block's first column above row kl + ku + 1: zeros, and the ones row
     # of H times D
-    first = np.arange(kl, kl + ku + 1)
-    flat[((ends - sizes) * rows)[:, None] + first] = first == kl + ku
+    flat[((ends - sizes) * rows)[:, None] + first] = ones
     return ab
 
 
@@ -345,9 +378,10 @@ def lu_factor(band: np.ndarray, lower: int, upper: int,
               sizes: Optional[np.ndarray] = None) -> BandLU:
     """Factor the normalized balance systems H (a ones row over the first
     n-1 rows of lam - I) of a transition matrix, or of a stack of them,
-    given by lam's band (lower+upper+1, n) or stack of bands (lower+upper+1,
-    N, n), each chain on its first `sizes` states (all n by default), which
-    no move may leave.
+    given by lam's band: (lower+upper+1, n) for one chain, (lower+upper+1,
+    N, n) for N chains of n states, or (lower+upper+1, columns) for chains
+    of `sizes` states each, laid side by side (a stack cut to its closed
+    prefixes).  No move may leave a chain's states.
 
     With z_k = sum_{j>=k} pi_j, pi = D z for the unit upper bidiagonal D
     (pi_k = z_k - z_{k+1}); the ones row of H D is e_0, so H D is banded
@@ -358,43 +392,40 @@ def lu_factor(band: np.ndarray, lower: int, upper: int,
     from the factors, so that no solve sees it (`BandLU.chains` lists the
     chains kept).
     """
-    w, n = band.shape[0], band.shape[-1]
-    cols = band.reshape(w, -1, n).transpose(1, 2, 0).reshape(-1, w)  # column c n + k
-    N = len(cols) // n
+    w = len(band)
     if sizes is None:
-        sizes = np.full(N, n)
-    columns = (np.arange(n) < sizes[:, None]).ravel().nonzero()[0]
+        sizes = np.full(band[0].size // band.shape[-1], band.shape[-1])
     # BLAS band storage, t varying fastest: a builder's band is kept as it
-    # is unless cut to the prefixes, a band gathered out of lam is copied
-    cols = cols.take(columns, axis=0) if columns.size < len(cols) else np.ascontiguousarray(cols)
+    # is, a band gathered out of lam is copied
+    band = np.asfortranarray(band.reshape(w, -1))
     kl, ku = lower + 1, upper
-    ab, piv, _ = dgbtrf(_balance_band(cols.T, lower, upper, sizes), kl, ku, overwrite_ab=1)
-    starts = sizes.cumsum() - sizes
-    kept = np.minimum.reduceat(np.abs(ab[kl + ku]), starts) >= SINGULAR_TOL  # U's diagonal
-    chains = kept.nonzero()[0]
-    if chains.size < N:
-        keep = kept.repeat(sizes).nonzero()[0]
-        ab, cols, columns = ab.T.take(keep, axis=0).T, cols.take(keep, axis=0), columns[keep]
+    ends = sizes.cumsum()
+    ab, piv, _ = dgbtrf(_balance_band(band, lower, upper, sizes, ends), kl, ku, overwrite_ab=1)
+    pivots = np.abs(ab[kl + ku])  # U's diagonal
+    chains, columns = np.arange(len(sizes)), slice(None)
+    if not pivots.min(initial=np.inf) >= SINGULAR_TOL:  # one flat minimum first: usually none is
+        kept = np.minimum.reduceat(pivots, ends - sizes) >= SINGULAR_TOL
+        chains = kept.nonzero()[0]
+        columns = kept.repeat(sizes).nonzero()[0]
+        ab, band = ab.T.take(columns, axis=0).T, band.T.take(columns, axis=0).T
         # pivots are global row numbers: shift each kept block to its new place
-        shift = starts - ((sizes * kept).cumsum() - sizes * kept)
+        shift = (ends - sizes) - ((sizes * kept).cumsum() - sizes * kept)
         sizes = sizes[chains]
-        piv = piv.take(keep) - shift[chains].repeat(sizes)
-        starts = sizes.cumsum() - sizes
-    return BandLU(cols.T, ab, piv, kl, ku, chains, columns, starts, sizes)
+        piv = piv.take(columns) - shift[chains].repeat(sizes)
+        ends = sizes.cumsum()
+    return BandLU(band, ab, piv, kl, ku, chains, columns, ends - sizes, ends - 1, sizes)
 
 
 def lu_solve(lu: BandLU, b: np.ndarray) -> np.ndarray:
-    """x = H^-1 b for every chain of the factors, b holding their columns in
-    order, flat or shaped (for one full-size chain, (n,)): solve for z,
-    then x = D z block by block."""
+    """x = H^-1 b for every chain of the factors, b (flat) holding their
+    columns in order: solve for z, then x = D z block by block."""
     if not lu.chains.size:
         return b.copy()  # gbtrs rejects an empty band
-    z, _ = dgbtrs(lu.ab, lu.kl, lu.ku, b.ravel(), lu.piv)
-    x = np.empty_like(z)
-    np.subtract(z[:-1], z[1:], out=x[:-1])
-    last = lu.starts + (lu.sizes - 1)
-    x[last] = z[last]  # a block's last tail sum is its last mass
-    return x.reshape(b.shape)
+    z, _ = dgbtrs(lu.ab, lu.kl, lu.ku, b, lu.piv)
+    x = z.copy()
+    x[:-1] -= z[1:]
+    x[lu.last] = z[lu.last]  # a block's last tail sum is its last mass
+    return x
 
 
 def _lam_matvec(band: np.ndarray, lower: int, upper: int, x: np.ndarray) -> np.ndarray:
@@ -406,10 +437,11 @@ def _lam_matvec(band: np.ndarray, lower: int, upper: int, x: np.ndarray) -> np.n
     w, cols = len(band), x.size
     if not cols:
         return x.copy()
+    if band.ndim > 2:
+        return _lam_matvec(band.reshape(w, cols), lower, upper, x.ravel()).reshape(x.shape)
     # the wrapper wants at least kl+ku+1 rows, also for a stack narrower
     # than that: rows past the stack are never read into y[:cols]
-    y = dgbmv(max(cols, w), cols, lower, upper, 1.0, band.reshape(w, cols), x.ravel())
-    return y[:cols].reshape(x.shape)
+    return dgbmv(max(cols, w), cols, lower, upper, 1.0, band, x)[:cols]
 
 
 def _residual(lu: BandLU, x: np.ndarray) -> np.ndarray:
@@ -420,12 +452,12 @@ def _residual(lu: BandLU, x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _exceeds(lu: BandLU, a: np.ndarray, bound: float) -> np.ndarray:
+def _exceeds(lu: BandLU, a: np.ndarray, bound: float):
     """Whether an entry of a, holding the columns of the factored chains,
-    exceeds bound, per chain: one flat maximum first, as usually none
-    does."""
+    exceeds bound, per chain; False when none does, which one flat maximum
+    settles first, as usually none does."""
     if a.max() <= bound:
-        return np.zeros(lu.starts.size, dtype=bool)
+        return False
     return np.maximum.reduceat(a, lu.starts) > bound
 
 
@@ -440,7 +472,7 @@ def _stationary(lu: BandLU) -> tuple[np.ndarray, np.ndarray]:
     its own solve."""
     if not lu.chains.size:
         return np.empty(0), np.zeros(0, dtype=bool)
-    e0 = np.zeros(lu.columns.size)
+    e0 = np.zeros(lu.band.shape[1])
     e0[lu.starts] = 1.0
     x = lu_solve(lu, e0)
     active, last = True, np.inf
@@ -463,8 +495,8 @@ def _stationary(lu: BandLU) -> tuple[np.ndarray, np.ndarray]:
 def _clean_pi(lu: BandLU, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clip and normalize the stationary solves pi of the factored chains,
     their columns in order.  Returns them with the mask of the chains that
-    fail: mass below -SINGULAR_TOL or a stationarity residual above
-    STATIONARITY_TOL."""
+    fail (False when none does): mass below -SINGULAR_TOL or a
+    stationarity residual above STATIONARITY_TOL."""
     failed = _exceeds(lu, -pi, SINGULAR_TOL)
     pi = np.maximum(pi, 0.0)
     pi /= np.add.reduceat(pi, lu.starts).repeat(lu.sizes)  # sum(pi) = z_0 = 1: never 0
@@ -502,7 +534,7 @@ def stationary_distribution(lam: np.ndarray) -> np.ndarray:
     lower, upper = _bandwidths(lam)
     lu = lu_factor(_gather_band(lam, lower, upper), lower, upper)
     pi, failed = _stationary(lu)
-    if not lu.chains.size or failed[0]:
+    if not lu.chains.size or np.any(failed):
         raise _singular(lu)
     return _read_only(pi)
 
@@ -525,19 +557,20 @@ def average_delay(params: ModelParams, pi: np.ndarray) -> float:
     return max(d, 0.0)
 
 
-def _score(params: ModelParams, band: np.ndarray, rewards: np.ndarray, sizes: np.ndarray):
-    """Score the chains of a stack of lam bands (A+M+1, N, K+1), with
-    per-state powers rewards (N, K+1), through one block-diagonal
-    factorization of their balance systems, each on its closed prefix of
-    `sizes` states (`_prefix_sizes`): the core of `score_stack`,
+def _score(params: ModelParams, band: np.ndarray, rewards: np.ndarray, states: np.ndarray,
+           sizes: np.ndarray):
+    """Score the chains of a stack cut to their closed prefixes of `sizes`
+    states, given the band of lam (A+M+1, columns), the per-state powers
+    and the state of every prefix column, through one block-diagonal
+    factorization of their balance systems: the core of `score_stack`,
     `score_maps` and brute force.  Every reduction runs over a chain's own
     states."""
     lu = lu_factor(band, params.A, params.M, sizes)
     pi, failed = _stationary(lu)
-    power = np.add.reduceat(rewards.reshape(-1).take(lu.columns) * pi, lu.starts)
-    backlog = np.add.reduceat(lu.columns % (params.K + 1) * pi, lu.starts)
+    power = np.add.reduceat(rewards[lu.columns] * pi, lu.starts)
+    backlog = np.add.reduceat(states[lu.columns] * pi, lu.starts)
     delay = backlog / (params.alpha * params.A) - 1.0
-    failed |= delay < -STATIONARITY_TOL
+    failed = failed | (delay < -STATIONARITY_TOL)
     if failed.any():
         kept = ~failed
         return lu, lu.chains[kept], power[kept], np.maximum(delay[kept], 0.0)
@@ -546,7 +579,9 @@ def _score(params: ModelParams, band: np.ndarray, rewards: np.ndarray, sizes: np
 
 def score_stack(params: ModelParams, f: np.ndarray):
     """Score a stack of policy matrices f (N, K+1, M+1) through one
-    block-diagonal factorization of their balance systems.
+    block-diagonal factorization of their balance systems, each chain on
+    its closed prefix, read off the band's nonzero pattern
+    (`_prefix_sizes`).
 
     Returns the factors of the chains that pass the pivot test, the indices
     into f of the chains that pass every check, and those chains' average
@@ -555,16 +590,29 @@ def score_stack(params: ModelParams, f: np.ndarray):
     super-diagonals.
     """
     band = _lam_band(params, f)
-    return _score(params, band, power_reward_vector(params, f), _prefix_sizes(band, params.M))
+    sizes = _prefix_sizes(band, params.M)
+    cut = np.arange(params.K + 1) < sizes[:, None]
+    return _score(params, np.moveaxis(band, 0, -1)[cut].T,
+                  power_reward_vector(params, f)[cut], cut.nonzero()[1], sizes)
 
 
 def score_maps(params: ModelParams, acts: np.ndarray):
     """`score_stack` for a stack of deterministic policies given as action
     maps acts (N, K+1), bit for bit that of their one-hot policy matrices:
-    the band from the maps (`_map_band`), and the per-state powers
-    power[acts], which are the one-hot rows' products with power exactly."""
-    band = _map_band(params, acts)
-    return _score(params, band, params.power_array[acts], _prefix_sizes(band, params.M))
+    each chain's closed prefix from its map (`_map_sizes`), the band of the
+    prefix columns from their actions (`_map_band`), and the per-state
+    powers power[a], which are the one-hot rows' products with power
+    exactly."""
+    return _score_maps(params, acts, _map_sizes(params, acts))
+
+
+def _score_maps(params: ModelParams, acts: np.ndarray, sizes: np.ndarray):
+    """`score_maps` of the action maps acts (N, K+1) with closed prefixes
+    of `sizes` states, built for the prefix columns alone."""
+    cut = np.arange(acts.shape[1]) < sizes[:, None]
+    prefix = acts[cut]
+    return _score(params, _map_band(params, prefix), params.power_array[prefix],
+                  cut.nonzero()[1], sizes)
 
 
 def evaluate(params: ModelParams, policy: Policy) -> DelayPowerPoint:

@@ -23,7 +23,7 @@ from .model import (
     _last_state_at_most,
     feasibility_mask,
 )
-from .mrp import DelayPowerPoint, _map_band, _prefix_sizes, _score, _singular, score_maps
+from .mrp import DelayPowerPoint, _map_sizes, _score_maps, _singular, score_maps
 from .policies import (
     DEFAULT_ENUMERATION_CAP,
     enumerate_deterministic,
@@ -386,12 +386,10 @@ def scored_blocks(params: ModelParams, cap: int = DEFAULT_ENUMERATION_CAP):
     own, so this is exact."""
     skipped = 0
     for acts in enumerate_deterministic(params, cap=cap):
-        band = _map_band(params, acts)
-        sizes = _prefix_sizes(band, params.M)
+        sizes = _map_sizes(params, acts)
         lead = _run_leads(acts, sizes)
         first = lead.nonzero()[0]
-        _, kept, power, delay = _score(params, band[:, first], params.power_array[acts[first]],
-                                       sizes[first])
+        _, kept, power, delay = _score_maps(params, acts[first], sizes[first])
         passed = np.zeros(first.size, dtype=bool)
         passed[kept] = True
         run = lead.cumsum() - 1  # each map's run, as an index into first

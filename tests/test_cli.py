@@ -193,6 +193,18 @@ class TestErrors:
         assert main(["lp", "--alpha", "1.5", "--A", "2", "--M", "3", "--Q", "5",
                      "--power", "0,1,4,9", "--pth", "1"]) == 2
 
+    def test_malformed_config_number(self, tmp_path, capsys):
+        cfg = tmp_path / "params.txt"
+        cfg.write_text("alpha=0.4\nA=2.5\nM=3\nQ=5\npower=0,1,4,9\n")
+        assert main(["pareto", "--config", str(cfg), "--no-cloud", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", "error: A must be an integer, got '2.5'\n")
+        assert not (tmp_path / "pareto_curve.csv").exists()
+
+    def test_malformed_power_flag(self, capsys):
+        flags = ["--alpha", "0.4", "--A", "2", "--M", "3", "--Q", "5", "--power", "0,1,4,x"]
+        assert main(["lp", *flags, "--pth", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: power[3] must be a number, got 'x'\n")
+
     def test_non_finite_power(self, capsys):
         # rejected before any check runs, so nothing is printed to stdout
         flags = ["--alpha", "0.4", "--A", "2", "--M", "3", "--Q", "5", "--power", "0,1,4,inf"]

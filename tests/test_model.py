@@ -29,6 +29,19 @@ class TestValidateParams:
         assert p.K == 7
         assert p.power == (0.0, 1.0, 4.0, 9.0)
 
+    @pytest.mark.parametrize("field, value", [("A", 2.5), ("M", 3.9), ("Q", 5.2),
+                                              ("Q", float("nan")), ("M", "3")])
+    def test_non_integral_field_is_named(self, field, value):
+        args = dict(dict(alpha=0.4, A=2, M=3, Q=5, power=[0, 1, 4, 9]), **{field: value})
+        with pytest.raises(errors.ModelError, match=f"^{field} must be an integer"):
+            validate_params(**args)
+
+    def test_integral_floats_and_numpy_integers(self):
+        want = validate_params(0.4, 2, 3, 5, [0, 1, 4, 9])
+        for A, M, Q in [(2.0, 3.0, 5.0), (np.int64(2), np.int32(3), np.uint8(5))]:
+            p = validate_params(0.4, A, M, Q, [0, 1, 4, 9])
+            assert p == want and all(type(v) is int for v in (p.A, p.M, p.Q))
+
     def test_m_less_than_a(self):
         with pytest.raises(errors.MLessThanA):
             validate_params(0.4, 2, 1, 5, [0, 1])
@@ -268,3 +281,16 @@ class TestParamFile:
     def test_missing_key(self):
         with pytest.raises(errors.ModelError):
             parse_param_text("alpha=0.4\nA=2\n")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("A", "2.5", "A must be an integer, got '2.5'"),
+        ("Q", "five", "Q must be an integer, got 'five'"),
+        ("alpha", "0.4.1", "alpha must be a number, got '0.4.1'"),
+        ("power", "0,1,4,x", "power[3] must be a number, got 'x'"),
+    ])
+    def test_malformed_number_is_named(self, key, value, message):
+        kv = dict(dict(alpha="0.4", A="2", M="3", Q="5", power="0,1,4,9"), **{key: value})
+        text = "".join(f"{k}={v}\n" for k, v in kv.items())
+        with pytest.raises(errors.ModelError) as info:
+            parse_param_text(text)
+        assert str(info.value) == message

@@ -538,7 +538,7 @@ def count_factored(monkeypatch):
     original = mrp.lu_factor
 
     def spy(band, lower, upper, sizes=None):
-        factored.append(band.shape[1])
+        factored.append(band.shape[1] if sizes is None else len(sizes))
         return original(band, lower, upper, sizes)
 
     monkeypatch.setattr(mrp, "lu_factor", spy)
@@ -610,6 +610,23 @@ class TestCloud:
         csv, dat = cloud_reference(validate_params(alpha, A, M, Q, power))
         assert (tmp_path / "pareto_cloud.csv").read_bytes() == csv.encode()
         assert (tmp_path / "pareto_cloud.dat").read_bytes() == dat.encode()
+
+    @pytest.mark.parametrize("params", [
+        validate_params(0.4, 2, 3, 5, [0, 1, 4, 9]),
+        validate_params(Q=5, **LADDER),
+    ], ids=["reference", "ladder K=8"])
+    def test_cloud_files_match_the_row_loop(self, params, tmp_path):
+        # byte for byte the files of one f-string per row over the stream
+        csv = ["power,delay,actions,is_threshold\n"]
+        dat = []
+        for power, delay, maps, _ in scored_blocks(params):
+            flags = policies.is_threshold_map(maps).tolist()
+            for p, d, acts, thr in zip(power.tolist(), delay.tolist(), maps.tolist(), flags):
+                csv.append(f"{p:.17g},{d:.17g},{' '.join(map(str, acts))},{int(thr)}\n")
+                dat.append(f"{p:.17g} {d:.17g}\n")
+        write_cloud(params, tmp_path)
+        assert (tmp_path / "pareto_cloud.csv").read_bytes() == "".join(csv).encode()
+        assert (tmp_path / "pareto_cloud.dat").read_bytes() == "".join(dat).encode()
 
     def test_cloud_memory_is_bounded_by_block(self, tmp_path):
         # 43,200 policies at ladder K=8 against 7,200 at K=7: the peak is
