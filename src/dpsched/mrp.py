@@ -7,19 +7,20 @@ segment slope in the (power, delay) plane).
 
 Transition matrices and stationary distributions are plain read-only
 ndarrays.  Every policy is scored by one path, which takes a stack of N
-chains at once (N=1 for a single policy): build the band of each
-transition matrix lam, cut each chain to its closed prefix
-(`_prefix_sizes`), factor the normalized balance systems H of the
-prefixes (`lu_factor`), solve them with iterative refinement, then take
-the rewards of the stationary distributions (`_score`).  The band has two
-builders: `_lam_band` from policy matrices (`score_stack`) and `_map_band`
-from the action maps of deterministic policies (`score_maps`, bit for bit
-the same band and scores as their one-hot matrices, which are never built).
-Both lay the band out with its row t varying fastest, (A+M+1, N, K+1)
-viewing (N, K+1, A+M+1) memory: the BLAS band storage of the
-block-diagonal lam (Anderson et al., LAPACK Users' Guide, 1999).  No dense
-(K+1)^2 matrix is built on that path; `build_transition_enumerative`
-gives lam to the callers that want it.
+chains at once (N=1 for a single policy): find each chain's closed prefix,
+build the band of the transition matrix lam on the prefix columns alone,
+factor the normalized balance systems H of the prefixes (`lu_factor`),
+solve them with iterative refinement, then take the rewards of the
+stationary distributions (`_score`).  The band has two builders:
+`_lam_band` from policy matrices (`score_stack`) and `_map_band` from the
+action maps of deterministic policies (`score_maps`, bit for bit the same
+band and scores as their one-hot matrices, which are never built).  Both
+lay the band out with its row t varying fastest, (A+M+1, N, K+1) viewing
+(N, K+1, A+M+1) memory, or (A+M+1, columns) for the prefix columns of a
+stack: the BLAS band storage of the block-diagonal lam (Anderson et al.,
+LAPACK Users' Guide, 1999).  No dense (K+1)^2 matrix is built on that
+path; `build_transition_enumerative` gives lam to the callers that want
+it.
 
 From state i the chain moves only to i-m or i-m+A (0 <= m <= M), so
 lam - I has A sub- and M super-diagonals and only the ones row of H is
@@ -34,12 +35,20 @@ lower state with positive probability.  By (ii) every state >= n_c
 reaches the prefix, and by (i) never returns, so those states are
 transient and every closed class lies in the prefix: the chain is
 singular (has more than one closed class) exactly when the prefix chain
-is, and pi is the prefix chain's pi followed by exact zeros.  Both
-conditions are read off the nonzero pattern of lam's band (per column,
-its highest nonzero row and whether a nonzero lies above the diagonal),
-so both builders give the same n_c.  On the ladder K=203 walk the 322
-chains have 64 of 204 states on average, and the brute-force chains 78%
-of theirs.  The prefix chain, and so the verdict, pi and rewards, depend
+is, and pi is the prefix chain's pi followed by exact zeros.  For policy
+matrices (`score_stack`) both conditions are read off the nonzero pattern
+of lam's band (`_prefix_sizes`: per column, its highest nonzero row and
+whether a nonzero lies above the diagonal).  For action maps (`score_maps`
+and brute force) they are integer operations on the maps (`_map_sizes`),
+with the same result: state k taking action a_k reaches k - a_k + A at
+most (the arrival move, alpha > 0), so 0..n-1 is closed where the running
+maximum of k - a_k + A over k < n is at most n-1; and it moves down iff
+a_k >= 1, or a_k > A when alpha = 1 (every move then takes an arrival).
+`score_stack` cuts its band to the prefix columns; the map path builds
+the band, the per-state powers and the state index of the prefix columns
+alone, and `lu_factor` takes the cut band.  On the ladder K=203 walk the
+322 chains have 64 of 204 states on average, and the brute-force chains
+78% of theirs.  The prefix chain, and so the verdict, pi and rewards, depend
 only on n_c and the actions of states 0..n_c-1 (the band's columns there,
 and the per-state powers there, which are all the reductions read): two
 policies with the same n_c that agree on their prefix score bit for bit
@@ -150,7 +159,7 @@ def _lam_band(params: ModelParams, f: np.ndarray) -> np.ndarray:
     row K are exact zeros, since f is zero on infeasible actions.  The band
     is a view of (..., K+1, A+M+1) memory, t varying fastest: the BLAS band
     storage of the block-diagonal lam of a stack, which `lu_factor` keeps
-    without a copy unless it cuts chains to their prefixes.
+    without a copy unless it drops a singular chain.
     """
     A, M, alpha = params.A, params.M, params.alpha
     band = np.moveaxis(np.zeros(f.shape[:-1] + (A + M + 1,)), -1, 0)
@@ -592,7 +601,7 @@ def score_stack(params: ModelParams, f: np.ndarray):
     band = _lam_band(params, f)
     sizes = _prefix_sizes(band, params.M)
     cut = np.arange(params.K + 1) < sizes[:, None]
-    return _score(params, np.moveaxis(band, 0, -1)[cut].T,
+    return _score(params, band.transpose(1, 2, 0)[cut].T,
                   power_reward_vector(params, f)[cut], cut.nonzero()[1], sizes)
 
 

@@ -379,9 +379,10 @@ def scored_blocks(params: ModelParams, cap: int = DEFAULT_ENUMERATION_CAP):
     module docstring), so two maps with the same n_c that agree on the
     prefix are one chain.  The enumeration varies the last state fastest,
     so such maps come in runs of neighbours: a map whose n_c and prefix
-    actions equal its predecessor's (`_run_leads`) repeats it.  Only the
-    lead of each run is factored, by one `mrp._score` call on the leads'
-    stack, and every map of the run takes its lead's power, delay and
+    actions equal its predecessor's (`_run_leads`, on the block's prefix
+    sizes from `mrp._map_sizes`) repeats it.  Only the lead of each run is
+    built and factored, by one `mrp._score_maps` call on the leads' stack,
+    and every map of the run takes its lead's power, delay and
     singular verdict; each chain of a stack scores bit for bit as on its
     own, so this is exact."""
     skipped = 0
