@@ -349,20 +349,17 @@ def _balance_offsets(kl: int, ku: int, rows: int) -> tuple[np.ndarray, np.ndarra
             _read_only((first == kl + ku).astype(float)))
 
 
-def _balance_band(band: np.ndarray, lower: int, upper: int, sizes: np.ndarray,
-                  ends: Optional[np.ndarray] = None) -> np.ndarray:
+def _balance_band(band: np.ndarray, lower: int, upper: int, sizes: np.ndarray) -> np.ndarray:
     """H D of every chain of a stack of lam bands in BLAS band storage
-    (lower+upper+1, columns), one block of `sizes[i]` columns per chain
-    (ending at `ends[i]`, sizes' cumulative sums), as LAPACK band storage
-    of one block-diagonal band: with kl = lower+1 and ku = upper,
-    ab[kl + ku + r - k, s + k] = (H D)[r, k] of the chain whose block
-    starts at column s, and the top kl rows are the fill-in space of gbtrf.
-    Each block must have at least kl columns."""
+    (lower+upper+1, columns), one block of `sizes[i]` columns per chain, as
+    LAPACK band storage of one block-diagonal band: with kl = lower+1 and
+    ku = upper, ab[kl + ku + r - k, s + k] = (H D)[r, k] of the chain whose
+    block starts at column s, and the top kl rows are the fill-in space of
+    gbtrf.  Each block must have at least kl columns."""
     w = len(band)
     kl, ku = lower + 1, upper
     rows = kl + w + 1
-    if ends is None:
-        ends = sizes.cumsum()
+    ends = sizes.cumsum()
     dropped, first, ones = _balance_offsets(kl, ku, rows)
     ab = np.zeros((rows, band.shape[1]), order="F")
     flat = ab.T.reshape(-1)  # entry [i, j] is flat[j rows + i]
@@ -408,8 +405,8 @@ def lu_factor(band: np.ndarray, lower: int, upper: int,
     # is, a band gathered out of lam is copied
     band = np.asfortranarray(band.reshape(w, -1))
     kl, ku = lower + 1, upper
+    ab, piv, _ = dgbtrf(_balance_band(band, lower, upper, sizes), kl, ku, overwrite_ab=1)
     ends = sizes.cumsum()
-    ab, piv, _ = dgbtrf(_balance_band(band, lower, upper, sizes, ends), kl, ku, overwrite_ab=1)
     pivots = np.abs(ab[kl + ku])  # U's diagonal
     chains, columns = np.arange(len(sizes)), slice(None)
     if not pivots.min(initial=np.inf) >= SINGULAR_TOL:  # one flat minimum first: usually none is
@@ -439,15 +436,13 @@ def lu_solve(lu: BandLU, b: np.ndarray) -> np.ndarray:
 
 def _lam_matvec(band: np.ndarray, lower: int, upper: int, x: np.ndarray) -> np.ndarray:
     """lam x per chain of a stack of lam bands in BLAS band storage
-    (lower+upper+1, ..., columns), with x holding their columns: one BLAS
+    (lower+upper+1, columns), with x (flat) holding their columns: one BLAS
     gbmv over the block-diagonal band.  Its entries that cross chains are
     exact zeros, which add nothing, so each chain's product is bit for bit
     the product of its band alone."""
     w, cols = len(band), x.size
     if not cols:
         return x.copy()
-    if band.ndim > 2:
-        return _lam_matvec(band.reshape(w, cols), lower, upper, x.ravel()).reshape(x.shape)
     # the wrapper wants at least kl+ku+1 rows, also for a stack narrower
     # than that: rows past the stack are never read into y[:cols]
     return dgbmv(max(cols, w), cols, lower, upper, 1.0, band, x)[:cols]
