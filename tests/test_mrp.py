@@ -552,7 +552,9 @@ class TestBandedSolve:
             f = f.reshape(chains, params.K + 1, params.M + 1)
             x = rng.standard_normal((chains, params.K + 1))
             band = mrp._lam_band(params, f).reshape(params.A + params.M + 1, -1)
-            got = mrp._lam_matvec(band, params.A, params.M, x.ravel()).reshape(x.shape)
+            flat = mrp._lam_matvec(band, params.A, params.M, x.ravel())
+            assert flat.shape == (x.size,)
+            got = flat.reshape(x.shape)
             want = (mrp.build_transition_enumerative(params, f) @ x[..., None])[..., 0]
             assert got.shape == x.shape
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(x), initial=0.0)
