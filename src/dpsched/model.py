@@ -108,14 +108,16 @@ def validate_params(
 
     Raises a subclass of ModelError naming the violated constraint.  A, M
     and Q may be given as any integral number (2, 2.0, numpy.int64(2));
-    a non-integral one raises ModelError rather than being truncated.
+    a non-integral one raises ModelError rather than being truncated.  An
+    alpha or power entry that is not a number, or a power that is not a
+    sequence, raises ModelError naming it.
     """
     return ModelParams(
-        alpha=float(alpha),
+        alpha=_parse("alpha", alpha, float),
         A=_integer("A", A),
         M=_integer("M", M),
         Q=_integer("Q", Q),
-        power=tuple(float(p) for p in power),
+        power=_power_table(power),
     )
 
 
@@ -131,13 +133,26 @@ def _integer(name: str, value) -> int:
     return i
 
 
-def _parse(key: str, text: str, kind: type):
-    """text as an int or a float, or ModelError naming the parameter."""
+def _power_table(power) -> tuple[float, ...]:
+    """power as a tuple of floats, or ModelError naming power if it is not
+    a sequence, or the first entry that is not a number."""
     try:
-        return kind(text)
-    except ValueError:
+        entries = list(power)
+    except TypeError:
+        entries = None
+    if entries is None or isinstance(power, str):
+        raise ModelError(f"power must be a sequence of numbers, got {power!r}")
+    return tuple(_parse(f"power[{m}]", p, float) for m, p in enumerate(entries))
+
+
+def _parse(key: str, value, kind: type):
+    """value (a number or its text) as an int or a float, or ModelError
+    naming the parameter."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
         raise ModelError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
-                         f"got {text!r}") from None
+                         f"got {value!r}") from None
 
 
 def parse_power(text: str) -> list[float]:

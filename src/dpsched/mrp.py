@@ -7,20 +7,21 @@ segment slope in the (power, delay) plane).
 
 Transition matrices and stationary distributions are plain read-only
 ndarrays.  Every policy is scored by one path, which takes a stack of N
-chains at once (N=1 for a single policy): find each chain's closed prefix,
-build the band of the transition matrix lam on the prefix columns alone,
-factor the normalized balance systems H of the prefixes (`lu_factor`),
-solve them with iterative refinement, then take the rewards of the
-stationary distributions (`_score`).  The band has two builders:
-`_lam_band` from policy matrices (`score_stack`) and `_map_band` from the
-action maps of deterministic policies (`score_maps`, bit for bit the same
-band and scores as their one-hot matrices, which are never built).  Both
-lay the band out with its row t varying fastest, (A+M+1, N, K+1) viewing
-(N, K+1, A+M+1) memory, or (A+M+1, columns) for the prefix columns of a
-stack: the BLAS band storage of the block-diagonal lam (Anderson et al.,
-LAPACK Users' Guide, 1999).  No dense (K+1)^2 matrix is built on that
-path; `build_transition_enumerative` gives lam to the callers that want
-it.
+chains at once (N=1 for a single policy): find each chain's closed prefix
+from the supports of its policy rows (`_prefix_sizes`), build the band of
+the transition matrix lam on the prefix columns alone, factor the
+normalized balance systems H of the prefixes (`lu_factor`), solve them
+with iterative refinement, then take the rewards of the stationary
+distributions (`_score`).  Only the band builder differs between the two
+entry points: `_lam_band` from the prefix rows of policy matrices
+(`score_stack`) and `_map_band` from the prefix actions of the action maps
+of deterministic policies (`score_maps`, bit for bit the same band and
+scores as their one-hot matrices, which are never built).  Both lay the
+band out with its row t varying fastest, (A+M+1, columns) viewing
+(columns, A+M+1) memory: the BLAS band storage of the block-diagonal lam
+(Anderson et al., LAPACK Users' Guide, 1999).  No dense (K+1)^2 matrix is
+built on that path; `build_transition_enumerative` gives lam to the
+callers that want it.
 
 From state i the chain moves only to i-m or i-m+A (0 <= m <= M), so
 lam - I has A sub- and M super-diagonals and only the ones row of H is
@@ -35,20 +36,22 @@ lower state with positive probability.  By (ii) every state >= n_c
 reaches the prefix, and by (i) never returns, so those states are
 transient and every closed class lies in the prefix: the chain is
 singular (has more than one closed class) exactly when the prefix chain
-is, and pi is the prefix chain's pi followed by exact zeros.  For policy
-matrices (`score_stack`) both conditions are read off the nonzero pattern
-of lam's band (`_prefix_sizes`: per column, its highest nonzero row and
-whether a nonzero lies above the diagonal).  For action maps (`score_maps`
-and brute force) they are integer operations on the maps (`_map_sizes`),
-with the same result: state k taking action a_k reaches k - a_k + A at
-most (the arrival move, alpha > 0), so 0..n-1 is closed where the running
-maximum of k - a_k + A over k < n is at most n-1; and it moves down iff
-a_k >= 1, or a_k > A when alpha = 1 (every move then takes an arrival).
-`score_stack` cuts its band to the prefix columns; the map path builds
-the band, the per-state powers and the state index of the prefix columns
-alone, and `lu_factor` takes the cut band.  On the ladder K=203 walk the
-322 chains have 64 of 204 states on average, and the brute-force chains
-78% of theirs.  The prefix chain, and so the verdict, pi and rewards, depend
+is, and pi is the prefix chain's pi followed by exact zeros.  Both
+conditions are integer operations on the support of each policy row, one
+rule for policy matrices and action maps alike (`_prefix_sizes`): with
+lo_k and hi_k the least and greatest action that state k takes with
+positive probability (both its action a_k, for a map), state k reaches
+k - lo_k + A at most (the arrival move, alpha > 0), so 0..n-1 is closed
+where the running maximum of k - lo_k + A over k < n is at most n-1; and
+it moves down iff hi_k >= 1, or hi_k > A when alpha = 1 (every move then
+takes an arrival).  lam's entries alpha f, and (1-alpha) f when
+alpha < 1, are nonzero wherever f is (barring underflow), so the supports
+give lam's nonzero pattern.  Both scoring paths build the band and the state index
+of the prefix columns alone (`score_stack` cuts the per-state powers of
+all rows, `score_maps` reads those of the prefix actions), and
+`lu_factor` takes the cut band.  On the ladder K=203 walk the 322 chains
+have 64 of 204 states on average, and the brute-force chains 78% of
+theirs.  The prefix chain, and so the verdict, pi and rewards, depend
 only on n_c and the actions of states 0..n_c-1 (the band's columns there,
 and the per-state powers there, which are all the reductions read): two
 policies with the same n_c that agree on their prefix score bit for bit
@@ -150,14 +153,16 @@ def _matrix(policy: Union[Policy, np.ndarray]) -> np.ndarray:
 
 def _lam_band(params: ModelParams, f: np.ndarray) -> np.ndarray:
     """Band of the transition matrices of the feasible policy rows f
-    (..., M+1): band[t, ..., k] = lam[k - M + t, k] for t = 0..A+M, so
-    band[:, ..., k] is column k of lam from row k-M to row k+A.
+    (..., M+1), the rows of a stack's prefix columns (`score_stack`) or a
+    policy matrix (K+1, M+1) or stack of them: band[t, ..., k] =
+    lam[k - M + t, k] for t = 0..A+M, so band[:, ..., k] is column k of
+    lam from row k-M to row k+A.
 
     Every entry sums the same terms in the same order as a loop over
     (state, action) events: the no-arrival move to k-m (t = M-m), then the
     arrival move to k-m+A (t = M-m+A).  The entries above row 0 or below
     row K are exact zeros, since f is zero on infeasible actions.  The band
-    is a view of (..., K+1, A+M+1) memory, t varying fastest: the BLAS band
+    is a view of (..., A+M+1) memory, t varying fastest: the BLAS band
     storage of the block-diagonal lam of a stack, which `lu_factor` keeps
     without a copy unless it drops a singular chain.
     """
@@ -170,12 +175,13 @@ def _lam_band(params: ModelParams, f: np.ndarray) -> np.ndarray:
 
 
 def _map_band(params: ModelParams, acts: np.ndarray) -> np.ndarray:
-    """The band of `_lam_band`, laid out as its, for a stack of action maps
-    acts (..., K+1) or for the flat actions of a stack's prefix columns,
-    bit for bit that of their one-hot policy matrices, by two scatter
-    writes: 1-alpha at t = M-a and alpha at t = M-a+A for the action a of
-    each state.  A >= 1 puts the two in different rows, where `_lam_band`
-    adds alpha to an exact zero, and its other terms are exact zeros."""
+    """The band of `_lam_band`, laid out as its, for the flat actions of
+    a stack's prefix columns (`score_maps`) or a stack of action maps
+    acts (..., K+1), bit for bit that of their one-hot policy matrices, by
+    two scatter writes: 1-alpha at t = M-a and alpha at t = M-a+A for the
+    action a of each state.  A >= 1 puts the two in different rows, where
+    `_lam_band` adds alpha to an exact zero, and its other terms are exact
+    zeros."""
     A, M, w = params.A, params.M, params.A + params.M + 1
     band = np.zeros(acts.shape + (w,))
     flat = band.reshape(-1)
@@ -185,19 +191,20 @@ def _map_band(params: ModelParams, acts: np.ndarray) -> np.ndarray:
     return band.transpose(acts.ndim, *range(acts.ndim))
 
 
-def _map_sizes(params: ModelParams, acts: np.ndarray) -> np.ndarray:
-    """The closed prefix n_c of each action map of a stack acts (N, K+1),
-    by the integer rule of the module docstring: `_prefix_sizes` of their
-    band, without the band."""
-    n, A = acts.shape[1], params.A
+def _prefix_sizes(params: ModelParams, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The closed prefix n_c of each chain of a stack, by the rule of the
+    module docstring, from the least and greatest action lo, hi (N, K+1)
+    that each state takes with positive probability (both the action map,
+    for a deterministic policy)."""
+    n, A = lo.shape[1], params.A
     k = np.arange(n)
-    # state k reaches k - a + A at most, so a prefix 0..k is closed where
-    # the running maximum of k - a is at most k - A
-    lead = k - acts
+    # state k reaches k - lo + A at most, so a prefix 0..k is closed where
+    # the running maximum of k - lo is at most k - A
+    lead = k - lo
     # n_c - 1 is at least the last state without a move down (state 0 has
     # none), which is folded into state 0's value; with alpha = 1 every
-    # move takes an arrival, so a state moves down only if a > A
-    down = acts > (A if params.alpha == 1 else 0)
+    # move takes an arrival, so a state moves down only if hi > A
+    down = hi > (A if params.alpha == 1 else 0)
     lead[:, 0] = np.maximum(lead[:, 0], (n - 1 - A) - down[:, ::-1].argmin(axis=1))
     return (np.maximum.accumulate(lead, axis=1) <= k - A).argmax(axis=1) + 1
 
@@ -294,48 +301,6 @@ class BandLU:
     starts: np.ndarray
     last: np.ndarray
     sizes: np.ndarray
-
-
-# Sums of distinct powers 2^t, t < _EXACT_BITS, are exact in double precision.
-_EXACT_BITS = 52
-
-
-@lru_cache(maxsize=16)
-def _pattern_weights(w: int, upper: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights that map a band column's nonzero pattern to its sums of 2^t
-    over the nonzeros t of each run of _EXACT_BITS rows, and to its count
-    of moves down (t < upper)."""
-    t = np.arange(w)
-    return _read_only(np.exp2(t % _EXACT_BITS)), _read_only((t < upper).astype(float))
-
-
-def _prefix_sizes(band: np.ndarray, upper: int) -> np.ndarray:
-    """The closed prefix n_c of each chain of a stack of lam bands
-    (lower+upper+1, N, n), laid out as the builders lay it: the smallest n
-    such that no move leaves states 0..n-1 and every state >= n moves to a
-    lower one with positive probability, read off the band's nonzero
-    pattern (see the module docstring)."""
-    w, N, n = band.shape
-    # entries are probabilities, so ceil gives the nonzero pattern
-    pattern = np.ceil(band.transpose(1, 2, 0).reshape(-1, w))
-    powers, down = _pattern_weights(w, upper)
-    # one past the last nonzero t of each column: the exponent of its
-    # pattern sums (a column of lam is never all zero)
-    end = np.frexp(pattern[:, :_EXACT_BITS] @ powers[:_EXACT_BITS])[1]
-    for lo in range(_EXACT_BITS, w, _EXACT_BITS):
-        e = np.frexp(pattern[:, lo:lo + _EXACT_BITS] @ powers[lo:lo + _EXACT_BITS])[1]
-        end = np.where(e > 0, e + lo, end)
-    col = np.arange(N * n)  # column c n + k is state k of chain c
-    starts = col[::n]
-    # the highest row column k reaches, k - upper + its last nonzero t, in
-    # the stack's numbering; n_c - 1 is at least the chain's last state
-    # without a move down, which is folded into its first state's value
-    reach = end + (col - (upper + 1))
-    reach[::n] = np.maximum(reach[::n], np.maximum.reduceat(np.where(pattern @ down, 0, col), starts))
-    # the running maximum leaks from a chain into the next one, but stays
-    # below the next chain's first column, so no cut there fails by it
-    closed = np.maximum.accumulate(reach) <= col
-    return np.minimum.reduceat(np.where(closed, col, N * n), starts) - starts + 1
 
 
 @lru_cache(maxsize=16)
@@ -584,8 +549,9 @@ def _score(params: ModelParams, band: np.ndarray, rewards: np.ndarray, states: n
 def score_stack(params: ModelParams, f: np.ndarray):
     """Score a stack of policy matrices f (N, K+1, M+1) through one
     block-diagonal factorization of their balance systems, each chain on
-    its closed prefix, read off the band's nonzero pattern
-    (`_prefix_sizes`).
+    its closed prefix (`_prefix_sizes`, from the least and greatest action
+    of each row's support), with the band of the prefix rows alone
+    (`_lam_band`).
 
     Returns the factors of the chains that pass the pivot test, the indices
     into f of the chains that pass every check, and those chains' average
@@ -593,26 +559,26 @@ def score_stack(params: ModelParams, f: np.ndarray):
     chain moves only to i-m or i-m+A, so lam has A sub- and M
     super-diagonals.
     """
-    band = _lam_band(params, f)
-    sizes = _prefix_sizes(band, params.M)
+    pos = f > 0
+    sizes = _prefix_sizes(params, pos.argmax(-1), params.M - pos[..., ::-1].argmax(-1))
     cut = np.arange(params.K + 1) < sizes[:, None]
-    return _score(params, band.transpose(1, 2, 0)[cut].T,
-                  power_reward_vector(params, f)[cut], cut.nonzero()[1], sizes)
+    return _score(params, _lam_band(params, f[cut]), power_reward_vector(params, f)[cut],
+                  cut.nonzero()[1], sizes)
 
 
 def score_maps(params: ModelParams, acts: np.ndarray):
     """`score_stack` for a stack of deterministic policies given as action
     maps acts (N, K+1), bit for bit that of their one-hot policy matrices:
-    each chain's closed prefix from its map (`_map_sizes`), the band of the
-    prefix columns from their actions (`_map_band`), and the per-state
-    powers power[a], which are the one-hot rows' products with power
-    exactly."""
-    return _score_maps(params, acts, _map_sizes(params, acts))
+    each chain's closed prefix from its map (`_prefix_sizes`, with the map
+    as both ends of every support), the band of the prefix rows from their
+    actions (`_map_band`), and the per-state powers power[a], which are the
+    one-hot rows' products with power exactly."""
+    return _score_maps(params, acts, _prefix_sizes(params, acts, acts))
 
 
 def _score_maps(params: ModelParams, acts: np.ndarray, sizes: np.ndarray):
     """`score_maps` of the action maps acts (N, K+1) with closed prefixes
-    of `sizes` states, built for the prefix columns alone."""
+    of `sizes` states, built for the prefix rows alone."""
     cut = np.arange(acts.shape[1]) < sizes[:, None]
     prefix = acts[cut]
     return _score(params, _map_band(params, prefix), params.power_array[prefix],

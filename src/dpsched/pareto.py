@@ -23,7 +23,7 @@ from .model import (
     _last_state_at_most,
     feasibility_mask,
 )
-from .mrp import DelayPowerPoint, _map_sizes, _score_maps, _singular, score_maps
+from .mrp import DelayPowerPoint, _prefix_sizes, _score_maps, _singular, score_maps
 from .policies import (
     DEFAULT_ENUMERATION_CAP,
     enumerate_deterministic,
@@ -380,14 +380,14 @@ def scored_blocks(params: ModelParams, cap: int = DEFAULT_ENUMERATION_CAP):
     prefix are one chain.  The enumeration varies the last state fastest,
     so such maps come in runs of neighbours: a map whose n_c and prefix
     actions equal its predecessor's (`_run_leads`, on the block's prefix
-    sizes from `mrp._map_sizes`) repeats it.  Only the lead of each run is
-    built and factored, by one `mrp._score_maps` call on the leads' stack,
-    and every map of the run takes its lead's power, delay and
+    sizes from `mrp._prefix_sizes`) repeats it.  Only the lead of each run
+    is built and factored, by one `mrp._score_maps` call on the leads'
+    stack, and every map of the run takes its lead's power, delay and
     singular verdict; each chain of a stack scores bit for bit as on its
     own, so this is exact."""
     skipped = 0
     for acts in enumerate_deterministic(params, cap=cap):
-        sizes = _map_sizes(params, acts)
+        sizes = _prefix_sizes(params, acts, acts)
         lead = _run_leads(acts, sizes)
         first = lead.nonzero()[0]
         _, kept, power, delay = _score_maps(params, acts[first], sizes[first])

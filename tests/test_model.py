@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,20 @@ class TestValidateParams:
         args = dict(dict(alpha=0.4, A=2, M=3, Q=5, power=[0, 1, 4, 9]), **{field: value})
         with pytest.raises(errors.ModelError, match=f"^{field} must be an integer"):
             validate_params(**args)
+
+    @pytest.mark.parametrize("field, value", [("alpha", "x"), ("alpha", None),
+                                              ("power[2]", [0, 1, "x", 9]),
+                                              ("power[1]", [0, None, 4, 9])])
+    def test_non_numeric_field_is_named(self, field, value):
+        name = field.split("[")[0]
+        args = dict(dict(alpha=0.4, A=2, M=3, Q=5, power=[0, 1, 4, 9]), **{name: value})
+        with pytest.raises(errors.ModelError, match=f"^{re.escape(field)} must be a number"):
+            validate_params(**args)
+
+    @pytest.mark.parametrize("power", [None, 9, "0,1,4,9"])
+    def test_power_that_is_not_a_sequence_is_named(self, power):
+        with pytest.raises(errors.ModelError, match="^power must be a sequence of numbers"):
+            validate_params(0.4, 2, 3, 5, power)
 
     def test_integral_floats_and_numpy_integers(self):
         want = validate_params(0.4, 2, 3, 5, [0, 1, 4, 9])

@@ -99,6 +99,29 @@ def closed_prefix(lam):
     return size
 
 
+def closed_prefixes(params, f):
+    """`closed_prefix` of each chain of a stack of policy matrices, (N,)."""
+    lam = mrp.build_transition_enumerative(params, f)
+    return np.array([closed_prefix(chain) for chain in lam])
+
+
+def support_ends(f):
+    """The least and greatest action of each row's support, (N, K+1) each,
+    one row at a time."""
+    ends = [[(m.min(), m.max()) for m in map(np.flatnonzero, rows)] for rows in f]
+    return tuple(np.moveaxis(np.array(ends), -1, 0))
+
+
+def sparse_policy(params, rng):
+    """A random policy whose rows each keep a random nonempty subset of
+    their feasible actions, so that some supports have gaps and lo < hi."""
+    f = random_policy(params, rng).f
+    keep = rng.random(f.shape) < 0.5
+    keep[np.arange(len(f)), f.argmax(axis=1)] = True
+    f = np.where(keep, f, 0.0)
+    return Policy(params, f / f.sum(axis=1, keepdims=True))
+
+
 def chain_sum(v):
     """The sum of one chain's entries as the stacked path takes it: one
     segment of `np.add.reduceat`."""
@@ -173,13 +196,12 @@ def single_chain_solve(params, policy):
     return float(power), max(float(d), 0.0), np.append(pi, np.zeros(len(full) - n))
 
 
-def stacked_stationary(params, band, prefix=True):
-    """pi of each chain of a stack of lam bands from one stacked solve, on
-    the chains' closed prefixes (or at full size), zero past the prefix,
-    (N, K+1); and the mask of the chains that the pivot test or
+def stacked_stationary(params, band, sizes):
+    """pi of each chain of a stack of lam bands from one stacked solve, each
+    on its first `sizes` states (its closed prefix, or all K+1), zero past
+    them, (N, K+1); and the mask of the chains that the pivot test or
     `_clean_pi` calls singular."""
     n = params.K + 1
-    sizes = mrp._prefix_sizes(band, params.M) if prefix else np.full(band.shape[1], n)
     cut = (np.arange(n) < sizes[:, None]).ravel()
     lu = mrp.lu_factor(band.reshape(len(band), -1)[:, cut], params.A, params.M, sizes)
     pis, failed = mrp._stationary(lu)
@@ -705,7 +727,7 @@ def assert_maps_score_as_matrices(params, acts):
     want_lu, *want = mrp.score_stack(params, _action_matrix(params, acts))
     fields = ("band", "ab", "piv", "chains", "starts", "last", "sizes")
     # the prefix columns each kept, as indices into the stack's cut band
-    columns = np.arange(mrp._map_sizes(params, acts).sum())
+    columns = np.arange(mrp._prefix_sizes(params, acts, acts).sum())
     for a, b in zip(got + [getattr(lu, f) for f in fields] + [columns[lu.columns]],
                     want + [getattr(want_lu, f) for f in fields] + [columns[want_lu.columns]]):
         assert_same_bits(a, b)
@@ -813,14 +835,21 @@ def test_map_band_and_score_edge_instances(family, alpha, eps, A, extra_m, Q, n,
 )
 @example(family="alpha->1", alpha=0.5, eps=1e-4, A=2, extra_m=1, Q=4, n=8, seed=0)
 @settings(max_examples=60, deadline=None)
-def test_map_sizes_edge_instances(family, alpha, eps, A, extra_m, Q, n, seed):
+def test_prefix_sizes_edge_instances(family, alpha, eps, A, extra_m, Q, n, seed):
     """alpha near 0 and 1 (alpha = 1 included), Q = 0, M = A and A = 1: the
-    closed prefixes of random action maps by the integer rule are those
-    read off their band's nonzero pattern."""
+    closed prefixes by the support rule, of random action maps and of random
+    policies with sparsified supports (lo < hi in some rows), are those of
+    `closed_prefix`, and `score_stack` factors each kept chain on its own."""
     params = edge_params(family, alpha, eps, A, extra_m, Q)
-    acts = random_maps(params, np.random.default_rng(seed), n)
-    assert_same_bits(mrp._map_sizes(params, acts),
-                     mrp._prefix_sizes(mrp._map_band(params, acts), params.M))
+    rng = np.random.default_rng(seed)
+    acts = random_maps(params, rng, n)
+    assert_same_bits(mrp._prefix_sizes(params, acts, acts),
+                     closed_prefixes(params, _action_matrix(params, acts)))
+    f = np.stack([sparse_policy(params, rng).f for _ in range(n)])
+    want = closed_prefixes(params, f)
+    assert_same_bits(mrp._prefix_sizes(params, *support_ends(f)), want)
+    lu = mrp.score_stack(params, f)[0]
+    assert_same_bits(lu.sizes, want[lu.chains])
 
 
 @given(
@@ -866,6 +895,14 @@ def test_stacked_chain_solve_refinement_off_exact_pi():
     check_stacked_chain_solve("alpha->1", 0.5, 0.002484920129379763, 3, 0, 2, 6, 3, 113)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "chain 1 has one closed class and its stacked pi is 1.1e-16 from the exact "
+    "one, but the dense LU reference is 1.25e-12 off (1e-12 allowed): only an "
+    "exact reference (ROADMAP item 2) settles it"))
+def test_stacked_chain_solve_dense_reference_off_exact_pi():
+    check_stacked_chain_solve("alpha->0", 0.5, 1e-4, 3, 0, 5, 4, 1, 1)
+
+
 def check_stacked_chain_solve(family, alpha, eps, A, extra_m, Q, n_random, n_deterministic,
                               seed):
     """The checks of `test_stacked_chain_solve_edge_instances` on one draw."""
@@ -879,7 +916,8 @@ def check_stacked_chain_solve(family, alpha, eps, A, extra_m, Q, n_random, n_det
     assert_stack_matches_single_chains(params, pols)
     f = np.stack([p.f for p in pols])
     lam = mrp.build_transition_enumerative(params, f)
-    pis, singular = stacked_stationary(params, mrp._lam_band(params, f))
+    sizes = closed_prefixes(params, f)
+    pis, singular = stacked_stationary(params, mrp._lam_band(params, f), sizes)
     for c, (pi, fail) in enumerate(zip(pis, singular)):
         want = single_chain_solve(params, pols[c])
         if fail:
@@ -955,9 +993,9 @@ PREFIX_INSTANCES = {
 
 
 class TestClosedPrefix:
-    """Each chain solved on its closed prefix (`mrp._prefix_sizes`) against
-    the same chain solved on all its states and the exact closed-class
-    count."""
+    """Each chain's closed prefix by the support rule (`mrp._prefix_sizes`)
+    against `closed_prefix`, and each chain solved on it against the same
+    chain solved on all its states and the exact closed-class count."""
 
     @pytest.mark.parametrize("name", PREFIX_INSTANCES)
     def test_prefix_solve_is_exact(self, name):
@@ -967,13 +1005,13 @@ class TestClosedPrefix:
         for acts in enumerate_deterministic(params):
             lam = mrp.build_transition_enumerative(params, _action_matrix(params, acts))
             band = mrp._map_band(params, acts)
-            sizes = mrp._prefix_sizes(band, params.M)
-            assert sizes.tolist() == [closed_prefix(chain) for chain in lam]
+            sizes = np.array([closed_prefix(chain) for chain in lam])
+            assert_same_bits(mrp._prefix_sizes(params, acts, acts), sizes)
             # a chain whose state K has no move down is solved in full
             assert (sizes[~lam[:, :-1, -1].any(axis=1)] == n).all()
             singular = np.array([closed_class_count(chain) > 1 for chain in lam])
-            pi, prefix_singular = stacked_stationary(params, band)
-            full_pi, full_singular = stacked_stationary(params, band, prefix=False)
+            pi, prefix_singular = stacked_stationary(params, band, sizes)
+            full_pi, full_singular = stacked_stationary(params, band, np.full(len(acts), n))
             wrong["prefix"] += int((prefix_singular != singular).sum())
             wrong["full"] += int((full_singular != singular).sum())
             both = ~prefix_singular & ~full_singular
@@ -990,31 +1028,41 @@ class TestClosedPrefix:
     @pytest.mark.parametrize("Q", [5, 6])
     @pytest.mark.parametrize("alpha", [0.4, 0.01, 0.999, 1.0])
     def test_map_rule_is_the_band_pattern_rule(self, Q, alpha):
-        # every deterministic policy of the reference instance
+        # every deterministic policy of the reference instance: the rule on
+        # the maps gives the prefix read off lam's nonzero pattern
         params = validate_params(alpha=alpha, **dict(REFERENCE, Q=Q))
         for acts in enumerate_deterministic(params):
-            assert_same_bits(mrp._map_sizes(params, acts),
-                             mrp._prefix_sizes(mrp._map_band(params, acts), params.M))
+            assert_same_bits(mrp._prefix_sizes(params, acts, acts),
+                             closed_prefixes(params, _action_matrix(params, acts)))
 
     def test_chain_without_a_move_down_from_k_is_solved_in_full(self):
         # at alpha=1 a state sending A bits moves only to itself: the drain
         # policy, min(k, M), keeps states 0..A, unless state K sends A
         params = STACK_INSTANCES["alpha1"][0]
-        acts = np.array([np.minimum(np.arange(params.K + 1), params.M)] * 2)
-        acts[1, -1] = params.A
-        band = mrp._map_band(params, acts)
-        assert mrp._prefix_sizes(band, params.M).tolist() == [params.A + 1, params.K + 1]
+        A, K = params.A, params.K
+        acts = np.array([np.minimum(np.arange(K + 1), params.M)] * 2)
+        acts[1, -1] = A
+        assert mrp._prefix_sizes(params, acts, acts).tolist() == [A + 1, K + 1]
+        # randomized rows: state K-1 sending A-1 or A has no move down (and
+        # reaches K), state K-1 sending A or A+1 has one
+        f = _action_matrix(params, acts[[0, 0]])
+        f[:, K - 1] = 0.0
+        f[0, K - 1, [A - 1, A]] = f[1, K - 1, [A, A + 1]] = 0.5
+        sizes = mrp._prefix_sizes(params, *support_ends(f))
+        assert sizes.tolist() == [K + 1, A + 1]
+        assert_same_bits(sizes, closed_prefixes(params, f))
 
-    def test_band_wider_than_the_exact_pattern_sums(self):
-        # M=60: the band has 63 rows, more than one run of 2^t sums, and a
-        # random policy's column has nonzeros in all of them
+    def test_support_rule_on_a_wide_band(self):
+        # M=60: the band has 63 rows, and a random policy's column has
+        # nonzeros in all of them, a sparsified one's in some
         params = validate_params(0.5, 2, 60, 70, [m * m for m in range(61)])
         rng = np.random.default_rng(5)
         pols = [random_policy(params, rng), random_deterministic(params, rng),
-                policy_from_actions(params, initial_actions(params))]
+                policy_from_actions(params, initial_actions(params)),
+                sparse_policy(params, rng)]
         f = np.stack([p.f for p in pols])
         lam = mrp.build_transition_enumerative(params, f)
-        sizes = mrp._prefix_sizes(mrp._lam_band(params, f), params.M)
+        sizes = mrp._prefix_sizes(params, *support_ends(f))
         assert sizes.tolist() == [closed_prefix(chain) for chain in lam]
         assert sizes.min() == params.A + 1 and sizes.max() == params.K + 1
         assert assert_stack_matches_single_chains(params, pols) == 0
@@ -1023,7 +1071,7 @@ class TestClosedPrefix:
         params = STACK_INSTANCES["reference"][0]
         pols = deterministic_policies(params)
         acts = np.array([p.action_map() for p in pols])
-        sizes = mrp._prefix_sizes(mrp._map_band(params, acts), params.M)
+        sizes = closed_prefixes(params, _action_matrix(params, acts))
         _, kept, _, _ = mrp.score_maps(params, acts)
         nonsingular = np.zeros(len(acts), dtype=bool)
         nonsingular[kept] = True
