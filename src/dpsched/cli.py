@@ -216,7 +216,7 @@ def main(argv=None) -> int:
     except EnumerationTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, an existing file as --out-dir
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

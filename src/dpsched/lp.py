@@ -107,12 +107,12 @@ class LpProblem:
     """min c@x  s.t.  a_power@x <= p_th,  A_eq@x = b_eq,  x >= 0.
 
     Variables are the masked occupation measures, ordered lexicographically
-    by (state, action); masked-out pairs are absent, not bounded.
+    by (state, action), the order of `np.nonzero(feasibility_mask(params))`;
+    masked-out pairs are absent, not bounded.
     """
 
     params: ModelParams
     p_th: float
-    var_index: tuple[tuple[int, int], ...]
     c: np.ndarray
     a_power: np.ndarray
     A_eq: np.ndarray
@@ -120,7 +120,7 @@ class LpProblem:
 
     @property
     def n_vars(self) -> int:
-        return len(self.var_index)
+        return len(self.c)
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,6 @@ def build_lp(params: ModelParams, p_th: float) -> LpProblem:
     return LpProblem(
         params=params,
         p_th=float(p_th),
-        var_index=tuple(zip(ks.tolist(), ms.tolist())),
         c=ks / (params.alpha * params.A),
         a_power=params.power_array[ms],
         A_eq=A_eq,

@@ -199,8 +199,10 @@ class Policy:
                 f"policy must be {(params.K + 1, params.M + 1)}, got {arr.shape}"
             )
         if validate:
-            if np.any(arr < -PROB_TOL) or np.any(arr > 1 + PROB_TOL):
-                raise InvalidPolicy("policy entries must lie in [0, 1]")
+            outside = ~((arr >= -PROB_TOL) & (arr <= 1 + PROB_TOL))  # NaN included
+            if outside.any():
+                k, m = np.argwhere(outside)[0]
+                raise InvalidPolicy(f"f[{k}][{m}] = {arr[k, m]} must lie in [0, 1]")
             np.clip(arr, 0.0, 1.0, out=arr)
             mask = feasibility_mask(params)
             bad = np.abs(arr[~mask])
@@ -258,12 +260,20 @@ class Policy:
 
     @classmethod
     def from_csv(cls, params: ModelParams, text: str) -> "Policy":
+        """The policy of `to_csv`'s text; blank lines and lines starting with
+        '#' are skipped.  A malformed number, or a row without M+1 fields,
+        raises ModelError naming its line (and field)."""
         rows = []
-        for line in text.strip().splitlines():
+        for i, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(v) for v in line.split(",")])
+            fields = line.split(",")
+            if len(fields) != params.M + 1:
+                raise InvalidPolicy(
+                    f"policy line {i} has {len(fields)} fields, expected {params.M + 1}")
+            rows.append([_parse(f"policy line {i} field {j}", v, float)
+                         for j, v in enumerate(fields, 1)])
         return cls(params, rows)
 
 

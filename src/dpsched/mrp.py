@@ -12,16 +12,20 @@ from the supports of its policy rows (`_prefix_sizes`), build the band of
 the transition matrix lam on the prefix columns alone, factor the
 normalized balance systems H of the prefixes (`lu_factor`), solve them
 with iterative refinement, then take the rewards of the stationary
-distributions (`_score`).  Only the band builder differs between the two
-entry points: `_lam_band` from the prefix rows of policy matrices
-(`score_stack`) and `_map_band` from the prefix actions of the action maps
-of deterministic policies (`score_maps`, bit for bit the same band and
-scores as their one-hot matrices, which are never built).  Both lay the
-band out with its row t varying fastest, (A+M+1, columns) viewing
-(columns, A+M+1) memory: the BLAS band storage of the block-diagonal lam
-(Anderson et al., LAPACK Users' Guide, 1999).  No dense (K+1)^2 matrix is
-built on that path; `build_transition_enumerative` gives lam to the
-callers that want it.
+distributions (`_score`).  The band comes from policy rows (`_lam_band`,
+for `score_stack`) or from the actions of deterministic policies
+(`_map_band`, for `score_maps` and `score_map_runs`), bit for bit the band
+of their one-hot rows, which are never built.
+
+There is one band layout, the cut stack: lam's band (A+M+1, columns), one
+block of `sizes[i]` columns per chain, row t varying fastest, so that it
+views (columns, A+M+1) memory: the BLAS band storage of the
+block-diagonal lam (Anderson et al., LAPACK Users' Guide, 1999).  Two
+callers pass one block of all K+1 states: `stationary_distribution(lam)`,
+an independent re-solve of a given matrix, and the factor of F in
+`mixing_analysis`, whose v = H^-1 delta_k lives on all states.  Scoring
+builds no dense (K+1)^2 matrix; `build_transition_enumerative` gives lam
+to the callers that want it.
 
 From state i the chain moves only to i-m or i-m+A (0 <= m <= M), so
 lam - I has A sub- and M super-diagonals and only the ones row of H is
@@ -46,21 +50,19 @@ where the running maximum of k - lo_k + A over k < n is at most n-1; and
 it moves down iff hi_k >= 1, or hi_k > A when alpha = 1 (every move then
 takes an arrival).  lam's entries alpha f, and (1-alpha) f when
 alpha < 1, are nonzero wherever f is (barring underflow), so the supports
-give lam's nonzero pattern.  Both scoring paths build the band and the state index
-of the prefix columns alone (`score_stack` cuts the per-state powers of
-all rows, `score_maps` reads those of the prefix actions), and
-`lu_factor` takes the cut band.  On the ladder K=203 walk the 322 chains
-have 64 of 204 states on average, and the brute-force chains 78% of
-theirs.  The prefix chain, and so the verdict, pi and rewards, depend
-only on n_c and the actions of states 0..n_c-1 (the band's columns there,
-and the per-state powers there, which are all the reductions read): two
-policies with the same n_c that agree on their prefix score bit for bit
-alike.  Brute force factors one of each run of such neighbours in the
-enumeration (`pareto.scored_blocks`): 1,073 chains of 2,304 at Q=5, 4,246
-of 9,216 at Q=6 and 101,203 of 259,200 at ladder K=9.  Two paths stay at
-full size: `stationary_distribution(lam)`, an independent re-solve of a
-given matrix, and the factor of F in `mixing_analysis`, whose
-v = H^-1 delta_k lives on all K+1 states.
+give lam's nonzero pattern.  On the ladder K=203 walk the 322 chains have
+64 of 204 states on average, and the brute-force chains 78% of theirs.
+
+The run rule.  The prefix chain, and so the verdict, pi and rewards,
+depend only on n_c and the actions of states 0..n_c-1 (the band's columns
+there, and the per-state powers there, which are all the reductions
+read): two maps with the same n_c that agree on their prefix score bit
+for bit alike.  Brute force enumerates the last state fastest, so such
+maps come in runs of neighbours, and `score_map_runs` factors the first
+map of each run alone and gives every map its run's scores: 1,073 chains
+of 2,304 at Q=5, 4,246 of 9,216 at Q=6 and 101,203 of 259,200 at ladder
+K=9.  The walk's stacks hold about two chains each, too few to repay the
+search for runs, so it scores every map (`score_maps`).
 
 The N balance systems of a stack are laid side by side as one
 block-diagonal band with the same kl and ku, a block of n_c columns per
@@ -152,43 +154,39 @@ def _matrix(policy: Union[Policy, np.ndarray]) -> np.ndarray:
 
 
 def _lam_band(params: ModelParams, f: np.ndarray) -> np.ndarray:
-    """Band of the transition matrices of the feasible policy rows f
-    (..., M+1), the rows of a stack's prefix columns (`score_stack`) or a
-    policy matrix (K+1, M+1) or stack of them: band[t, ..., k] =
-    lam[k - M + t, k] for t = 0..A+M, so band[:, ..., k] is column k of
-    lam from row k-M to row k+A.
+    """Band (A+M+1, n) of lam's columns for the feasible policy rows f
+    (n, M+1), one per column: band[t, k] = lam[k - M + t, k] for
+    t = 0..A+M, so band[:, k] is column k of lam from row k-M to row k+A.
 
     Every entry sums the same terms in the same order as a loop over
     (state, action) events: the no-arrival move to k-m (t = M-m), then the
     arrival move to k-m+A (t = M-m+A).  The entries above row 0 or below
     row K are exact zeros, since f is zero on infeasible actions.  The band
-    is a view of (..., A+M+1) memory, t varying fastest: the BLAS band
-    storage of the block-diagonal lam of a stack, which `lu_factor` keeps
-    without a copy unless it drops a singular chain.
+    is a view of (n, A+M+1) memory, t varying fastest: the BLAS band
+    storage that `lu_factor` keeps without a copy unless it drops a
+    singular chain.
     """
     A, M, alpha = params.A, params.M, params.alpha
-    band = np.moveaxis(np.zeros(f.shape[:-1] + (A + M + 1,)), -1, 0)
-    f = f.transpose(-1, *range(f.ndim - 1))  # (M+1, ...)
-    np.multiply(f, 1 - alpha, out=band[: M + 1][::-1])
-    band[A:][::-1] += alpha * f
+    band = np.zeros((len(f), A + M + 1)).T
+    np.multiply(f.T, 1 - alpha, out=band[: M + 1][::-1])
+    band[A:][::-1] += alpha * f.T
     return band
 
 
 def _map_band(params: ModelParams, acts: np.ndarray) -> np.ndarray:
-    """The band of `_lam_band`, laid out as its, for the flat actions of
-    a stack's prefix columns (`score_maps`) or a stack of action maps
-    acts (..., K+1), bit for bit that of their one-hot policy matrices, by
+    """The band of `_lam_band`, laid out as its, for the flat actions acts
+    (n,) of deterministic rows, bit for bit that of their one-hot rows, by
     two scatter writes: 1-alpha at t = M-a and alpha at t = M-a+A for the
-    action a of each state.  A >= 1 puts the two in different rows, where
+    action a of each column.  A >= 1 puts the two in different rows, where
     `_lam_band` adds alpha to an exact zero, and its other terms are exact
     zeros."""
     A, M, w = params.A, params.M, params.A + params.M + 1
-    band = np.zeros(acts.shape + (w,))
+    band = np.zeros((acts.size, w))
     flat = band.reshape(-1)
-    t = np.arange(0, flat.size, w) + (M - acts).ravel()
+    t = np.arange(0, flat.size, w) + (M - acts)
     flat[t] = 1 - params.alpha
     flat[t + A] = params.alpha
-    return band.transpose(acts.ndim, *range(acts.ndim))
+    return band.T
 
 
 def _prefix_sizes(params: ModelParams, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -219,11 +217,10 @@ def _band_index(n: int, lower: int, upper: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _gather_band(lam: np.ndarray, lower: int, upper: int) -> np.ndarray:
-    """The band of an n x n matrix lam or a stack of them, laid out as
-    `_lam_band`'s: (lower+upper+1, ..., n)."""
-    n = lam.shape[-1]
-    index, keep = _band_index(n, lower, upper)
-    return np.moveaxis(lam.reshape(lam.shape[:-2] + (n * n,))[..., index] * keep, -2, 0)
+    """The band (lower+upper+1, n) of an n x n matrix lam, rows as
+    `_lam_band`'s."""
+    index, keep = _band_index(len(lam), lower, upper)
+    return lam.take(index) * keep
 
 
 def build_transition_enumerative(
@@ -231,20 +228,18 @@ def build_transition_enumerative(
 ) -> np.ndarray:
     """Transition matrix by direct enumeration of (action, arrival) events.
 
-    Takes a Policy or a stack of policy matrices (N, K+1, M+1).  Returns the
-    read-only (K+1)x(K+1) (or (N, K+1, K+1)) column-stochastic matrix lam:
-    lam[j, i] is the probability of moving from state i to state j, so
-    each column indexes a source state and sums to 1.  From state i,
+    Takes a Policy or its matrix (K+1, M+1).  Returns the read-only
+    (K+1)x(K+1) column-stochastic matrix lam: lam[j, i] is the probability
+    of moving from state i to state j, so each column indexes a source
+    state and sums to 1.  From state i,
     transmitting m bits leads to i-m without an arrival (probability
     1-alpha) and to i-m+A with one (probability alpha).  The entries are
     those of `_lam_band`, which the scoring path uses instead.
     """
     n = params.K + 1
-    f = _matrix(policy)
-    band = _lam_band(params, f).reshape(params.A + params.M + 1, -1, n)
     index, keep = _band_index(n, params.A, params.M)
-    lam = np.zeros(f.shape[:-1] + (n,))
-    lam.reshape(-1, n * n)[:, index[keep]] = band.transpose(1, 0, 2)[:, keep]
+    lam = np.zeros((n, n))
+    lam.reshape(-1)[index[keep]] = _lam_band(params, _matrix(policy))[keep]
     return _read_only(lam)
 
 
@@ -345,14 +340,12 @@ def _balance_band(band: np.ndarray, lower: int, upper: int, sizes: np.ndarray) -
     return ab
 
 
-def lu_factor(band: np.ndarray, lower: int, upper: int,
-              sizes: Optional[np.ndarray] = None) -> BandLU:
+def lu_factor(band: np.ndarray, lower: int, upper: int, sizes: np.ndarray) -> BandLU:
     """Factor the normalized balance systems H (a ones row over the first
-    n-1 rows of lam - I) of a transition matrix, or of a stack of them,
-    given by lam's band: (lower+upper+1, n) for one chain, (lower+upper+1,
-    N, n) for N chains of n states, or (lower+upper+1, columns) for chains
-    of `sizes` states each, laid side by side (a stack cut to its closed
-    prefixes).  No move may leave a chain's states.
+    n-1 rows of lam - I) of a stack of chains of `sizes` states each, given
+    by their lam bands laid side by side, (lower+upper+1, columns): a stack
+    cut to its closed prefixes, or one chain of all its states.  No move
+    may leave a chain's states.
 
     With z_k = sum_{j>=k} pi_j, pi = D z for the unit upper bidiagonal D
     (pi_k = z_k - z_{k+1}); the ones row of H D is e_0, so H D is banded
@@ -363,12 +356,9 @@ def lu_factor(band: np.ndarray, lower: int, upper: int,
     from the factors, so that no solve sees it (`BandLU.chains` lists the
     chains kept).
     """
-    w = len(band)
-    if sizes is None:
-        sizes = np.full(band[0].size // band.shape[-1], band.shape[-1])
     # BLAS band storage, t varying fastest: a builder's band is kept as it
     # is, a band gathered out of lam is copied
-    band = np.asfortranarray(band.reshape(w, -1))
+    band = np.asfortranarray(band)
     kl, ku = lower + 1, upper
     ab, piv, _ = dgbtrf(_balance_band(band, lower, upper, sizes), kl, ku, overwrite_ab=1)
     ends = sizes.cumsum()
@@ -501,7 +491,7 @@ def stationary_distribution(lam: np.ndarray) -> np.ndarray:
     states: the solve of `score_stack`, entered through the band gathered
     out of lam."""
     lower, upper = _bandwidths(lam)
-    lu = lu_factor(_gather_band(lam, lower, upper), lower, upper)
+    lu = lu_factor(_gather_band(lam, lower, upper), lower, upper, np.array([len(lam)]))
     pi, failed = _stationary(lu)
     if not lu.chains.size or np.any(failed):
         raise _singular(lu)
@@ -583,6 +573,29 @@ def _score_maps(params: ModelParams, acts: np.ndarray, sizes: np.ndarray):
     prefix = acts[cut]
     return _score(params, _map_band(params, prefix), params.power_array[prefix],
                   cut.nonzero()[1], sizes)
+
+
+def score_map_runs(params: ModelParams, acts: np.ndarray):
+    """`score_maps` of the action maps acts (N, K+1) by the run rule (see
+    the module docstring): a map leads a run unless its closed prefix size
+    equals its predecessor's and it takes its predecessor's actions on
+    every state of that prefix.  Only the leads are factored, by one
+    stack, and every map takes its lead's verdict and scores, bit for bit
+    those of `score_maps` on the whole stack.  Returns the indices into
+    acts of the maps that pass every check, and their average powers and
+    delays."""
+    sizes = _prefix_sizes(params, acts, acts)
+    lead = np.ones(len(acts), dtype=bool)
+    agree = (acts[1:] == acts[:-1]) | (np.arange(acts.shape[1]) >= sizes[1:, None])
+    lead[1:] = (sizes[1:] != sizes[:-1]) | ~agree.all(axis=1)
+    first = lead.nonzero()[0]
+    _, kept, power, delay = _score_maps(params, acts[first], sizes[first])
+    passed = np.zeros(first.size, dtype=bool)
+    passed[kept] = True
+    run = lead.cumsum() - 1  # each map's run, as an index into first
+    rows = passed[run].nonzero()[0]
+    at = (passed.cumsum() - 1)[run[rows]]  # the run's place in kept
+    return rows, power[at], delay[at]
 
 
 def evaluate(params: ModelParams, policy: Policy) -> DelayPowerPoint:
@@ -675,13 +688,13 @@ def mixing_analysis(params: ModelParams, F: Policy, F2: Policy) -> MixingAnalysi
     point_a = evaluate(params, F)
     point_b = evaluate(params, F2)
     # v lives on all K+1 states: F's balance system is factored in full
-    lu_a = lu_factor(_lam_band(params, F.f), params.A, params.M)
+    K, M = params.K, params.M
+    lu_a = lu_factor(_lam_band(params, F.f), params.A, M, np.array([K + 1]))
     if not lu_a.chains.size:
         raise _singular(lu_a)
     # H_F2 - H_F is zero outside column k, which depends on row k of the
     # policy only; its ones row cancels too
-    K, M = params.K, params.M
-    delta = _lam_band(params, F2.f[k]) - _lam_band(params, F.f[k])
+    delta = (_lam_band(params, F2.f[k:k + 1]) - _lam_band(params, F.f[k:k + 1]))[:, 0]
     j = k - M + np.arange(delta.size)  # the rows of lam that delta spans
     keep = (j >= 0) & (j < K)
     delta_k = np.zeros(K + 1)

@@ -3,9 +3,9 @@
 Two independent routes: a threshold walk that descends the frontier one
 vertex at a time, and a brute-force lower convex hull of every
 deterministic policy's reward pair.  Their agreement is the package's
-central cross-check.  That reward cloud is one stream of scored blocks
+central cross-check.  The reward cloud is one stream of scored blocks
 (`scored_blocks`), which brute force folds into a staircase and `dpsched
-pareto` writes out row by row as its point cloud: neither keeps the cloud.
+pareto` writes out row by row: neither keeps the cloud.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .model import (
     _last_state_at_most,
     feasibility_mask,
 )
-from .mrp import DelayPowerPoint, _prefix_sizes, _score_maps, _singular, score_maps
+from .mrp import DelayPowerPoint, _singular, score_map_runs, score_maps
 from .policies import (
     DEFAULT_ENUMERATION_CAP,
     enumerate_deterministic,
@@ -356,49 +356,21 @@ def _merge_staircase(staircase, block):
     return power[keep], delay[keep], payload[keep]
 
 
-def _run_leads(acts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Whether each action map of a stack leads a run: it does unless its
-    closed prefix size equals its predecessor's and it takes its
-    predecessor's actions on every state of that prefix."""
-    lead = np.ones(len(acts), dtype=bool)
-    agree = (acts[1:] == acts[:-1]) | (np.arange(acts.shape[1]) >= sizes[1:, None])
-    lead[1:] = (sizes[1:] != sizes[:-1]) | ~agree.all(axis=1)
-    return lead
-
-
 def scored_blocks(params: ModelParams, cap: int = DEFAULT_ENUMERATION_CAP):
     """The reward cloud of every deterministic policy, a block at a time:
     for each block of `enumerate_deterministic`, yield the powers, delays
     and action maps of its nonsingular chains, in enumeration order, and
-    the count of its singular ones, all bit for bit those of one
-    `score_maps` call on the block.  The first `next` raises
-    EnumerationTooLarge if the count exceeds `cap`; once the stream is
-    exhausted, the singular chains skipped are logged.
-
-    A chain is scored on its closed prefix 0..n_c-1 alone (see the `mrp`
-    module docstring), so two maps with the same n_c that agree on the
-    prefix are one chain.  The enumeration varies the last state fastest,
-    so such maps come in runs of neighbours: a map whose n_c and prefix
-    actions equal its predecessor's (`_run_leads`, on the block's prefix
-    sizes from `mrp._prefix_sizes`) repeats it.  Only the lead of each run
-    is built and factored, by one `mrp._score_maps` call on the leads'
-    stack, and every map of the run takes its lead's power, delay and
-    singular verdict; each chain of a stack scores bit for bit as on its
-    own, so this is exact."""
+    the count of its singular ones, scored by the run rule
+    (`mrp.score_map_runs`), bit for bit as by one `score_maps` call on the
+    block.  The first `next` raises EnumerationTooLarge if the count
+    exceeds `cap`; once the stream is exhausted, the singular chains
+    skipped are logged."""
     skipped = 0
     for acts in enumerate_deterministic(params, cap=cap):
-        sizes = _prefix_sizes(params, acts, acts)
-        lead = _run_leads(acts, sizes)
-        first = lead.nonzero()[0]
-        _, kept, power, delay = _score_maps(params, acts[first], sizes[first])
-        passed = np.zeros(first.size, dtype=bool)
-        passed[kept] = True
-        run = lead.cumsum() - 1  # each map's run, as an index into first
-        rows = passed[run].nonzero()[0]
-        at = (passed.cumsum() - 1)[run[rows]]  # the run's place in kept
-        singular = len(acts) - rows.size
+        kept, power, delay = score_map_runs(params, acts)
+        singular = len(acts) - kept.size
         skipped += singular
-        yield power[at], delay[at], acts[rows], singular
+        yield power, delay, acts[kept], singular
     if skipped:
         log.warning("skipped %d deterministic policies with singular chains", skipped)
 
@@ -408,16 +380,12 @@ def brute_force_frontier(
 ) -> ParetoCurve:
     """Frontier by exhaustive enumeration: the oracle route.
 
-    The scored stream (`scored_blocks`) factors one chain per run of
-    enumeration neighbours with the same closed prefix chain (the same n_c
-    and the same actions on states 0..n_c-1), which all score bit for bit
-    alike, and gives each policy its run's score.  Each of its blocks is
-    merged into the staircase of the rows scored so far
-    (`_merge_staircase`), so memory is O(block + staircase): the staircase
-    ends with 97 rows on the reference instance at Q=6 and 121 at ladder
-    K=9 (259,200 policies).  One `lower_convex_hull` over the staircase's
-    bare reward points gives the curve of the whole cloud, and only its
-    vertices get a policy."""
+    Each block of the scored stream (`scored_blocks`) is merged into the
+    staircase of the rows scored so far (`_merge_staircase`), so memory is
+    O(block + staircase): the staircase ends with 97 rows on the reference
+    instance at Q=6 and 121 at ladder K=9 (259,200 policies).  One
+    `lower_convex_hull` over the staircase's bare reward points gives the
+    curve of the whole cloud, and only its vertices get a policy."""
     staircase = (np.empty(0), np.empty(0), np.empty((0, params.K + 1), dtype=np.intp))
     skipped = 0
     for power, delay, maps, singular in scored_blocks(params, cap):

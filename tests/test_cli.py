@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,13 @@ class TestPareto:
         assert not (tmp_path / "pareto_cloud.csv").exists()
         assert not (tmp_path / "pareto_cloud.dat").exists()
         assert "cloud skipped" in capsys.readouterr().err
+
+    def test_out_dir_is_an_existing_file(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        assert main(["pareto", *VI_FLAGS, "--no-cloud", "--out-dir", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def test_cap_defaults_to_the_enumeration_cap(self):
         assert build_parser().parse_args(["pareto"]).cap == DEFAULT_ENUMERATION_CAP
@@ -166,6 +174,24 @@ class TestSimulate:
     def test_missing_policy_file(self, capsys):
         assert main(["simulate", *VI_FLAGS, "--policy", "/nonexistent.csv", "--slots", "10"]) == 2
 
+    def test_policy_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["simulate", *VI_FLAGS, "--policy", str(tmp_path), "--slots", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,0,0,x\n", "policy line 1 field 4 must be a number, got 'x'"),
+        ("1,0,0,0\n0,1,0\n", "policy line 2 has 3 fields, expected 4"),
+        ("1,0,0,0\n" * 2 + "nan,0.5,0.5,0\n" + "0,0,1,0\n" * 5,
+         "f[2][0] = nan must lie in [0, 1]"),
+    ])
+    def test_malformed_policy_file(self, tmp_path, capsys, text, message):
+        # a usage error (exit 2) naming the line and field, not a traceback
+        path = tmp_path / "policy.csv"
+        path.write_text(text)
+        assert main(["simulate", *VI_FLAGS, "--policy", str(path), "--slots", "10"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_bad_slots(self, tmp_path, capsys):
         params = validate_params(0.4, 2, 3, 5, [0, 1, 4, 9])
         pol = threshold_to_policy(params, ThresholdPolicy((0, 1, 7, 7)))
@@ -270,3 +296,37 @@ class TestVerify:
             f"not run: {count_deterministic(params)} deterministic policies "
             f"exceed the cap of {DEFAULT_ENUMERATION_CAP}")
         assert all(l.startswith(("PASS", "FAIL")) for l in lines if l != lines[1])
+
+
+def test_readme_quotes_the_cli(tmp_path, capsys):
+    """The CLI outputs that README quotes, from the commands it shows: the
+    reference frontier's end vertices, the `lp --pth 1.6` line and the five
+    `simulate` lines for the LP policy at `--pth 1.2`."""
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+
+    def quoted(text):
+        assert " ".join(text.split()) in readme, text
+        return text
+
+    assert main(["pareto", *VI_FLAGS, "--no-cloud", "--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "pareto_curve.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6
+    p0, d0 = map(float, rows[0].split(",")[:2])
+    p1, d1 = map(float, rows[-1].split(",")[:2])
+    quoted(f"six vertices from `(power {p0:g}, delay {d0:g})` down to `({p1:.4f}, {d1:.4f})`")
+
+    capsys.readouterr()
+    assert main(["lp", *VI_FLAGS, "--pth", "1.6"]) == 0
+    assert capsys.readouterr().out == quoted("p_th=1.600000 delay=0.000000 status=optimal") + "\n"
+
+    policy = tmp_path / "policy.csv"
+    assert main(["lp", *VI_FLAGS, "--pth", "1.2", "--policy-out", str(policy)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", *VI_FLAGS, "--policy", str(policy), "--slots", "1000000",
+                 "--seed", "7", "--trace", str(tmp_path / "trace.csv")]) == 0
+    assert capsys.readouterr().out == quoted(
+        "slots=1000000 burn_in=10000 seed=7\n"
+        "empirical_power=1.198249495\n"
+        "empirical_delay=0.415205808\n"
+        "overflow_violations=0 underflow_violations=0\n"
+        "power_halfwidth=0.003643212 delay_halfwidth=0.001283117\n")

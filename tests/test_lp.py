@@ -147,7 +147,9 @@ class TestBuildLp:
 
     def test_objective_and_power_rows(self, params_vi):
         lp = build_lp(params_vi, 1.0)
-        for j, (k, m) in enumerate(lp.var_index):
+        ks, ms = np.nonzero(feasibility_mask(params_vi))
+        assert lp.n_vars == len(ks)
+        for j, (k, m) in enumerate(zip(ks, ms)):
             assert lp.c[j] == pytest.approx(k / 0.8)
             assert lp.a_power[j] == params_vi.power[m]
 
@@ -198,7 +200,6 @@ class TestSimplexCore:
         lp = LpProblem(
             params=params_vi,
             p_th=4.0,
-            var_index=((0, 0), (1, 0), (2, 0)),
             c=np.array([-1.0, -1.0, 0.0]),
             a_power=np.array([1.0, 2.0, 0.0]),
             A_eq=np.array([[1.0, 1.0, 1.0]]),

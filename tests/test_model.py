@@ -82,6 +82,19 @@ class TestValidateParams:
         with pytest.raises(errors.ModelError):
             validate_params(0.4, 2, 3, 5, [0, 1, 4])
 
+    @pytest.mark.parametrize("A, M, Q, power, error, message", [
+        (0, 3, 5, [0, 1, 4, 9], errors.ModelError, "A must be a positive integer, got 0"),
+        (2, 3, -1, [0, 1, 4, 9], errors.ModelError, "Q must be nonnegative, got -1"),
+        (2, 3, 5, [0, 2, 2, 9], errors.PowerNotIncreasingPerBit,
+         "power must be strictly increasing: power[1]=2.0, power[2]=2.0"),
+        (1, 1, 5, [0, 0], errors.PowerNotIncreasingPerBit, "power[1] must be > 0, got 0.0"),
+        (1, 1, 5, [0, -1], errors.PowerNotIncreasingPerBit, "power[1] must be > 0, got -1.0"),
+    ])
+    def test_field_bounds_are_named(self, A, M, Q, power, error, message):
+        with pytest.raises(error) as info:
+            validate_params(0.4, A, M, Q, power)
+        assert type(info.value) is error and str(info.value) == message
+
     @pytest.mark.parametrize("A, M, power, name", [
         # a last entry of +inf passes every order check of the table
         (2, 3, [0, 1, 4, math.inf], r"power\[3\] must be finite, got inf"),
@@ -147,6 +160,59 @@ class TestPolicy:
         again = Policy.from_csv(params_vi, pol.to_csv())
         assert np.max(np.abs(again.f - pol.f)) < 1e-15
 
+    @staticmethod
+    def drain(params):
+        """The policy matrix that sends min(k, M) in every state k."""
+        f = np.zeros((params.K + 1, params.M + 1))
+        f[np.arange(params.K + 1), np.minimum(np.arange(params.K + 1), params.M)] = 1.0
+        return f
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_named(self, params_vi, value):
+        # a NaN fails every comparison, so it passed the range, mask and
+        # row-sum checks, and the chain solve then blamed recurrent classes
+        f = self.drain(params_vi)
+        f[2] = [value, 0.5, 0.5, 0.0]
+        with pytest.raises(errors.InvalidPolicy, match=re.escape(f"f[2][0] = {value} ")):
+            Policy(params_vi, f)
+
+    def test_entry_outside_unit_interval_is_named(self, params_vi):
+        f = self.drain(params_vi)
+        f[3] = [0.0, 1.5, -0.5, 0.0]
+        with pytest.raises(errors.InvalidPolicy, match=re.escape("f[3][1] = 1.5 must lie in [0, 1]")):
+            Policy(params_vi, f)
+
+    def test_wrong_shape_is_named(self, params_vi):
+        with pytest.raises(errors.InvalidPolicy, match=re.escape("policy must be (8, 4), got (8, 3)")):
+            Policy(params_vi, self.drain(params_vi)[:, :3])
+
+    def test_row_that_does_not_sum_to_one_is_named(self, params_vi):
+        f = self.drain(params_vi)
+        f[3] = [0.0, 0.5, 0.4, 0.0]
+        with pytest.raises(errors.InvalidPolicy, match="row 3 sums to 0.9, expected 1"):
+            Policy(params_vi, f)
+
+    def test_attributes_cannot_be_assigned(self, params_vi):
+        pol = Policy(params_vi, self.drain(params_vi))
+        with pytest.raises(AttributeError, match="Policy is immutable"):
+            pol.f = None
+
+    def test_action_map_of_a_randomized_policy(self, params_vi):
+        pol = threshold_to_policy(params_vi, ThresholdPolicy((0, 2, 7, 7), 1, 0.5))
+        with pytest.raises(errors.InvalidPolicy, match="deterministic policies only"):
+            pol.action_map()
+
+    @pytest.mark.parametrize("text, message", [
+        ("0,0,0,x\n", "policy line 1 field 4 must be a number, got 'x'"),
+        ("# header\n\n1,0,0,0\n0,1,,0\n", "policy line 4 field 3 must be a number, got ''"),
+        ("1,0,0,0\n0,1,0\n", "policy line 2 has 3 fields, expected 4"),
+        ("1,0,0,0\n0,1,0,0,0\n", "policy line 2 has 5 fields, expected 4"),
+    ])
+    def test_malformed_csv_is_named(self, params_vi, text, message):
+        with pytest.raises(errors.ModelError) as info:
+            Policy.from_csv(params_vi, text)
+        assert str(info.value) == message
+
 
 class TestThresholdPolicy:
     def test_initial_strategy_expansion(self, params_vi):
@@ -180,6 +246,24 @@ class TestThresholdPolicy:
     def test_zero_threshold_pinned(self):
         with pytest.raises(errors.InfeasibleThresholds):
             ThresholdPolicy((1, 2, 3, 4))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(thresholds=()), "empty threshold vector"),
+        (dict(thresholds=(0, 2, 7, 7), randomized_index=1),
+         "randomized_index and weight must be given together"),
+        (dict(thresholds=(0, 2, 7, 7), randomized_index=3, weight=0.5),
+         "randomized_index 3 out of range"),
+        (dict(thresholds=(0, 2, 7, 7), randomized_index=1, weight=1.5),
+         re.escape("weight must be in [0, 1], got 1.5")),
+    ])
+    def test_malformed_vector_is_named(self, kwargs, message):
+        with pytest.raises(errors.InfeasibleThresholds, match=message):
+            ThresholdPolicy(**kwargs)
+
+    def test_action_map_of_a_vector_of_the_wrong_length(self, params_vi):
+        with pytest.raises(errors.InfeasibleThresholds,
+                           match="threshold vector has 3 entries, expected 4"):
+            threshold_action_map(params_vi, ThresholdPolicy((0, 2, 7)))
 
     def test_completion_is_canonical(self, params_vi):
         acts = threshold_action_map(params_vi, ThresholdPolicy((0, 1, 2, 2)))
@@ -283,7 +367,11 @@ class TestFeasibilityBookkeeping:
         want = tuple(
             (k, m) for k in range(params.K + 1) for m in feasible_actions(params, k)
         )
-        assert build_lp(params, 1.0).var_index == want
+        lp = build_lp(params, 1.0)
+        ks, ms = np.array(want).T
+        assert lp.n_vars == len(want)
+        assert np.array_equal(lp.c, ks / (params.alpha * params.A))
+        assert np.array_equal(lp.a_power, params.power_array[ms])
         assert [tuple(e) for e in np.argwhere(feasibility_mask(params))] == list(want)
 
 
@@ -296,6 +384,10 @@ class TestParamFile:
     def test_missing_key(self):
         with pytest.raises(errors.ModelError):
             parse_param_text("alpha=0.4\nA=2\n")
+
+    def test_line_without_equals_is_named(self):
+        with pytest.raises(errors.ModelError, match="bad parameter line: 'Q 5'"):
+            parse_param_text("alpha=0.4\nA=2\nM=3\nQ 5\npower=0,1,4,9\n")
 
     @pytest.mark.parametrize("key, value, message", [
         ("A", "2.5", "A must be an integer, got '2.5'"),

@@ -99,10 +99,14 @@ def closed_prefix(lam):
     return size
 
 
+def stacked_lam(params, f):
+    """The transition matrix of each policy matrix of a stack, (N, K+1, K+1)."""
+    return np.array([mrp.build_transition_enumerative(params, g) for g in f])
+
+
 def closed_prefixes(params, f):
     """`closed_prefix` of each chain of a stack of policy matrices, (N,)."""
-    lam = mrp.build_transition_enumerative(params, f)
-    return np.array([closed_prefix(chain) for chain in lam])
+    return np.array([closed_prefix(chain) for chain in stacked_lam(params, f)])
 
 
 def support_ends(f):
@@ -197,15 +201,16 @@ def single_chain_solve(params, policy):
 
 
 def stacked_stationary(params, band, sizes):
-    """pi of each chain of a stack of lam bands from one stacked solve, each
-    on its first `sizes` states (its closed prefix, or all K+1), zero past
-    them, (N, K+1); and the mask of the chains that the pivot test or
-    `_clean_pi` calls singular."""
+    """pi of each chain of a stack of full-size lam bands, laid side by side
+    (A+M+1, N (K+1)), from one stacked solve, each on its first `sizes`
+    states (its closed prefix, or all K+1), zero past them, (N, K+1); and
+    the mask of the chains that the pivot test or `_clean_pi` calls
+    singular."""
     n = params.K + 1
     cut = (np.arange(n) < sizes[:, None]).ravel()
-    lu = mrp.lu_factor(band.reshape(len(band), -1)[:, cut], params.A, params.M, sizes)
+    lu = mrp.lu_factor(band[:, cut], params.A, params.M, sizes)
     pis, failed = mrp._stationary(lu)
-    pi = np.zeros(band.shape[1:])
+    pi = np.zeros((len(sizes), n))
     pi.reshape(-1)[cut.nonzero()[0][lu.columns]] = pis
     singular = np.ones(len(pi), dtype=bool)
     singular[lu.chains[~np.broadcast_to(failed, lu.chains.shape)]] = False
@@ -425,6 +430,16 @@ class TestMixing:
         k = F.differing_rows(F2)[0]
         assert np.allclose(mid.f[k], 0.5 * (F.f[k] + F2.f[k]))
 
+    def test_shape_mismatch_and_epsilon_outside_unit_interval(self, params_vi, rng):
+        F, F2, _ = random_one_row_pair(params_vi, rng)
+        other = validate_params(0.4, 2, 3, 6, [0, 1, 4, 9])
+        G = policy_from_actions(other, initial_actions(other))
+        with pytest.raises(errors.RowDiffCountMismatch, match="different shapes"):
+            mrp.mix_policies(F, G, 0.5)
+        for eps in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"epsilon must be in \[0, 1\]"):
+                mrp.mix_policies(F, F2, eps)
+
     def test_epsilon_prime_endpoints_and_monotone(self, params_vi, rng):
         for _ in range(50):
             F, F2, _ = random_one_row_pair(params_vi, rng)
@@ -556,15 +571,18 @@ class TestBandedSolve:
             assert np.array_equal(got, want)
 
     def test_band_from_policy_is_lams_band(self, rng):
-        # bit for bit, for a stack, one policy and one row of a policy
+        # bit for bit, for the rows of a stack, one policy and one row of a
+        # policy
         for params in list(EDGE_INSTANCES.values()) + [random_params(rng) for _ in range(3)]:
+            n = params.K + 1
             f = np.stack([random_policy(params, rng).f for _ in range(5)])
-            band = mrp._lam_band(params, f)
-            lam = mrp.build_transition_enumerative(params, f)
-            assert band.shape == (params.A + params.M + 1, 5, params.K + 1)
-            assert np.array_equal(band, mrp._gather_band(lam, params.A, params.M))
-            assert np.array_equal(mrp._lam_band(params, f[2]), band[:, 2])
-            assert np.array_equal(mrp._lam_band(params, f[2, -1]), band[:, 2, -1])
+            band = mrp._lam_band(params, f.reshape(-1, params.M + 1))
+            assert band.shape == (params.A + params.M + 1, 5 * n)
+            for c, lam in enumerate(stacked_lam(params, f)):
+                assert np.array_equal(band[:, c * n:(c + 1) * n],
+                                      mrp._gather_band(lam, params.A, params.M))
+            assert np.array_equal(mrp._lam_band(params, f[2]), band[:, 2 * n:3 * n])
+            assert np.array_equal(mrp._lam_band(params, f[2, -1:]), band[:, 3 * n - 1:3 * n])
 
     @pytest.mark.parametrize("chains", [0, 1, 3])
     def test_band_matvec_matches_dense(self, chains, rng):
@@ -573,11 +591,12 @@ class TestBandedSolve:
             f = np.array([random_policy(params, rng).f for _ in range(chains)])
             f = f.reshape(chains, params.K + 1, params.M + 1)
             x = rng.standard_normal((chains, params.K + 1))
-            band = mrp._lam_band(params, f).reshape(params.A + params.M + 1, -1)
+            band = mrp._lam_band(params, f.reshape(-1, params.M + 1))
             flat = mrp._lam_matvec(band, params.A, params.M, x.ravel())
             assert flat.shape == (x.size,)
             got = flat.reshape(x.shape)
-            want = (mrp.build_transition_enumerative(params, f) @ x[..., None])[..., 0]
+            want = np.array([lam @ xc for lam, xc in zip(stacked_lam(params, f), x)])
+            want = want.reshape(x.shape)
             assert got.shape == x.shape
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(x), initial=0.0)
 
@@ -696,8 +715,8 @@ class TestStackedSolve:
                            ("reference", lambda p: 0.0 < p < 1e-14)):
             params = STACK_INSTANCES[name][0]
             pols = pick_by_pivot(params, test, 3)
-            lu = mrp.lu_factor(mrp._lam_band(params, np.stack([p.f for p in pols])),
-                               params.A, params.M)
+            lu = mrp.lu_factor(mrp._lam_band(params, np.concatenate([p.f for p in pols])),
+                               params.A, params.M, np.full(len(pols), params.K + 1))
             assert lu.chains.size == 0
             assert mrp.lu_solve(lu, np.zeros((0, params.K + 1))).shape == (0, params.K + 1)
             pis, failed = mrp._stationary(lu)
@@ -749,38 +768,40 @@ class TestMapBand:
     def test_map_band_is_the_one_hot_band(self, rng):
         for params in list(EDGE_INSTANCES.values()) + [random_params(rng) for _ in range(5)]:
             acts = random_maps(params, rng, 7)
-            for stack in (acts, acts[:1]):
+            for stack in (acts.ravel(), acts[0]):
                 band = mrp._map_band(params, stack)
                 assert_same_bits(band, mrp._lam_band(params, _action_matrix(params, stack)))
-                assert band.shape == (params.A + params.M + 1,) + stack.shape
+                assert band.shape == (params.A + params.M + 1, stack.size)
 
     def test_bands_are_blas_band_storage(self, rng):
         # t varies fastest in both builders' bands, so the band of a stack
         # is the BLAS band storage of its block-diagonal lam
         for params in EDGE_INSTANCES.values():
             acts = random_maps(params, rng, 5)
-            assert t_fastest(mrp._map_band(params, acts))
-            assert t_fastest(mrp._lam_band(params, _action_matrix(params, acts)))
+            assert t_fastest(mrp._map_band(params, acts.ravel()))
+            assert t_fastest(mrp._lam_band(params, _action_matrix(params, acts.ravel())))
             assert t_fastest(mrp._lam_band(params, _action_matrix(params, acts[0])))
 
     def test_lu_factor_keeps_the_band_unless_it_drops_a_chain(self):
         params = STACK_INSTANCES["reference"][0]
+        n = params.K + 1
         acts = next(enumerate_deterministic(params))
-        for build in (lambda a: mrp._map_band(params, a),
-                      lambda a: mrp._lam_band(params, _action_matrix(params, a))):
+        for build in (lambda a: mrp._map_band(params, a.ravel()),
+                      lambda a: mrp._lam_band(params, _action_matrix(params, a.ravel()))):
             band = build(acts)
-            lu = mrp.lu_factor(band, params.A, params.M)
+            lu = mrp.lu_factor(band, params.A, params.M, np.full(len(acts), n))
             assert 0 < lu.chains.size < len(acts)
             assert not np.shares_memory(lu.band, band) and t_fastest(lu.band)
-            assert_same_bits(lu.band, band[:, lu.chains].reshape(len(band), -1))
+            chains = band.reshape(len(band), len(acts), n)[:, lu.chains]
+            assert_same_bits(lu.band, chains.reshape(len(band), -1))
             band = build(acts[lu.chains])
-            lu = mrp.lu_factor(band, params.A, params.M)
-            assert lu.chains.size == band.shape[1]
+            lu = mrp.lu_factor(band, params.A, params.M, np.full(lu.chains.size, n))
+            assert lu.chains.size == band.shape[1] // n
             assert np.shares_memory(lu.band, band)
         # a band gathered out of lam is copied into band storage
         lam = mrp.build_transition_enumerative(params, _action_matrix(params, acts[0]))
         band = mrp._gather_band(lam, params.A, params.M)
-        lu = mrp.lu_factor(band, params.A, params.M)
+        lu = mrp.lu_factor(band, params.A, params.M, np.array([n]))
         assert t_fastest(lu.band)
         assert_same_bits(lu.band, band)
 
@@ -801,6 +822,36 @@ class TestMapBand:
             assert lu.chains.size == 0 and kept.size == 0
 
 
+class TestMapRuns:
+    """`mrp.score_map_runs`, which factors the first map of each run of maps
+    with one closed-prefix chain, against `score_maps` on the whole stack."""
+
+    def test_runs_score_as_the_whole_stack(self, rng):
+        for params in [p for p, _ in STACK_INSTANCES.values()] + [random_params(rng) for _ in range(3)]:
+            acts = random_maps(params, rng, 300)
+            acts = acts[np.lexsort(acts.T[::-1])]  # the first state slowest, as enumerated
+            for stack in (acts, acts[::-1], acts[:1]):
+                _, *want = mrp.score_maps(params, stack)
+                for got, w in zip(mrp.score_map_runs(params, stack), want):
+                    assert_same_bits(got, w)
+
+    def test_a_run_is_factored_once(self, monkeypatch):
+        params = STACK_INSTANCES["reference"][0]
+        acts = np.repeat(initial_actions(params)[None], 5, axis=0)
+        acts[1:, -1] = acts[2:, -2] = 3  # past the closed prefix, states 0..2
+        factored = []
+        lu_factor = mrp.lu_factor
+
+        def spy(band, lower, upper, sizes):
+            factored.append(len(sizes))
+            return lu_factor(band, lower, upper, sizes)
+
+        monkeypatch.setattr(mrp, "lu_factor", spy)
+        kept, power, delay = mrp.score_map_runs(params, acts)
+        assert factored == [1] and kept.tolist() == list(range(5))
+        assert (power == power[0]).all() and (delay == delay[0]).all()
+
+
 @given(
     family=st.sampled_from(EDGE_FAMILIES),
     alpha=st.floats(0.05, 0.95),
@@ -818,8 +869,8 @@ def test_map_band_and_score_edge_instances(family, alpha, eps, A, extra_m, Q, n,
     one-hot policy matrices."""
     params = edge_params(family, alpha, eps, A, extra_m, Q)
     acts = random_maps(params, np.random.default_rng(seed), n)
-    assert_same_bits(mrp._map_band(params, acts),
-                     mrp._lam_band(params, _action_matrix(params, acts)))
+    assert_same_bits(mrp._map_band(params, acts.ravel()),
+                     mrp._lam_band(params, _action_matrix(params, acts.ravel())))
     assert_maps_score_as_matrices(params, acts)
 
 
@@ -915,9 +966,9 @@ def check_stacked_chain_solve(family, alpha, eps, A, extra_m, Q, n_random, n_det
         return
     assert_stack_matches_single_chains(params, pols)
     f = np.stack([p.f for p in pols])
-    lam = mrp.build_transition_enumerative(params, f)
+    lam = stacked_lam(params, f)
     sizes = closed_prefixes(params, f)
-    pis, singular = stacked_stationary(params, mrp._lam_band(params, f), sizes)
+    pis, singular = stacked_stationary(params, mrp._lam_band(params, np.concatenate(f)), sizes)
     for c, (pi, fail) in enumerate(zip(pis, singular)):
         want = single_chain_solve(params, pols[c])
         if fail:
@@ -1003,8 +1054,8 @@ class TestClosedPrefix:
         n = params.K + 1
         wrong = {"prefix": 0, "full": 0}
         for acts in enumerate_deterministic(params):
-            lam = mrp.build_transition_enumerative(params, _action_matrix(params, acts))
-            band = mrp._map_band(params, acts)
+            lam = stacked_lam(params, _action_matrix(params, acts))
+            band = mrp._map_band(params, acts.ravel())
             sizes = np.array([closed_prefix(chain) for chain in lam])
             assert_same_bits(mrp._prefix_sizes(params, acts, acts), sizes)
             # a chain whose state K has no move down is solved in full
@@ -1061,7 +1112,7 @@ class TestClosedPrefix:
                 policy_from_actions(params, initial_actions(params)),
                 sparse_policy(params, rng)]
         f = np.stack([p.f for p in pols])
-        lam = mrp.build_transition_enumerative(params, f)
+        lam = stacked_lam(params, f)
         sizes = mrp._prefix_sizes(params, *support_ends(f))
         assert sizes.tolist() == [closed_prefix(chain) for chain in lam]
         assert sizes.min() == params.A + 1 and sizes.max() == params.K + 1

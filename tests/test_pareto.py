@@ -182,6 +182,10 @@ class TestLowerConvexHull:
         curve = lower_convex_hull([pt(1.0, 0.7), pt(1.0, 0.1), pt(0.5, 1.0)])
         assert curve.vertices[0].delay == 0.1
 
+    def test_no_points(self):
+        with pytest.raises(ValueError, match="need at least one point"):
+            lower_convex_hull([])
+
 
 class TestDropCollinear:
     @staticmethod
@@ -260,6 +264,17 @@ def test_block_merge_matches_one_hull(cloud, data):
 
 
 class TestCurveInvariants:
+    @pytest.mark.parametrize("points, message", [
+        ([(1.0, 0.0), (1.0, 1.0)], "power not strictly decreasing: 1.0 -> 1.0"),
+        ([(2.0, 1.0), (1.0, 0.0)], "delay decreasing: 1.0 -> 0.0"),
+        # a delay drop within POINT_TOL over a short power step
+        ([(1.0, 1.0), (1.0 - 1e-3, 1.0 - 5e-13)], "negative segment slope -5.0"),
+        ([(3.0, 0.0), (2.0, 2.0), (1.0, 3.0)], "slopes not increasing: 2.0 -> 1.0"),
+    ])
+    def test_validate_names_the_broken_invariant(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            ParetoCurve(vertices=tuple(pt(p, d) for p, d in points)).validate()
+
     def test_reference_curve(self, params_vi):
         curve = algorithm1(params_vi)
         curve.validate()
@@ -537,8 +552,8 @@ def count_factored(monkeypatch):
     factored = []
     original = mrp.lu_factor
 
-    def spy(band, lower, upper, sizes=None):
-        factored.append(band.shape[1] if sizes is None else len(sizes))
+    def spy(band, lower, upper, sizes):
+        factored.append(len(sizes))
         return original(band, lower, upper, sizes)
 
     monkeypatch.setattr(mrp, "lu_factor", spy)

@@ -78,8 +78,9 @@ class TestEnumeration:
     @pytest.mark.parametrize("Q", [5, 6])
     @pytest.mark.parametrize("block_bytes", [None, 8 * 8 * 8 * 7])
     def test_blocks_concatenate_to_product_order(self, Q, block_bytes, monkeypatch):
-        # default blocks: 9 of 256 at Q=5 (K=7), 45 of 202 and one of 126 at
-        # Q=6 (K=8); then blocks of 7 and 5 policies, with remainders
+        # default blocks: 4 of 512 and one of 256 at Q=5 (K=7), 22 of 404 and
+        # one of 328 at Q=6 (K=8); then blocks of 7 and 5 policies, with
+        # remainders
         if block_bytes is not None:
             monkeypatch.setattr(policies, "BLOCK_BYTES", block_bytes)
         params = validate_params(0.4, 2, 3, Q, [0, 1, 4, 9])
@@ -100,6 +101,12 @@ class TestEnumeration:
     def test_q_zero_one_block_of_one_map(self):
         params = validate_params(0.5, 2, 2, 0, [0, 1, 3])
         assert [b.tolist() for b in enumerate_deterministic(params)] == [[[0, 1, 2]]]
+
+    def test_more_states_than_numpy_dimensions(self):
+        # Q=0 leaves each state one action: one policy of 71 states, more
+        # than the 64 dimensions np.unravel_index can decode
+        params = validate_params(0.5, 70, 70, 0, [m * m for m in range(71)])
+        assert [b.tolist() for b in enumerate_deterministic(params)] == [[list(range(71))]]
 
     def test_q_zero_single_policy(self):
         params = validate_params(0.5, 2, 2, 0, [0, 1, 3])
