@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EnumerationTooLarge, ModelError
-from .model import Policy, load_params, parse_power, validate_params
+from .model import PARAM_FIELDS, Policy, param_fields, params_from_fields
 from .lp import recover_policy, sweep, sweep_to_csv
 from .pareto import algorithm1, scored_blocks
 from .policies import DEFAULT_ENUMERATION_CAP, is_threshold_map
@@ -39,28 +39,18 @@ plot 'pareto_cloud.dat' using 1:2 with points pt 7 ps 0.4 lc rgb 'gray' title 'd
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, help="key=value parameter file")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--A", type=int)
-    p.add_argument("--M", type=int)
-    p.add_argument("--Q", type=int)
-    p.add_argument("--power", type=str, help="comma-separated power table P_0..P_M")
+    for key in PARAM_FIELDS:
+        p.add_argument(f"--{key}", help="comma-separated power table P_0..P_M"
+                       if key == "power" else None)
 
 
 def _load_model(args):
-    base = {}
-    if args.config:
-        cfg = load_params(args.config)
-        base = dict(alpha=cfg.alpha, A=cfg.A, M=cfg.M, Q=cfg.Q, power=list(cfg.power))
-    for key in ("alpha", "A", "M", "Q"):
-        val = getattr(args, key)
-        if val is not None:
-            base[key] = val
-    if args.power is not None:
-        base["power"] = parse_power(args.power)
-    missing = {"alpha", "A", "M", "Q", "power"} - set(base)
-    if missing:
-        raise ModelError(f"missing parameters: {sorted(missing)} (use flags or --config)")
-    return validate_params(**base)
+    """The model of the config file's fields updated by the flags given
+    (flags win), parsed and validated once."""
+    fields = param_fields(Path(args.config).read_text()) if args.config else {}
+    fields.update((key, getattr(args, key)) for key in PARAM_FIELDS
+                  if getattr(args, key) is not None)
+    return params_from_fields(fields)
 
 
 def write_cloud(params, out: Path, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
@@ -109,14 +99,16 @@ def cmd_pareto(args) -> int:
 def cmd_lp(args) -> int:
     params = _load_model(args)
     if args.pth is not None:
-        (point,) = sweep(params, [args.pth])
+        (point,) = sweep(params, [args.pth])  # a bad budget is reported first
+        if args.out:
+            raise ModelError("--out needs --sweep")
         delay = f"{point.delay:.6f}" if point.delay is not None else "nan"
         print(f"p_th={args.pth:.6f} delay={delay} status={point.status}")
         if args.policy_out and point.status == "optimal":
             Path(args.policy_out).write_text(recover_policy(params, point.solution).to_csv())
         return 0
-    if args.sweep is None:
-        raise ModelError("one of --pth or --sweep is required")
+    if args.policy_out:
+        raise ModelError("--policy-out needs --pth")
     try:
         lo, hi, n = args.sweep.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
@@ -182,8 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lp", help="occupation-measure LP solve or sweep")
     _add_param_flags(p)
-    p.add_argument("--pth", type=float, help="single power budget")
-    p.add_argument("--sweep", type=str, help="budget sweep lo:hi:n")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pth", type=float, help="single power budget")
+    mode.add_argument("--sweep", type=str, help="budget sweep lo:hi:n")
     p.add_argument("--out", type=str, help="CSV output path for sweeps")
     p.add_argument("--policy-out", type=str, help="write the recovered policy CSV")
     p.set_defaults(func=cmd_lp)
@@ -206,8 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error (2) or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except ModelError as exc:

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -183,6 +182,29 @@ def _feasible(params: ModelParams, k: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (m >= k - params.Q) & (m <= k)
 
 
+def _malformed_rows(f, width: int) -> str:
+    """Why f, which numpy could not read as a float matrix, is no policy:
+    its first row without `width` entries or first entry that is not a
+    number."""
+    try:
+        rows = list(f)
+    except TypeError:
+        rows = []
+    for k, row in enumerate(rows):
+        try:
+            n = len(row)
+        except TypeError:
+            return f"row {k} must be a sequence of {width} numbers, got {row!r}"
+        if n != width:
+            return f"row {k} has {n} entries, expected {width}"
+        for m, v in enumerate(row):
+            try:
+                float(v)
+            except (TypeError, ValueError, OverflowError):
+                return f"f[{k}][{m}] = {v!r} must be a number"
+    return f"policy must be a matrix of numbers, got {f!r}"
+
+
 class Policy:
     """Row-stochastic (K+1) x (M+1) matrix of transmit probabilities.
 
@@ -193,7 +215,10 @@ class Policy:
     __slots__ = ("params", "f")
 
     def __init__(self, params: ModelParams, f, *, validate: bool = True):
-        arr = np.array(f, dtype=float)
+        try:
+            arr = np.array(f, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidPolicy(_malformed_rows(f, params.M + 1)) from None
         if arr.shape != (params.K + 1, params.M + 1):
             raise InvalidPolicy(
                 f"policy must be {(params.K + 1, params.M + 1)}, got {arr.shape}"
@@ -407,14 +432,14 @@ def threshold_to_policy(params: ModelParams, tp: ThresholdPolicy) -> Policy:
     return Policy(params, f)
 
 
-def parse_param_text(text: str) -> ModelParams:
-    """Parse the flat key-value parameter format.
+# The fields of a model, in the order a missing-field error names them.
+PARAM_FIELDS = ("alpha", "A", "M", "Q", "power")
 
-    Keys: alpha, A, M, Q, power (comma-separated list).  Lines starting
-    with '#' are comments.  A malformed number raises ModelError naming
-    its key.
-    """
-    kv: dict[str, str] = {}
+
+def param_fields(text: str) -> dict[str, str]:
+    """The text of each key=value line; blank lines and '#' comments are
+    skipped, and a line without '=' raises ModelError naming it."""
+    fields: dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -422,18 +447,25 @@ def parse_param_text(text: str) -> ModelParams:
         if "=" not in line:
             raise ModelError(f"bad parameter line: {line!r}")
         key, val = line.split("=", 1)
-        kv[key.strip()] = val.strip()
-    missing = {"alpha", "A", "M", "Q", "power"} - set(kv)
+        fields[key.strip()] = val.strip()
+    return fields
+
+
+def params_from_fields(fields: dict[str, str]) -> ModelParams:
+    """The model of each field's text (power comma-separated), validated
+    once.  ModelError names every missing field, else the first bad one."""
+    missing = [key for key in PARAM_FIELDS if key not in fields]
     if missing:
-        raise ModelError(f"missing parameter keys: {sorted(missing)}")
+        raise ModelError(f"missing parameters: {missing}")
     return validate_params(
-        alpha=_parse("alpha", kv["alpha"], float),
-        A=_parse("A", kv["A"], int),
-        M=_parse("M", kv["M"], int),
-        Q=_parse("Q", kv["Q"], int),
-        power=parse_power(kv["power"]),
+        alpha=_parse("alpha", fields["alpha"], float),
+        A=_parse("A", fields["A"], int),
+        M=_parse("M", fields["M"], int),
+        Q=_parse("Q", fields["Q"], int),
+        power=parse_power(fields["power"]),
     )
 
 
-def load_params(path: Union[str, Path]) -> ModelParams:
-    return parse_param_text(Path(path).read_text())
+def parse_param_text(text: str) -> ModelParams:
+    """The model of a key=value parameter text, one field per line."""
+    return params_from_fields(param_fields(text))

@@ -79,7 +79,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidPolicy, ModelError
-from .model import ModelParams, Policy
+from .model import ModelParams, Policy, _integer
 
 TRACE_ROW_CAP = 100_000
 # two-sided 95% standard normal quantile, Phi^-1(0.975)
@@ -229,9 +229,10 @@ def simulate(
     The first min(slots // 10, 10^4) slots are burn-in and excluded from
     the averages.  Delay is estimated via Little's law from the average
     buffer occupancy, matching the analytic route.  Raises ModelError for
-    slots < 1 or seed < 0, and InvalidPolicy for a policy whose shape is
-    not (K+1, M+1) of `params`.
+    a non-integral slots or seed, slots < 1 or seed < 0, and InvalidPolicy
+    for a policy whose shape is not (K+1, M+1) of `params`.
     """
+    slots, seed = _integer("slots", slots), _integer("seed", seed)
     if slots < 1:
         raise ModelError(f"slots must be >= 1, got {slots}")
     if seed < 0:

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnumerationTooLarge, ModelError, RowDiffCountMismatch
-from .model import ModelParams, Policy, feasible_actions
+from .model import ModelParams, Policy, _integer, feasible_actions
 from . import mrp
 from .lp import build_lp, occupation_measure, solve_simplex
 from .pareto import ParetoCurve, algorithm1, brute_force_frontier
@@ -50,15 +50,18 @@ class CheckResult:
         return f"{tag}  {self.name:<28} worst={self.worst:.3e} tol={self.tolerance:.0e} {self.detail}"
 
 
+def _random_row(params: ModelParams, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Row k of a random feasible policy: Dirichlet weights over state k's
+    feasible actions, zero elsewhere."""
+    acts = feasible_actions(params, k)
+    row = np.zeros(params.M + 1)
+    row[acts.start:acts.stop] = rng.dirichlet(np.ones(len(acts)))
+    return row
+
+
 def random_policy(params: ModelParams, rng: np.random.Generator) -> Policy:
     """Random feasible row-stochastic policy (Dirichlet rows)."""
-    f = np.zeros((params.K + 1, params.M + 1))
-    for k in range(params.K + 1):
-        acts = list(feasible_actions(params, k))
-        weights = rng.dirichlet(np.ones(len(acts)))
-        for m, w in zip(acts, weights):
-            f[k, m] = w
-    return Policy(params, f)
+    return Policy(params, [_random_row(params, k, rng) for k in range(params.K + 1)])
 
 
 def random_one_row_pair(
@@ -77,11 +80,7 @@ def random_one_row_pair(
         raise RowDiffCountMismatch("no state has two feasible actions")
     k = int(rng.choice(rows))
     for _ in range(100):
-        acts = list(feasible_actions(params, k))
-        weights = rng.dirichlet(np.ones(len(acts)))
-        row = np.zeros(params.M + 1)
-        for m, w in zip(acts, weights):
-            row[m] = w
+        row = _random_row(params, k, rng)
         if np.max(np.abs(row - base.f[k])) > 1e-6:
             f2 = base.f.copy()
             f2[k] = row
@@ -219,10 +218,12 @@ def run_battery(
     trials: int = 25,
     sim_slots: int = 1_000_000,
 ) -> list[CheckResult]:
-    """Run every check.  Raises ModelError, before any check runs, for
-    seed < 0, trials < 1 or sim_slots < 1.  Over the enumeration cap the
-    frontier-equivalence result is not run (`passed` None) and the other
-    checks still run."""
+    """Run every check.  Raises ModelError, before any check runs, for a
+    non-integral seed, trials or sim_slots, or for seed < 0, trials < 1 or
+    sim_slots < 1.  Over the enumeration cap the frontier-equivalence
+    result is not run (`passed` None) and the other checks still run."""
+    seed, trials = _integer("seed", seed), _integer("trials", trials)
+    sim_slots = _integer("slots", sim_slots)
     if seed < 0:
         raise ModelError(f"seed must be >= 0, got {seed}")
     if trials < 1:

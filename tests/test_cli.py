@@ -138,6 +138,25 @@ class TestLp:
     def test_missing_mode(self, capsys):
         assert main(["lp", *VI_FLAGS]) == 2
 
+    def test_pth_and_sweep_together(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["lp", *VI_FLAGS, "--pth", "1.6", "--sweep", "0.9:1.6:3",
+                     "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "not allowed with argument" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, flag, message", [
+        (["--pth", "1.6"], "--out", "--out needs --sweep"),
+        (["--sweep", "0.9:1.6:3"], "--policy-out", "--policy-out needs --pth"),
+    ])
+    def test_output_flag_of_the_other_mode(self, tmp_path, capsys, mode, flag, message):
+        # a usage error, not a flag dropped in silence
+        path = tmp_path / "out.csv"
+        assert main(["lp", *VI_FLAGS, *mode, flag, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not path.exists()
+
     def test_negative_budget(self, capsys):
         assert main(["lp", *VI_FLAGS, "--pth", "-1"]) == 2
 
@@ -214,6 +233,51 @@ class TestErrors:
     def test_missing_params(self, capsys):
         assert main(["pareto", "--alpha", "0.4"]) == 2
         assert "missing parameters" in capsys.readouterr().err
+
+    def test_partial_config_completed_by_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "params.txt"
+        cfg.write_text("alpha=0.4\nA=2\nM=3\npower=0,1,4,9\n")
+        assert main(["lp", "--config", str(cfg), "--pth", "1.6"]) == 2
+        assert capsys.readouterr() == ("", "error: missing parameters: ['Q']\n")
+        assert main(["lp", "--config", str(cfg), "--Q", "5", "--pth", "1.6"]) == 0
+        assert main(["lp", *VI_FLAGS, "--pth", "1.6"]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second == "p_th=1.600000 delay=0.000000 status=optimal"
+
+    def test_flag_replaces_an_invalid_config_value(self, tmp_path, capsys):
+        # a 3-entry power table is invalid for M=3 on its own
+        cfg = tmp_path / "params.txt"
+        cfg.write_text("alpha=0.4\nA=2\nM=3\nQ=5\npower=0,1,4\n")
+        assert main(["lp", "--config", str(cfg), "--pth", "1.6"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: power table must have M+1=4 entries, got 3\n")
+        assert main(["lp", "--config", str(cfg), "--power", "0,1,4,9", "--pth", "1.6"]) == 0
+        assert capsys.readouterr().out == "p_th=1.600000 delay=0.000000 status=optimal\n"
+
+    def test_config_and_flags_are_validated_once(self, tmp_path, capsys, monkeypatch):
+        from dpsched import model
+
+        calls = []
+
+        def spy(**fields):
+            calls.append(fields)
+            return validate_params(**fields)
+
+        monkeypatch.setattr(model, "validate_params", spy)
+        cfg = tmp_path / "params.txt"
+        cfg.write_text("alpha=0.9\nA=2\nM=3\nQ=5\npower=0,1,4,9\n")
+        assert main(["lp", "--config", str(cfg), "--alpha", "0.4", "--pth", "1.6"]) == 0
+        assert calls == [dict(alpha=0.4, A=2, M=3, Q=5, power=[0.0, 1.0, 4.0, 9.0])]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--A", "2.5", "A must be an integer, got '2.5'"),
+        ("--Q", "five", "Q must be an integer, got 'five'"),
+        ("--alpha", "0.4.1", "alpha must be a number, got '0.4.1'"),
+    ])
+    def test_malformed_scalar_flag(self, capsys, flag, value, message):
+        # the wording of the same value in a config file; the last flag wins
+        assert main(["lp", *VI_FLAGS, flag, value, "--pth", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_invalid_params(self, capsys):
         assert main(["lp", "--alpha", "1.5", "--A", "2", "--M", "3", "--Q", "5",
@@ -300,8 +364,9 @@ class TestVerify:
 
 def test_readme_quotes_the_cli(tmp_path, capsys):
     """The CLI outputs that README quotes, from the commands it shows: the
-    reference frontier's end vertices, the `lp --pth 1.6` line and the five
-    `simulate` lines for the LP policy at `--pth 1.2`."""
+    reference frontier's end vertices, the `lp --pth 1.6` line (also from a
+    config without Q completed by `--Q 5`) and the five `simulate` lines for
+    the LP policy at `--pth 1.2`."""
     readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
 
     def quoted(text):
@@ -318,6 +383,14 @@ def test_readme_quotes_the_cli(tmp_path, capsys):
     capsys.readouterr()
     assert main(["lp", *VI_FLAGS, "--pth", "1.6"]) == 0
     assert capsys.readouterr().out == quoted("p_th=1.600000 delay=0.000000 status=optimal") + "\n"
+
+    # a config without Q, completed by --Q: the line of the all-flags command
+    cfg = tmp_path / "ref.cfg"
+    cfg.write_text(quoted("# the reference instance, Q left to the flags\n"
+                          "alpha=0.4\nA=2\nM=3\npower=0,1,4,9\n"))
+    quoted("dpsched lp --config ref.cfg --Q 5 --pth 1.6")
+    assert main(["lp", "--config", str(cfg), "--Q", "5", "--pth", "1.6"]) == 0
+    assert capsys.readouterr().out == "p_th=1.600000 delay=0.000000 status=optimal\n"
 
     policy = tmp_path / "policy.csv"
     assert main(["lp", *VI_FLAGS, "--pth", "1.2", "--policy-out", str(policy)]) == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpsched import errors
+from dpsched import errors, model
 from dpsched.lp import build_lp
 from dpsched.model import (
     Policy,
@@ -14,6 +14,8 @@ from dpsched.model import (
     _last_state_at_most,
     feasibility_mask,
     feasible_actions,
+    param_fields,
+    params_from_fields,
     parse_param_text,
     threshold_action_map,
     threshold_to_policy,
@@ -191,6 +193,19 @@ class TestPolicy:
         f[3] = [0.0, 0.5, 0.4, 0.0]
         with pytest.raises(errors.InvalidPolicy, match="row 3 sums to 0.9, expected 1"):
             Policy(params_vi, f)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1, 0, 0, 0]] * 7 + [[0, 0, 1]], "row 7 has 3 entries, expected 4"),
+        ([[1, 0, 0, 0]] * 6 + [[0, 1, 0, 0, 0]] * 2, "row 6 has 5 entries, expected 4"),
+        ([[1, 0, 0, 0]] * 7 + [1], "row 7 must be a sequence of 4 numbers, got 1"),
+        ([["1", 0, 0, "x"]] * 8, "f[0][3] = 'x' must be a number"),
+        ([[1, 0, [0], 0]] * 8, "f[0][2] = [0] must be a number"),
+    ])
+    def test_malformed_rows_are_named(self, params_vi, rows, message):
+        # numpy's ValueError or TypeError, which names no entry, does not escape
+        with pytest.raises(errors.InvalidPolicy) as info:
+            Policy(params_vi, rows)
+        assert str(info.value) == message
 
     def test_attributes_cannot_be_assigned(self, params_vi):
         pol = Policy(params_vi, self.drain(params_vi))
@@ -384,6 +399,27 @@ class TestParamFile:
     def test_missing_key(self):
         with pytest.raises(errors.ModelError):
             parse_param_text("alpha=0.4\nA=2\n")
+
+    def test_every_missing_field_is_named_once(self):
+        with pytest.raises(errors.ModelError) as info:
+            params_from_fields(dict(A="2", power="0,1,4,9"))
+        assert str(info.value) == "missing parameters: ['alpha', 'M', 'Q']"
+
+    def test_fields_are_validated_once(self, monkeypatch):
+        calls = []
+
+        def spy(**fields):
+            calls.append(fields)
+            return validate_params(**fields)
+
+        monkeypatch.setattr(model, "validate_params", spy)
+        p = params_from_fields(dict(alpha="0.4", A="2", M="3", Q="5", power="0,1,4,9"))
+        assert p == validate_params(0.4, 2, 3, 5, [0, 1, 4, 9])
+        assert calls == [dict(alpha=0.4, A=2, M=3, Q=5, power=[0.0, 1.0, 4.0, 9.0])]
+
+    def test_fields_are_the_text_of_each_line(self):
+        text = "# reference\n alpha = 0.4 \n\nA=2\npower=0,1,4,9\nA=3\n"
+        assert param_fields(text) == dict(alpha="0.4", A="3", power="0,1,4,9")
 
     def test_line_without_equals_is_named(self):
         with pytest.raises(errors.ModelError, match="bad parameter line: 'Q 5'"):

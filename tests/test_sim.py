@@ -298,6 +298,24 @@ class TestValidation:
         with pytest.raises(ModelError, match="seed must be >= 0, got -1"):
             simulate(params_vi, pol, slots=10, seed=-1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(slots=1000.5, seed=0), "slots must be an integer, got 1000.5"),
+        (dict(slots=1000, seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(slots="1000", seed=0), "slots must be an integer, got '1000'"),
+    ])
+    def test_non_integral_slots_or_seed_is_named(self, params_vi, rng, kwargs, message):
+        # a ModelError naming the field, not a TypeError from range or numpy
+        pol = random_policy(params_vi, rng)
+        with pytest.raises(ModelError) as info:
+            simulate(params_vi, pol, **kwargs)
+        assert str(info.value) == message
+
+    def test_integral_floats_and_numpy_integers_pass(self, params_vi, rng):
+        pol = random_policy(params_vi, rng)
+        want = simulate(params_vi, pol, slots=1000, seed=3)
+        for slots, seed in [(1000.0, np.int64(3)), (np.int32(1000), 3.0)]:
+            assert simulate(params_vi, pol, slots=slots, seed=seed) == want
+
     @pytest.mark.parametrize("dQ", (-1, 1))
     def test_policy_of_another_buffer(self, params_vi, rng, dQ):
         # without the check, a policy with more rows than K+1 would run
