@@ -25,6 +25,11 @@ class PowerNotIncreasingPerBit(ModelError):
     pass
 
 
+class PowerNotConvex(ModelError):
+    """A power table whose increments power[m+1] - power[m] decrease; the
+    threshold walk's frontier is wrong on such a table."""
+
+
 class PowerZeroNonzero(ModelError):
     pass
 

@@ -6,50 +6,70 @@ normalization, and the overflow/underflow mask.  The cut-balance rows are
 built from three interval masks on the states each action can reach.  An
 optimal policy is recovered by dividing each row of x by its state mass.
 
-The program is solved by a two-phase revised simplex on `build_lp`'s arrays
-plus a slack on the power row.  Every pivot factors the (K+2)-square basis
-afresh (LAPACK getrf; Bartels & Golub 1969 on refactoring) and solves for
-the basic solution x_B, the duals y and the entering column (getrs).
+The program is solved in the standard form A@x = b, x >= 0 of `build_lp`'s
+arrays plus a slack on the power row.  Every pivot factors the
+(K+2)-square basis afresh (LAPACK getrf; Bartels & Golub 1969 on
+refactoring) and solves against it (getrs).
 
-- Pricing: Dantzig's rule enters the most negative reduced cost c - y@A.
-  The ratio test runs over the rows whose entry of the entering column
-  exceeds PIVOT_TOL times its largest; among ratios within RATIO_TOL of the
-  least, the largest pivot leaves.
-- Anti-cycling: a step of at most RATIO_TOL is degenerate.  After
-  DEGENERATE_STREAK degenerate pivots in a row, Bland's rule (Bland 1977:
-  lowest entering index, lowest leaving basis index) takes over until a
-  pivot is nondegenerate.
 - Start: a crash basis (Bixby 1992) of the power slack and, for every state
   k, the column (k, min(k, M)) of the drain policy, which sends as much as
   it can.  For alpha < 1 a slot without an arrival lowers any positive
   backlog, so the drain chain has one closed class and its columns form a
-  nonsingular basis whose solution is its stationary measure, >= 0.  Only
-  the slack can be negative; then the power row is negated and its
-  artificial takes the slack's place, so phase 1 minimizes one artificial.
+  nonsingular basis whose solution is its stationary measure, >= 0.  The
+  slack is basic, so the power row's dual is 0 and the reduced costs are
+  those of the min-delay problem, which the drain policy solves: the basis
+  is dual feasible, and only the slack can be negative, by the budget's
+  shortfall.  `LpProblem.start` gives another basis instead; `sweep` takes
+  the last optimal one.  Only b depends on the budget, so an optimal basis
+  is dual feasible at any budget (the parametric right-hand side of Gass &
+  Saaty 1955).
+- Dual simplex (Lemke 1954): the most negative basic value leaves.  Its
+  row rho = B^-T e_r gives the pivot row rho@A, and among the columns whose
+  entry is below -PIVOT_TOL times the row's largest, the least ratio
+  d_j / |rho@A_j| of reduced cost to entry enters; among ratios within
+  RATIO_TOL of the least, the largest entry.  The reduced costs are updated
+  in place, d -= theta * rho@A with theta = d_q / (rho@A_q), and the
+  leaving column's becomes -theta.  The solve ends once every basic value
+  is at least -RATIO_TOL; the duals and the certificate are then computed
+  afresh from the final basis.  A row with no entering column proves the
+  problem infeasible (rho@A >= 0 and rho@b < 0, Farkas) if its basic value
+  is below -FEAS_TOL * (1 + |rho|@|b|), the scale of the rounding in rho@b;
+  above that it gives no verdict.
+- Anti-cycling: a step of at most RATIO_TOL is degenerate (the dual's
+  least ratio, or the primal's step in x).  After DEGENERATE_STREAK
+  degenerate pivots in a row, Bland's rule (Bland 1977) takes over until a
+  pivot is nondegenerate: in the dual the infeasible row of lowest basis
+  index leaves and the lowest tied column enters; in the primal the lowest
+  eligible column enters and the lowest tied basis index leaves.
 - Restart: from one artificial per row, after the rows with a negative
-  right-hand side are negated, with phase 1 minimizing their sum, when the
-  drain basis has an exactly zero LU pivot (alpha = 1 with A = M leaves
-  every state t >= A where it is, so its chain has several closed classes),
-  when the problem lacks `build_lp`'s shape, or when the solve from the
-  drain basis ends uncertified or unbounded.  An infeasible verdict stands:
-  phase 1 from a basis feasible for the equality rows minimizes the power
-  row's excess over the budget, which is positive exactly when the problem
-  is infeasible.
-- Phase 1 ends once the artificials sum to at most RATIO_TOL, and reports
-  the problem infeasible if their least sum exceeds FEAS_TOL.  Artificials
-  left in the basis at zero are pivoted out where a column allows it.
-- MAX_PIVOTS caps the pivots of both phases, and of both starts, together.
-- Breakdown: a basis whose LU has an exactly zero pivot, non-finite basic
-  values or duals, or a phase-1 ray (impossible in exact arithmetic, as the
-  artificials' sum is bounded below by 0) raises SimplexBreakdown.
+  right-hand side are negated, by a two-phase primal simplex, when the
+  problem lacks `build_lp`'s shape, when the start or a later basis has an
+  exactly zero LU pivot (alpha = 1 with A = M leaves every state t >= A
+  where it is, so the drain chain has several closed classes), when the
+  start is not dual feasible, or when the dual simplex ends on a row
+  without a verdict or with an uncertified solution.  `LpSolution.restart`
+  says which.  An infeasible verdict of the dual stands.
+- Restart phases: Dantzig's rule enters the most negative reduced cost
+  c - y@A.  The ratio test runs over the rows whose entry of the entering
+  column exceeds PIVOT_TOL times its largest; among ratios within RATIO_TOL
+  of the least, the largest pivot leaves.  Phase 1 ends once the
+  artificials sum to at most RATIO_TOL, and reports the problem infeasible
+  if their least sum exceeds FEAS_TOL.  Artificials left in the basis at
+  zero are pivoted out where a column allows it.
+- MAX_PIVOTS caps the pivots of the dual simplex and of the restart
+  together.
+- Breakdown: a restart basis whose LU has an exactly zero pivot,
+  non-finite basic values, duals, pivot rows or entering columns, or a
+  phase-1 ray (impossible in exact arithmetic, as the artificials' sum is
+  bounded below by 0) raises SimplexBreakdown.
 
 The solution carries its certificate: the equality and normalization
 residuals, the reduced costs of the final basis (zero on its basic columns,
-as in a tableau, and at least -REDUCED_COST_TOL elsewhere, by the phase's
-exit rule) and its duality gap c@x - y@b, which is the sum over the basic
-columns of the rounding in their reduced costs times x.  The status is
-"optimal" only if x and the power slack are at least -FEAS_TOL, every row's
-residual is at most FEAS_TOL, and the gap is at most REDUCED_COST_TOL
+as in a tableau) and its duality gap c@x - y@b, which is the sum over the
+basic columns of the rounding in their reduced costs times x.  The status
+is "optimal" only if x and the power slack are at least -FEAS_TOL, every
+row's residual is at most FEAS_TOL, every reduced cost is at least
+-REDUCED_COST_TOL, and the gap is at most REDUCED_COST_TOL
 relative to 1 + |y|@|b| + |c_B|@|x_B|.  Relative, because its rounding grows
 with the terms that cancel: the duals reach 1e10 at P_min of ladder K=83,
 where the gap reads 1.8e-6, and 7e11 at the power of the walk's last vertex
@@ -59,8 +79,8 @@ inspection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -75,29 +95,33 @@ from .errors import (
 )
 from .model import ModelParams, Policy, _complete_actions, feasibility_mask
 
-# Phase 1 leaving more than this much artificial mass means infeasible, a
-# reduced cost below -REDUCED_COST_TOL may enter, and the certificate is
-# held to both: the 1e-9 to which acceptance tests 3 and 8 hold the
-# solution's residuals and reduced costs.
+# Phase 1 leaving more than this much artificial mass means infeasible, as
+# does a dual row without an entering column whose basic value is below
+# -FEAS_TOL * (1 + |rho|@|b|); a reduced cost below -REDUCED_COST_TOL may
+# enter in the primal and makes a dual start infeasible; and the
+# certificate is held to both: the 1e-9 to which acceptance tests 3 and 8
+# hold the solution's residuals and reduced costs.
 FEAS_TOL = 1e-9
 REDUCED_COST_TOL = 1e-9
-# An entry of the entering column may pivot only above this share of its
-# largest entry.  Basis: on ladder rung K=83 with Bland after 20 degenerate
-# pivots, an absolute 1e-10 let a rounding-level entry pivot and made the
-# next basis exactly singular; the shares 1e-10 to 1e-9 all solve the 50
-# budgets of K=83 to 2e-7 of the walk (49 optimal to 4.4e-11, P_min
-# uncertified).  From 3e-9 the solve certifies P_min too, 1.2e-6 below the
-# walk's 80/3, where the duals reach 1e10.
+# An entry of the primal's entering column or of the dual's pivot row may
+# pivot only above this share of its largest entry.  Basis: on ladder rung
+# K=83 with Bland after 20 degenerate pivots, an absolute 1e-10 let a
+# rounding-level entry pivot and made the next basis exactly singular.
+# With the dual ratio test, the shares 1e-10 to 1e-9 solve the 50 budgets
+# of K=83 one by one alike (49 optimal to 4.4e-11 of the walk, P_min
+# uncertified 2.0e-7 off); from 3e-9 the solve calls P_min infeasible.
 PIVOT_TOL = 1e-9
 # Ratios this close tie, and a step this short is degenerate.  Absolute:
 # x sums to 1, so the basic values are at most 1 (the power slack at most
 # p_th).
 RATIO_TOL = 1e-12
 # Degenerate pivots in a row before Bland's rule.  Basis, on the ladder
-# K=22, 43, 83 and 203 (50 budgets per rung, 5,000-pivot cap, drain start):
-# 10 leaves 2 budgets stalled at K=83 and 4 at K=203; 15, 20 and 30 leave
-# none.  The median is 15.5 pivots at K=22 for every streak, and the most
-# at K=203 is 642, 671 and 3,419 at 15, 20 and 30.
+# K=22, 43, 83 and 203 (50 budgets per rung solved one by one from the
+# drain basis, 5,000-pivot cap, dual ratio test): 10 breaks one K=203
+# budget down, 15 leaves one uncertified, and 20, 30 and 50 give every
+# status of the primal solve.  The median is 10.5 pivots at every rung
+# for each streak from 15, and the most at K=203 is 1,414, 1,216 and 1,203
+# at 20, 30 and 50.
 DEGENERATE_STREAK = 30
 MAX_PIVOTS = 1_000_000
 
@@ -108,7 +132,9 @@ class LpProblem:
 
     Variables are the masked occupation measures, ordered lexicographically
     by (state, action), the order of `np.nonzero(feasibility_mask(params))`;
-    masked-out pairs are absent, not bounded.
+    masked-out pairs are absent, not bounded.  `start` is the basis the
+    solve starts from, the `basis` of an optimal `LpSolution` of the same
+    program at another budget, or None for the drain basis.
     """
 
     params: ModelParams
@@ -117,6 +143,7 @@ class LpProblem:
     a_power: np.ndarray
     A_eq: np.ndarray
     b_eq: np.ndarray
+    start: Optional[np.ndarray] = None
 
     @property
     def n_vars(self) -> int:
@@ -128,7 +155,12 @@ class LpSolution:
     """A failed solve (infeasible | unbounded) carries only its status and
     pivot count.  An optimal or uncertified one carries its certificate: the
     residuals, the reduced costs c - y@A of the final basis over the
-    variables and the power slack, and the duality gap c@x - y@b."""
+    variables and the power slack, and the duality gap c@x - y@b.  An
+    optimal one whose basis holds no artificial carries that basis, indices
+    into the variables followed by the power slack (index n_vars).  A solve
+    that restarted from one artificial per row says why in `restart`: "no
+    start" (no drain basis), "singular basis", "not dual feasible", "no
+    entering column" or "uncertified"."""
 
     status: str  # optimal | uncertified | infeasible | unbounded
     iterations: int
@@ -139,6 +171,8 @@ class LpSolution:
     equilibrium_residual: float = float("nan")
     normalization_residual: float = float("nan")
     duality_gap: float = float("nan")
+    basis: Optional[np.ndarray] = None
+    restart: Optional[str] = None
 
 
 def equilibrium_matrix(params: ModelParams, ks: np.ndarray, ms: np.ndarray) -> np.ndarray:
@@ -163,10 +197,16 @@ def equilibrium_matrix(params: ModelParams, ks: np.ndarray, ms: np.ndarray) -> n
     )
 
 
-def build_lp(params: ModelParams, p_th: float) -> LpProblem:
-    """Assemble the transformed program for a given power budget."""
+def _budget(p_th: float) -> float:
+    """p_th as a float; ModelError unless it is finite and nonnegative."""
     if not 0 <= p_th < math.inf:
         raise ModelError(f"power budget must be finite and nonnegative, got {p_th}")
+    return float(p_th)
+
+
+def build_lp(params: ModelParams, p_th: float) -> LpProblem:
+    """Assemble the transformed program for a given power budget."""
+    p_th = _budget(p_th)
     # row-major nonzero order is the lexicographic (state, action) order
     ks, ms = np.nonzero(feasibility_mask(params))
     # small-alpha instances scale the balance rows to keep pivots healthy
@@ -176,7 +216,7 @@ def build_lp(params: ModelParams, p_th: float) -> LpProblem:
     b_eq[-1] = 1.0
     return LpProblem(
         params=params,
-        p_th=float(p_th),
+        p_th=p_th,
         c=ks / (params.alpha * params.A),
         a_power=params.power_array[ms],
         A_eq=A_eq,
@@ -189,12 +229,18 @@ def occupation_measure(params: ModelParams, policy: Policy, pi: np.ndarray) -> n
     return (pi[:, None] * policy.f)[feasibility_mask(params)]
 
 
-def _factor(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU factors and pivots of a basis matrix."""
+def _factor(B: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """LU factors and pivots of a basis matrix; None if an LU pivot is
+    exactly zero."""
     lu, piv, info = dgetrf(B)
-    if info:
-        raise SimplexBreakdown(f"basis LU has an exactly zero pivot (getrf info {info})")
-    return lu, piv
+    return None if info else (lu, piv)
+
+
+def _factor_or_break(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    factors = _factor(B)
+    if factors is None:
+        raise SimplexBreakdown("basis LU has an exactly zero pivot")
+    return factors
 
 
 def _simplex_phase(
@@ -220,7 +266,7 @@ def _simplex_phase(
     """
     streak = 0
     while True:
-        lu, piv = _factor(A[:, basis])
+        lu, piv = _factor_or_break(A[:, basis])
         x_B = dgetrs(lu, piv, b)[0]
         y = dgetrs(lu, piv, c[basis], trans=1)[0]
         objective = c[basis] @ x_B
@@ -255,62 +301,135 @@ def _simplex_phase(
         streak = streak + 1 if step <= RATIO_TOL else 0
 
 
-def _drain_start(
-    lp: LpProblem, A: np.ndarray, b: np.ndarray
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Crash start from the drain policy, which sends min(k, M) in state k:
-    the standard form (A, b), signed and with its artificial column if it
-    needs one, and a basis of the policy's columns plus the power slack.
-    None if `lp` lacks `build_lp`'s shape or that basis's LU has an exactly
-    zero pivot.
+def _dual_simplex(
+    lp: LpProblem, A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray
+) -> tuple[Union[LpSolution, str], int]:
+    """Dual simplex for min c@x, A@x = b, x >= 0 from `basis` (updated in
+    place), which must be dual feasible.  Returns (outcome, pivots): an
+    "optimal" or "uncertified" solution once every basic value is at least
+    -RATIO_TOL, an "infeasible" one when a row certifies it, or why the
+    solve must restart: "singular basis" (an exactly zero LU pivot), "not
+    dual feasible" (the start), or "no entering column" for a row whose
+    infeasibility is within rounding.
+
+    Every pivot factors the basis afresh and solves for x_B and the leaving
+    row rho = B^-T e_r; the pivot row is rho@A, and the reduced costs are
+    updated in place.  The most negative basic value leaves, and among
+    ratio ties the largest pivot enters.  After DEGENERATE_STREAK degenerate
+    pivots in a row, Bland's rule (lowest leaving basis index among the
+    infeasible rows, lowest entering index) takes over until a pivot is
+    nondegenerate.
+    """
+    pivots = streak = 0
+    factors = _factor(A[:, basis])
+    if factors is None:
+        return "singular basis", pivots
+    lu, piv = factors
+    reduced = c - dgetrs(lu, piv, c[basis], trans=1)[0] @ A
+    reduced[basis] = 0.0
+    least = reduced.min()
+    if not math.isfinite(least):
+        raise SimplexBreakdown("dual solve gave non-finite values")
+    if least < -REDUCED_COST_TOL:
+        return "not dual feasible", pivots
+    unit = np.zeros(len(b))
+    while True:
+        x_B = dgetrs(lu, piv, b)[0]
+        leave = int(x_B.argmin())
+        # argmin takes a NaN first
+        if not math.isfinite(x_B[leave]):
+            raise SimplexBreakdown("basis solve gave non-finite values")
+        if x_B[leave] >= -RATIO_TOL:
+            y = dgetrs(lu, piv, c[basis], trans=1)[0]
+            return _solution(lp, A, b, c, basis, x_B, y, pivots), pivots
+        bland = streak >= DEGENERATE_STREAK
+        if bland:
+            rows = (x_B < -RATIO_TOL).nonzero()[0]
+            leave = int(rows[basis[rows].argmin()])
+        unit[leave] = 1.0
+        rho = dgetrs(lu, piv, unit, trans=1)[0]
+        unit[leave] = 0.0
+        row = rho @ A
+        # a NaN in rho reaches the largest entry, which then empties `cols`
+        largest = np.abs(row).max()
+        row[basis] = 0.0
+        cols = (row < -PIVOT_TOL * largest).nonzero()[0]
+        if not cols.size:
+            if not math.isfinite(largest):
+                raise SimplexBreakdown("pivot row solve gave non-finite values")
+            if x_B[leave] < -FEAS_TOL * (1.0 + np.abs(rho) @ np.abs(b)):
+                return LpSolution(status="infeasible", iterations=pivots), pivots
+            return "no entering column", pivots
+        ratio = np.maximum(reduced[cols], 0.0) / -row[cols]
+        step = ratio.min()
+        tied = cols[ratio <= step + RATIO_TOL]
+        enter = int(tied[0] if bland else tied[row[tied].argmin()])
+        theta = reduced[enter] / row[enter]
+        reduced -= theta * row
+        reduced[basis[leave]] = -theta
+        reduced[enter] = 0.0
+        basis[leave] = enter
+        pivots += 1
+        if pivots > MAX_PIVOTS:
+            raise IterationLimit(f"simplex exceeded {MAX_PIVOTS} pivots")
+        streak = streak + 1 if step <= RATIO_TOL else 0
+        factors = _factor(A[:, basis])
+        if factors is None:
+            return "singular basis", pivots
+        lu, piv = factors
+
+
+def _drain_basis(lp: LpProblem) -> Optional[np.ndarray]:
+    """Crash basis of the drain policy, which sends min(k, M) in state k:
+    the power slack plus that policy's columns.  None if `lp` lacks
+    `build_lp`'s shape.
 
     min(k, M) is state k's largest feasible action, so its column is the
-    last of the state's row of the mask.  The basic solution is the drain
-    chain's stationary measure, so only the slack can be negative: then the
-    power row is negated and its artificial replaces the slack.
+    last of the state's row of the mask.
     """
     counts = feasibility_mask(lp.params).sum(axis=1)
-    if len(b) != len(counts) + 1 or counts.sum() != lp.n_vars:
+    if len(lp.b_eq) != len(counts) or counts.sum() != lp.n_vars:
         return None
-    basis = np.concatenate([[lp.n_vars], np.cumsum(counts) - 1])
-    lu, piv, info = dgetrf(A[:, basis])
-    if info:
-        return None
-    if dgetrs(lu, piv, b)[0][0] >= 0:
-        return A, b, basis
-    sign = np.ones(len(b))
-    sign[0] = -1.0
-    basis[0] = A.shape[1]
-    return np.hstack([A * sign[:, None], np.eye(len(b), 1)]), b * sign, basis
+    return np.concatenate([[lp.n_vars], np.cumsum(counts) - 1])
 
 
 def solve_simplex(lp: LpProblem) -> LpSolution:
-    """Two-phase revised simplex from the drain policy's basis.  Where that
-    basis is unavailable, or its solve ends uncertified or unbounded, the
-    solve restarts from one artificial per row; the pivots of both attempts
-    count together."""
+    """Dual simplex from `lp.start`, or from the drain policy's basis.
+    Where that basis is unavailable, singular or not dual feasible, or its
+    solve ends uncertified or without a verdict, the solve restarts from
+    one artificial per row; the pivots of both attempts count together."""
     # standard form: the power row gets a slack, equalities as-is
     A = np.hstack([np.vstack([lp.a_power, lp.A_eq]), np.eye(len(lp.b_eq) + 1, 1)])
     b = np.concatenate([[lp.p_th], lp.b_eq])
-    pivots = 0
-    crash = _drain_start(lp, A, b)
-    if crash is not None:
-        sol = _two_phase(lp, *crash, 0)
-        if sol.status in ("optimal", "infeasible"):
-            return sol
-        pivots = sol.iterations
+    c = np.concatenate([lp.c, [0.0]])
+    if lp.start is None:
+        basis = _drain_basis(lp)
+    else:
+        basis = np.array(lp.start, dtype=int)
+        if basis.shape != b.shape or not (0 <= basis.min() and basis.max() <= lp.n_vars):
+            raise ModelError(f"start must hold {len(b)} column indices in 0..{lp.n_vars}")
+    pivots, reason = 0, "no start"
+    if basis is not None:
+        out, pivots = _dual_simplex(lp, A, b, c, basis)
+        if isinstance(out, str):
+            reason = out
+        elif out.status == "uncertified":
+            reason = out.status
+        else:
+            return out
     # nonnegative right-hand side, one artificial per row
     sign = np.where(b < 0, -1.0, 1.0)
     A = np.hstack([A * sign[:, None], np.eye(len(b))])
-    return _two_phase(lp, A, b * sign, np.arange(lp.n_vars + 1, A.shape[1]), pivots)
+    sol = _two_phase(lp, A, b * sign, np.arange(lp.n_vars + 1, A.shape[1]), pivots)
+    return replace(sol, restart=reason)
 
 
 def _two_phase(
     lp: LpProblem, A: np.ndarray, b: np.ndarray, basis: np.ndarray, pivots: int
 ) -> LpSolution:
-    """Phases 1 and 2 on A@x = b from `basis`, where A is the standard form
-    with its artificial columns appended; `pivots` counts the pivots of an
-    earlier attempt."""
+    """Phases 1 and 2 on A@x = b from `basis` (updated in place), where A is
+    the standard form with its artificial columns appended; `pivots` counts
+    the pivots of an earlier attempt."""
     n = lp.n_vars
     n_total = n + 1
     # phase 1: minimise the sum of the artificials; at or below RATIO_TOL
@@ -325,7 +444,7 @@ def _two_phase(
     # drive leftover zero-valued artificials out of the basis when possible;
     # the pivot is measured against the artificial's own entry, 1
     for i in np.flatnonzero(basis >= n_total):
-        lu, piv = _factor(A[:, basis])
+        lu, piv = _factor_or_break(A[:, basis])
         row = dgetrs(lu, piv, np.eye(len(b))[:, i], trans=1)[0] @ A[:, :n_total]
         row[basis[basis < n_total]] = 0.0
         j = int(np.argmax(np.abs(row)))
@@ -336,18 +455,37 @@ def _two_phase(
     status, pivots, x_B, y = _simplex_phase(A, b, c2, basis, n_total, pivots)
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=pivots)
+    return _solution(lp, A, b, c2, basis, x_B, y, pivots)
+
+
+def _solution(
+    lp: LpProblem,
+    A: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    basis: np.ndarray,
+    x_B: np.ndarray,
+    y: np.ndarray,
+    pivots: int,
+) -> LpSolution:
+    """The basic solution of `basis`, with x_B and its duals y, and its
+    certificate over the variables and the power slack, A's first n_vars + 1
+    columns."""
+    n = lp.n_vars
+    n_total = n + 1
     x_full = np.zeros(A.shape[1])
     x_full[basis] = x_B
     x = x_full[:n]
     # the certificate; the gap relative to the terms it cancels
     A0, x0 = A[:, :n_total], x_full[:n_total]
-    reduced = c2[:n_total] - y @ A0
+    reduced = c[:n_total] - y @ A0
     reduced[basis[basis < n_total]] = 0.0
-    gap = float(c2[basis] @ x_B - y @ b)
-    gap_size = 1.0 + np.abs(y) @ np.abs(b) + np.abs(c2[basis]) @ np.abs(x_B)
-    certified = (
+    gap = float(c[basis] @ x_B - y @ b)
+    gap_size = 1.0 + np.abs(y) @ np.abs(b) + np.abs(c[basis]) @ np.abs(x_B)
+    certified = bool(
         np.all(x0 >= -FEAS_TOL)
         and np.all(np.abs(A0 @ x0 - b) <= FEAS_TOL)
+        and np.all(reduced >= -REDUCED_COST_TOL)
         and abs(gap) <= REDUCED_COST_TOL * gap_size
     )
     return LpSolution(
@@ -362,6 +500,7 @@ def _two_phase(
         ),
         normalization_residual=abs(float(np.sum(x)) - 1.0),
         duality_gap=gap,
+        basis=basis.copy() if certified and basis.max() < n_total else None,
     )
 
 
@@ -416,20 +555,31 @@ class SweepPoint:
 
 
 def sweep(params: ModelParams, budgets: Sequence[float]) -> list[SweepPoint]:
-    """One LP solve per power budget; failures are recorded per budget, and
-    only an optimal point carries a delay."""
-    out = []
+    """One LP solve per power budget, in input order; failures are recorded
+    per budget, and only an optimal point carries a delay.
+
+    The budgets are solved from the largest down, each from the last
+    optimal basis, which is dual feasible at any budget, as only b depends
+    on the budget; after a failure the next budget starts from the drain
+    basis."""
     for p_th in budgets:
+        _budget(p_th)
+    base = build_lp(params, 0.0)
+    out: list[Optional[SweepPoint]] = [None] * len(budgets)
+    start = None
+    for i in sorted(range(len(budgets)), key=lambda i: -budgets[i]):
+        p_th = budgets[i]
         try:
-            sol = solve_simplex(build_lp(params, p_th))
+            sol = solve_simplex(replace(base, p_th=float(p_th), start=start))
         except IterationLimit:
-            out.append(SweepPoint(p_th=p_th, status="iteration_limit", delay=None, solution=None))
-            continue
+            status, sol = "iteration_limit", None
         except SimplexBreakdown:
-            out.append(SweepPoint(p_th=p_th, status="breakdown", delay=None, solution=None))
-            continue
-        delay = sol.delay if sol.status == "optimal" else None
-        out.append(SweepPoint(p_th=p_th, status=sol.status, delay=delay, solution=sol))
+            status, sol = "breakdown", None
+        else:
+            status = sol.status
+        start = None if sol is None else sol.basis
+        delay = sol.delay if status == "optimal" else None
+        out[i] = SweepPoint(p_th=p_th, status=status, delay=delay, solution=sol)
     return out
 
 

@@ -19,6 +19,7 @@ from .errors import (
     MLessThanA,
     ModelError,
     NonPositiveAlpha,
+    PowerNotConvex,
     PowerNotIncreasingPerBit,
     PowerZeroNonzero,
     StateOutOfRange,
@@ -37,7 +38,8 @@ class ModelParams:
     M      maximum bits transmittable per slot (M >= A for stability)
     Q      buffer capacity in bits
     power  power[m] = cost of transmitting m bits, finite, power[0] = 0,
-           strictly increasing with strictly increasing per-bit cost
+           strictly increasing with strictly increasing per-bit cost, and
+           convex: its increments power[m+1] - power[m] do not decrease
     """
 
     alpha: float
@@ -77,6 +79,13 @@ class ModelParams:
                     f"per-bit cost must be strictly increasing: "
                     f"power[{m}]/{m}={self.power[m] / m}, "
                     f"power[{m + 1}]/{m + 1}={self.power[m + 1] / (m + 1)}"
+                )
+            step, next_step = self.power[m] - self.power[m - 1], self.power[m + 1] - self.power[m]
+            if not step <= next_step:
+                raise PowerNotConvex(
+                    f"power must be convex (nondecreasing increments): "
+                    f"power[{m}]-power[{m - 1}]={step}, "
+                    f"power[{m + 1}]-power[{m}]={next_step}"
                 )
         if self.M >= 1 and not self.power[1] > 0:
             raise PowerNotIncreasingPerBit(

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import EnumerationTooLarge, ModelError, RowDiffCountMismatch
 from .model import ModelParams, Policy, _integer, feasible_actions
 from . import mrp
-from .lp import build_lp, occupation_measure, solve_simplex
+from .lp import build_lp, occupation_measure, sweep
 from .pareto import ParetoCurve, algorithm1, brute_force_frontier
 from .sim import simulate
 
@@ -157,16 +157,16 @@ def check_frontier_equivalence(params: ModelParams, walk: ParetoCurve) -> CheckR
 
 
 def check_lp_overlap(params: ModelParams, curve: ParetoCurve) -> CheckResult:
-    """LP optima at budgets across the walk's frontier `curve` against its
-    interpolation."""
+    """LP optima at budgets across the walk's frontier `curve`, solved as
+    one warm-started `sweep`, against its interpolation; the first budget
+    not solved optimally fails the check."""
     budgets = np.linspace(curve.min_power, curve.max_power, LP_OVERLAP_BUDGETS)
     worst = 0.0
-    for p_th in budgets:
-        sol = solve_simplex(build_lp(params, float(p_th)))
-        if sol.status != "optimal":
-            detail = f"status {sol.status} at {p_th}"
+    for point in sweep(params, [float(p_th) for p_th in budgets]):
+        if point.status != "optimal":
+            detail = f"status {point.status} at {point.p_th}"
             return CheckResult("lp-curve-overlap", False, float("inf"), LP_OVERLAP_TOL, detail)
-        worst = max(worst, abs(sol.delay - curve.interpolate(float(p_th))))
+        worst = max(worst, abs(point.delay - curve.interpolate(point.p_th)))
     return CheckResult("lp-curve-overlap", worst <= LP_OVERLAP_TOL, worst, LP_OVERLAP_TOL)
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,21 @@ def bland_reference(lp: LpProblem) -> LpSolution:
     )
 
 
+def restart_instance():
+    """Ladder rung K=5 at alpha=0.9 (P_min = 7.578), where the dual simplex
+    pivots and then sends RESTART_BUDGET to the restart."""
+    return validate_params(0.9, 3, 5, 2, [0, 1, 4, 9, 16, 25])
+
+
+RESTART_BUDGET = 7.5779999999992
+
+
+def ladder_budgets(params):
+    """50 budgets over the walk's [P_min, P_max]."""
+    curve = algorithm1(params)
+    return [float(b) for b in np.linspace(curve.min_power, curve.max_power, 50)]
+
+
 class TestBuildLp:
     def test_reference_dimensions(self, params_vi):
         lp = build_lp(params_vi, 1.0)
@@ -221,25 +237,31 @@ class TestSimplexCore:
         assert sol.power <= 1.6 + 1e-9
 
     def test_pivot_cap_covers_both_phases(self, params_vi, monkeypatch):
-        # at p_th=1.0 both phases pivot from the drain basis (5 + 5), so a
-        # cap of one pivot less than the total trips only if it counts the
-        # phases together
+        # both phases of the solve, the dual simplex and the restart, pivot
+        # on ladder rung K=5 at alpha=0.9, 8e-13 below P_min = 7.578: 5 dual
+        # pivots end at a row with no entering column whose infeasibility is
+        # within rounding, and the restart from one artificial per row takes
+        # 15 more; a cap of one pivot less than the total trips only if it
+        # counts the two together
+        lp = build_lp(restart_instance(), RESTART_BUDGET)
         ends = []
-        phase = lp_module._simplex_phase
+        dual = lp_module._dual_simplex
 
-        def counted_phase(*args, **kwargs):
-            out = phase(*args, **kwargs)
+        def counted_dual(*args):
+            out = dual(*args)
             ends.append(out[1])
             return out
 
-        monkeypatch.setattr(lp_module, "_simplex_phase", counted_phase)
-        pivots = solve_simplex(build_lp(params_vi, 1.0)).iterations
-        assert ends == [5, pivots] and pivots == 5 + 5
-        monkeypatch.setattr(lp_module, "MAX_PIVOTS", pivots)
-        assert solve_simplex(build_lp(params_vi, 1.0)).iterations == pivots
-        monkeypatch.setattr(lp_module, "MAX_PIVOTS", pivots - 1)
+        monkeypatch.setattr(lp_module, "_dual_simplex", counted_dual)
+        sol = solve_simplex(lp)
+        assert sol.restart == "no entering column" and sol.status == "optimal"
+        assert ends == [5] and sol.iterations == 5 + 15
+        monkeypatch.setattr(lp_module, "MAX_PIVOTS", sol.iterations)
+        assert solve_simplex(lp).iterations == sol.iterations
+        monkeypatch.setattr(lp_module, "MAX_PIVOTS", sol.iterations - 1)
         with pytest.raises(errors.IterationLimit):
-            solve_simplex(build_lp(params_vi, 1.0))
+            solve_simplex(lp)
+        # the reference instance at p_th=1.0 takes 8 dual pivots
         monkeypatch.setattr(lp_module, "MAX_PIVOTS", 3)
         (point,) = sweep(params_vi, [1.0])
         assert point.status == "iteration_limit"
@@ -252,8 +274,9 @@ class TestSimplexCore:
             lp_module._simplex_phase(
                 A, np.array([1.0, 2.0]), np.zeros(3), np.array([0, 1]), 3, 0
             )
-        # every factorization reporting a zero pivot: the first phase-1
-        # basis breaks down, and the sweep records it
+        # every factorization reporting a zero pivot: the drain basis sends
+        # the solve to the restart, whose first phase-1 basis breaks down,
+        # and the sweep records it
         def zero_pivot(B):
             lu, piv, _ = dgetrf(B)
             return lu, piv, 1
@@ -266,32 +289,44 @@ class TestSimplexCore:
     @pytest.mark.parametrize(
         "phase,target,value",
         [(1, "x_B", np.nan), (1, "y", np.nan), (2, "x_B", np.nan), (2, "y", np.nan),
-         (2, "u", np.nan), (1, "u", -1.0)],
+         (2, "u", np.nan), (1, "u", -1.0),
+         ("dual", "y", np.nan), ("dual", "x_B", np.nan), ("dual", "rho", np.nan)],
     )
-    def test_non_finite_solve_breaks_down(self, params_vi, monkeypatch, phase, target, value):
-        # each pivot solves for x_B, then y (transposed), then the entering
-        # column u; at p_th=1.0 both phases pivot.  A NaN in any of them must
-        # raise rather than price, pivot or report a ray, and so must a ray
-        # in phase 1 (u <= 0), where the artificials' sum bounds it
-        phases, kinds = [], []
-        run_phase = lp_module._simplex_phase
+    def test_non_finite_solve_breaks_down(self, monkeypatch, phase, target, value):
+        # the dual simplex solves once for the duals y, then at every pivot
+        # for x_B and the pivot row rho = B^-T e_r; each phase of the restart
+        # solves for x_B, then y (transposed), then the entering column u.
+        # On the instance of test_pivot_cap_covers_both_phases all of them
+        # pivot.  A NaN in any of them must raise rather than price, pivot,
+        # restart or give a verdict, and so must a ray in the restart's
+        # phase 1 (u <= 0), where the artificials' sum bounds it
+        stages, kinds = [], []
 
-        def counted_phase(*args, **kwargs):
-            phases.append(len(phases) + 1)
-            kinds.clear()
-            return run_phase(*args, **kwargs)
+        def staged(run, stage):
+            def run_stage(*args, **kwargs):
+                stages.append(stage(len(stages)))
+                kinds.clear()
+                return run(*args, **kwargs)
+            return run_stage
 
         def solve(lu, piv, rhs, trans=0):
             out = dgetrs(lu, piv, rhs, trans=trans)
-            kinds.append("y" if trans else "u" if kinds and kinds[-1] == "y" else "x_B")
-            if len(phases) == phase and kinds[-1] == target:
+            if stages[-1] == "dual":
+                kinds.append("x_B" if not trans else "rho" if "x_B" in kinds else "y")
+            else:
+                kinds.append("y" if trans else "u" if kinds and kinds[-1] == "y" else "x_B")
+            if stages[-1] == phase and kinds[-1] == target:
                 out[0][:] = value
             return out
 
-        monkeypatch.setattr(lp_module, "_simplex_phase", counted_phase)
+        monkeypatch.setattr(
+            lp_module, "_dual_simplex", staged(lp_module._dual_simplex, lambda i: "dual"))
+        # the restart's phases follow the dual stage: phase 1 is the second
+        monkeypatch.setattr(
+            lp_module, "_simplex_phase", staged(lp_module._simplex_phase, lambda i: i))
         monkeypatch.setattr(lp_module, "dgetrs", solve)
         with pytest.raises(errors.SimplexBreakdown):
-            solve_simplex(build_lp(params_vi, 1.0))
+            solve_simplex(build_lp(restart_instance(), RESTART_BUDGET))
 
     def test_ill_conditioned_budget_not_optimal(self):
         # ladder rung K=203 at p_th = 2.5, at or below the least power: the
@@ -488,9 +523,11 @@ class TestSweep:
         -3.5e-8, below -FEAS_TOL, so the solve reports the point uncertified
         rather than optimal.  The cap of 5,000
         pivots turns a degenerate stall into a failure instead of a long
-        run: the most any budget takes is 344, at P_min (148 from the drain
-        basis, which ends uncertified, then 196 from one artificial per
-        row), and 218 above it."""
+        run: in the sweep, which starts each budget from the last optimal
+        basis, the most any budget takes is 257, at P_min (61 dual pivots
+        end at a row with no entering column, then 196 from one artificial
+        per row), and 66 above it; solved alone, P_min takes 509 (313 +
+        196) and the most above it is 262."""
         monkeypatch.setattr(lp_module, "MAX_PIVOTS", 5000)
         params = validate_params(0.5, 3, 5, 80, [0, 1, 4, 9, 16, 25])
         curve = algorithm1(params)
@@ -511,8 +548,11 @@ class TestSweep:
     def test_ladder_k203_formerly_stalled_budgets(self, monkeypatch):
         """Ladder rung K=203, budgets 10-12 of 50 over [P_min, P_max]
         (p_th 2.908-2.990): from one artificial per row they stalled under
-        Bland's rule past 5,000 pivots; from the drain basis each takes 71
-        and is optimal within 1e-6 of the walk's frontier."""
+        Bland's rule past 5,000 pivots, and the primal two-phase solve from
+        the drain basis took 71 each.  The dual simplex takes 43, 42 and 41
+        from the drain basis; the sweep solves budget 12 in 41 and, from its
+        basis, budgets 11 and 10 in none.  Each is optimal within 1e-6 of
+        the walk's frontier."""
         monkeypatch.setattr(lp_module, "MAX_PIVOTS", 5000)
         params = validate_params(0.5, 3, 5, 200, [0, 1, 4, 9, 16, 25])
         curve = algorithm1(params)
@@ -520,6 +560,55 @@ class TestSweep:
         for p in sweep(params, [float(b) for b in budgets]):
             assert p.status == "optimal", p.p_th
             assert abs(p.delay - curve.interpolate(p.p_th)) <= 1e-6
+
+    @pytest.mark.parametrize("ladder", [False, True], ids=["reference", "ladder-k22"])
+    def test_warm_sweep_matches_cold_solves(self, params_vi, monkeypatch, ladder):
+        """A sweep of unsorted budgets, below P_min up to past P_max, gives
+        each budget the status of a solve from the drain basis and its delay
+        to 1e-9.  A budget in the middle that hits the pivot cap is recorded
+        as such, and the next budget down starts from the drain basis again,
+        so it is that solve bit for bit."""
+        params = validate_params(0.5, 3, 5, 19, [0, 1, 4, 9, 16, 25]) if ladder else params_vi
+        curve = algorithm1(params)
+        budgets = [float(b) for b in np.random.default_rng(26).permutation(
+            np.linspace(0.9 * curve.min_power, 1.1 * curve.max_power, 40))]
+        cold = [solve_simplex(build_lp(params, b)) for b in budgets]
+        for sol, point in zip(cold, sweep(params, budgets)):
+            assert point.status == sol.status, point.p_th
+            if sol.status == "optimal":
+                assert abs(point.delay - sol.delay) <= 1e-9
+                assert point.solution.restart is None
+        # the cap hit at the budget of median rank
+        down = sorted(budgets, reverse=True)
+        capped, after = down[20], down[21]
+        solve = lp_module.solve_simplex
+
+        def capped_solve(lp):
+            if lp.p_th == capped:
+                assert lp.start is not None
+                raise errors.IterationLimit("simplex exceeded the cap")
+            return solve(lp)
+
+        monkeypatch.setattr(lp_module, "solve_simplex", capped_solve)
+        points = {p.p_th: p for p in sweep(params, budgets)}
+        assert points[capped].status == "iteration_limit" and points[capped].solution is None
+        want = cold[budgets.index(after)]
+        got = points[after].solution
+        assert got.status == want.status == "optimal"
+        assert got.iterations == want.iterations and got.x.tobytes() == want.x.tobytes()
+
+    def test_warm_sweep_pivot_totals(self, monkeypatch):
+        """The 50-budget sweeps of ladder rungs K=22 and K=203 under a cap of
+        5,000 pivots: every budget optimal, in 77 and 1,265 pivots in all
+        (the K=203 total includes 518 pivots of the restart at P_min).  One
+        by one from the drain basis they take 1,111 and 3,304, and the primal
+        two-phase solve took 1,245 and 7,358."""
+        monkeypatch.setattr(lp_module, "MAX_PIVOTS", 5000)
+        for Q, bound in ((19, 100), (200, 1_500)):
+            params = validate_params(0.5, 3, 5, Q, [0, 1, 4, 9, 16, 25])
+            points = sweep(params, ladder_budgets(params))
+            assert all(p.status == "optimal" for p in points)
+            assert sum(p.solution.iterations for p in points) <= bound
 
     def test_csv(self, params_vi):
         csv = sweep_to_csv(sweep(params_vi, [0.0, 1.6]))
@@ -530,54 +619,77 @@ class TestSweep:
 
 
 class TestStart:
-    """The solve starts from the drain policy's basis, and restarts from one
-    artificial per row only if that basis is singular or its solve ends
-    uncertified or unbounded."""
+    """The dual simplex starts from the drain policy's basis, and the solve
+    restarts from one artificial per row only for the reason it records."""
 
-    @pytest.fixture
-    def restarts(self, monkeypatch):
-        """The solves begun from one artificial per row: bases of
-        artificials only, whose indices all exceed the power slack's."""
-        calls = []
-        two_phase = lp_module._two_phase
-
-        def counted_two_phase(lp, A, b, basis, pivots):
-            if basis.min() > lp.n_vars:
-                calls.append(lp.p_th)
-            return two_phase(lp, A, b, basis, pivots)
-
-        monkeypatch.setattr(lp_module, "_two_phase", counted_two_phase)
-        return calls
-
-    def test_ladder_k22_never_restarts(self, restarts):
-        # from one artificial per row the median is 58 pivots
+    def test_ladder_k22_never_restarts(self):
+        # the median is 10.5 pivots, against 15.5 for the primal two-phase
+        # solve from the same basis and 58 from one artificial per row
         params = validate_params(0.5, 3, 5, 19, [0, 1, 4, 9, 16, 25])
-        curve = algorithm1(params)
-        points = sweep(params, [float(b) for b in np.linspace(curve.min_power, curve.max_power, 50)])
-        assert all(p.status == "optimal" for p in points)
-        assert not restarts
-        assert np.median([p.solution.iterations for p in points]) <= 20
+        sols = [solve_simplex(build_lp(params, b)) for b in ladder_budgets(params)]
+        assert all(s.status == "optimal" and s.restart is None for s in sols)
+        assert np.median([s.iterations for s in sols]) <= 11
 
-    def test_singular_drain_basis_restarts(self, restarts):
+    def test_singular_drain_basis_restarts(self):
         # at alpha=1, A=M=1 every state t >= 1 keeps its backlog under the
         # drain policy, so its chain has several closed classes
         params = edge_params("A=1", 1.0, 0.5, 1, 0, 3)
-        budgets = (0.5, 1.2, 1.25, 2.0, 5.0)
-        for p_th in budgets:
+        for p_th in (0.5, 1.2, 1.25, 2.0, 5.0):
             lp = build_lp(params, p_th)
             sol, want = solve_simplex(lp), bland_reference(lp)
+            assert sol.restart == "singular basis"
             assert sol.status == want.status
             if want.status == "optimal":
                 assert abs(sol.delay - want.delay) <= 1e-12
-        assert len(restarts) == len(budgets)
 
-    def test_uncertified_drain_solve_restarts(self, restarts):
+    def test_uncertified_drain_solve_restarts(self, params_vi, monkeypatch):
+        # no budget measured ends uncertified in the dual simplex, so the
+        # dual's first solution is marked uncertified here; the restart
+        # certifies the same optimum, its pivots counted after the dual's
+        solution = lp_module._solution
+        dual_pivots = []
+
+        def first_uncertified(lp, A, b, c, basis, x_B, y, pivots):
+            sol = solution(lp, A, b, c, basis, x_B, y, pivots)
+            if dual_pivots:
+                return sol
+            dual_pivots.append(pivots)
+            return replace(sol, status="uncertified")
+
+        monkeypatch.setattr(lp_module, "_solution", first_uncertified)
+        lp = build_lp(params_vi, 1.0)
+        sol = solve_simplex(lp)
+        assert sol.status == "optimal" and sol.restart == "uncertified"
+        assert dual_pivots == [8] and sol.iterations > 8
+        monkeypatch.undo()
+        assert abs(sol.delay - solve_simplex(lp).delay) <= 1e-12
+
+    def test_steep_budget_restarts_without_entering_column(self):
         # the steep budget of test_steep_budget_certified_relative_to_duals:
-        # from the drain basis the solve ends with a basic value of -0.19,
-        # and the restart certifies it
+        # after 735 dual pivots a row whose basic value reads -0.19 has no
+        # entering column; against |rho|@|b| = 2.6e8 that is rounding, not
+        # a verdict, and the restart certifies the budget
         params = validate_params(0.5, 3, 5, 200, [0, 1, 4, 9, 16, 25])
-        assert solve_simplex(build_lp(params, 2.5000000000061187)).status == "optimal"
-        assert len(restarts) == 1
+        sol = solve_simplex(build_lp(params, 2.5000000000061187))
+        assert sol.status == "optimal" and sol.restart == "no entering column"
+
+    def test_start_not_dual_feasible_restarts(self, params_vi):
+        # the basis of the lazy policy, which sends max(0, k - Q), prices
+        # the drain policy's columns below zero
+        counts = feasibility_mask(params_vi).sum(axis=1)
+        lazy = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        lp = build_lp(params_vi, 1.2)
+        sol = solve_simplex(replace(lp, start=np.append(lazy, lp.n_vars)))
+        want = solve_simplex(lp)
+        assert sol.restart == "not dual feasible" and want.restart is None
+        assert sol.status == want.status == "optimal"
+        assert abs(sol.delay - want.delay) <= 1e-12
+
+    def test_start_must_be_a_basis(self, params_vi):
+        lp = build_lp(params_vi, 1.2)
+        for start in ([0, 1], np.arange(8) - 1, np.full(9, lp.n_vars + 1)):
+            with pytest.raises(errors.ModelError, match="start must hold 9 column indices"):
+                solve_simplex(replace(lp, start=start))
 
 
 class TestAgainstBland:
@@ -638,6 +750,39 @@ def test_edge_instances_match_bland(family, alpha, eps, A, extra_m, Q, budget):
             assert abs(sol.delay - algorithm1(params).interpolate(p_th)) <= 1e-9
         assert sol.power <= p_th + 1e-9
         assert float(np.min(sol.reduced_costs)) >= -1e-9
+
+
+@given(
+    family=st.sampled_from(EDGE_FAMILIES),
+    alpha=st.floats(0.05, 0.95),
+    eps=st.floats(1e-4, 0.02),
+    A=st.integers(1, 3),
+    extra_m=st.integers(0, 2),
+    Q=st.integers(0, 6),
+    budget=st.floats(0.0, 1.05),
+)
+@settings(max_examples=200, deadline=None)
+def test_edge_drain_basis_dual_feasible_or_restarts(family, alpha, eps, A, extra_m, Q, budget):
+    """On the instances of test_edge_instances_match_bland, the drain basis
+    is dual feasible, or the solve restarts from one artificial per row for
+    the reason that basis gives (singular, or not dual feasible); either way
+    the status is the Bland tableau's."""
+    params = edge_params(family, alpha, eps, A, extra_m, Q)
+    lp = build_lp(params, budget * float(params.power_array[params.M]))
+    sol = solve_simplex(lp)
+    assert sol.status == bland_reference(lp).status
+    # the standard form: the power row and its slack over the equalities
+    A_std = np.hstack([np.vstack([lp.a_power, lp.A_eq]), np.eye(len(lp.b_eq) + 1, 1)])
+    c = np.append(lp.c, 0.0)
+    basis = lp_module._drain_basis(lp)
+    lu, piv, info = dgetrf(A_std[:, basis])
+    if info:
+        assert sol.restart == "singular basis"
+        return
+    reduced = c - dgetrs(lu, piv, c[basis], trans=1)[0] @ A_std
+    reduced[basis] = 0.0
+    assert reduced.min() >= -lp_module.REDUCED_COST_TOL or sol.restart == "not dual feasible"
+    assert sol.restart in (None, "singular basis", "no entering column", "uncertified")
 
 
 def test_import_leaves_scipy_optimize_unloaded():

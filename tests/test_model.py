@@ -64,9 +64,19 @@ class TestValidateParams:
             validate_params(0.4, 2, 1, 5, [0, 1])
 
     def test_per_bit_cost_must_increase(self):
-        # 3/2 < 2/1 violates the convexity of the power table
+        # the per-bit cost falls from 2/1 to 3/2; this rule is not convexity,
+        # which `test_power_must_be_convex` covers
         with pytest.raises(errors.PowerNotIncreasingPerBit):
             validate_params(0.5, 1, 2, 3, [0, 2, 3])
+
+    def test_power_must_be_convex(self):
+        # increments 1, 2, 1.6 decrease, though the per-bit cost 1, 1.5,
+        # 1.53 rises; on such tables the walk's frontier is wrong
+        message = r"power must be convex .*: power\[2\]-power\[1\]=2\.0, power\[3\]-power\[2\]=1\.5"
+        with pytest.raises(errors.PowerNotConvex, match=message):
+            validate_params(0.5, 1, 3, 3, [0, 1, 3, 4.6])
+        # weakly convex (tied increments 2, 2) stays accepted
+        assert validate_params(0.5, 1, 3, 3, [0, 1, 3, 5]).power == (0.0, 1.0, 3.0, 5.0)
 
     def test_alpha_bounds(self):
         with pytest.raises(errors.NonPositiveAlpha):
