@@ -2,39 +2,53 @@
 
 Minimizes average delay subject to a power budget over variables
 x[k, m] = pi_k * f[k, m], with one cut-balance equality per state boundary,
-normalization, and the overflow/underflow mask.  The cut-balance rows are
-built from three interval masks on the states each action can reach.  An
-optimal policy is recovered by dividing each row of x by its state mass.
+normalization, and the overflow/underflow mask.  The cut-balance
+coefficient of (r, m) in row k depends only on m and k - r, so the rows are
+windows of one (M+1) x (2K+1) table, itself read from two fixed rows
+(`equilibrium_matrix`).  An optimal policy is recovered by dividing each
+row of x by its state mass.
 
 The program is solved in the standard form A@x = b, x >= 0 of `build_lp`'s
-arrays plus a slack on the power row.  Every pivot factors the
-(K+2)-square basis afresh (LAPACK getrf; Bartels & Golub 1969 on
-refactoring) and solves against it (getrs).
+arrays plus a slack on the power row.  `solve_simplex` assembles it once per
+solve, writing the power row and the equalities into one zeroed array; the
+`LpProblem` holds only its own arrays, so `dataclasses.replace` cannot leave
+a stale standard form behind.  Every pivot writes the entering column over
+the leaving one in the basis matrix, factors that (K+2)-square matrix afresh
+(LAPACK getrf; Bartels & Golub 1969 on refactoring) and solves against it
+(getrs).
 
 - Start: a crash basis (Bixby 1992) of the power slack and, for every state
   k, the column (k, min(k, M)) of the drain policy, which sends as much as
-  it can.  For alpha < 1 a slot without an arrival lowers any positive
-  backlog, so the drain chain has one closed class and its columns form a
-  nonsingular basis whose solution is its stationary measure, >= 0.  The
-  slack is basic, so the power row's dual is 0 and the reduced costs are
-  those of the min-delay problem, which the drain policy solves: the basis
-  is dual feasible, and only the slack can be negative, by the budget's
-  shortfall.  `LpProblem.start` gives another basis instead; `sweep` takes
-  the last optimal one.  Only b depends on the budget, so an optimal basis
-  is dual feasible at any budget (the parametric right-hand side of Gass &
-  Saaty 1955).
-- Dual simplex (Lemke 1954): the most negative basic value leaves.  Its
-  row rho = B^-T e_r gives the pivot row rho@A, and among the columns whose
-  entry is below -PIVOT_TOL times the row's largest, the least ratio
-  d_j / |rho@A_j| of reduced cost to entry enters; among ratios within
-  RATIO_TOL of the least, the largest entry.  The reduced costs are updated
-  in place, d -= theta * rho@A with theta = d_q / (rho@A_q), and the
-  leaving column's becomes -theta.  The solve ends once every basic value
-  is at least -RATIO_TOL; the duals and the certificate are then computed
-  afresh from the final basis.  A row with no entering column proves the
-  problem infeasible (rho@A >= 0 and rho@b < 0, Farkas) if its basic value
-  is below -FEAS_TOL * (1 + |rho|@|b|), the scale of the rounding in rho@b;
-  above that it gives no verdict.
+  it can; it is the last of the state's columns, whose number the action
+  bounds max(k - Q, 0)..min(k, M) give.  For alpha < 1 a slot without an
+  arrival lowers any positive backlog, so the drain chain has one closed
+  class and its columns form a nonsingular basis whose solution is its
+  stationary measure, >= 0.  The slack is basic, so the power row's dual is
+  0 and the reduced costs are those of the min-delay problem, which the
+  drain policy solves: the basis is dual feasible, and only the slack can
+  be negative, by the budget's shortfall.  `LpProblem.start` gives another
+  basis instead; `sweep` takes the last optimal one.  Only b depends on the
+  budget, so an optimal basis is dual feasible at any budget (the
+  parametric right-hand side of Gass & Saaty 1955).
+- Dual simplex (Lemke 1954): the most negative basic value x_r leaves.  Its
+  pivot row a = (B^-T e_r)@A is formed negated, as rho@A with
+  rho = -B^-T e_r, and among the columns whose entry a_j is below
+  -PIVOT_TOL times the row's largest |a_j|, the least ratio d_j / |a_j| of
+  reduced cost to entry enters; among ratios within RATIO_TOL of the least,
+  the largest |a_j|.  The reduced costs are updated in place,
+  d -= theta * a with theta = d_q / a_q, and the leaving column's becomes
+  -theta.  The solve ends once every basic value is at least -RATIO_TOL;
+  the duals and the certificate are then computed afresh from the final
+  basis.
+- Farkas verdict: every feasible x has x_r + sum of a_j x_j over the
+  nonbasic columns = x_r's current value, with x_r >= 0.  The variables sum
+  to 1 and the slack is at most p_th (power is nonnegative), so that sum is
+  at least min(0, least a_j over the variables) + min(0, a_slack) * p_th,
+  which counts the entries in (-PIVOT_TOL * max|a_j|, 0) that the ratio test
+  leaves out.  A row with no entering column proves the problem infeasible
+  if its basic value is below that bound by more than
+  FEAS_TOL * (1 + |rho|@|b|), the scale of the rounding in rho@b; otherwise
+  it gives no verdict.
 - Anti-cycling: a step of at most RATIO_TOL is degenerate (the dual's
   least ratio, or the primal's step in x).  After DEGENERATE_STREAK
   degenerate pivots in a row, Bland's rule (Bland 1977) takes over until a
@@ -97,10 +111,10 @@ from .model import ModelParams, Policy, _complete_actions, feasibility_mask
 
 # Phase 1 leaving more than this much artificial mass means infeasible, as
 # does a dual row without an entering column whose basic value is below
-# -FEAS_TOL * (1 + |rho|@|b|); a reduced cost below -REDUCED_COST_TOL may
-# enter in the primal and makes a dual start infeasible; and the
-# certificate is held to both: the 1e-9 to which acceptance tests 3 and 8
-# hold the solution's residuals and reduced costs.
+# the Farkas bound by more than FEAS_TOL * (1 + |rho|@|b|); a reduced cost
+# below -REDUCED_COST_TOL may enter in the primal and makes a dual start
+# infeasible; and the certificate is held to both: the 1e-9 to which
+# acceptance tests 3 and 8 hold the solution's residuals and reduced costs.
 FEAS_TOL = 1e-9
 REDUCED_COST_TOL = 1e-9
 # An entry of the primal's entering column or of the dual's pivot row may
@@ -109,7 +123,9 @@ REDUCED_COST_TOL = 1e-9
 # rounding-level entry pivot and made the next basis exactly singular.
 # With the dual ratio test, the shares 1e-10 to 1e-9 solve the 50 budgets
 # of K=83 one by one alike (49 optimal to 4.4e-11 of the walk, P_min
-# uncertified 2.0e-7 off); from 3e-9 the solve calls P_min infeasible.
+# uncertified 2.0e-7 off).  Without the dropped entries in the Farkas bound,
+# 3e-9 and 1e-8 called P_min infeasible; with them they solve all 50 as
+# 1e-9 does.
 PIVOT_TOL = 1e-9
 # Ratios this close tie, and a step this short is degenerate.  Absolute:
 # x sums to 1, so the basic values are at most 1 (the power slack at most
@@ -185,15 +201,37 @@ def equilibrium_matrix(params: ModelParams, ks: np.ndarray, ms: np.ndarray) -> n
     is low = r-m without an arrival and high = r-m+A with one, so the
     coefficient of (r, m) in row k is +alpha if r < k <= high, -(1-alpha) if
     low < k <= min(r, high), -1 if high < k <= r, and 0 otherwise.
+
+    Only whether k <= r and e = k - low = k - r + m decide the coefficient.
+    So two fixed rows over e, one for k <= r and one for k > r, give a table
+    whose entry (m, K + k - r) is the coefficient of action m; row m is a
+    window of each fixed row.  The column of (r, m) is again one window:
+    the K entries of table row m from K + 1 - r on.
     """
-    alpha = params.alpha
-    k = np.arange(1, params.K + 1)[:, None]
-    low = ks - ms
-    high = low + params.A
-    return np.select(
-        [(ks < k) & (k <= high), (low < k) & (k <= ks) & (k <= high), (high < k) & (k <= ks)],
-        # alpha - 1 is -(1 - alpha) exactly, with +0.0 at alpha = 1
-        [alpha, alpha - 1.0, -1.0],
+    K, A, alpha = params.K, params.A, params.alpha
+    # over e + K for e in [-K, K + M]
+    size = 2 * K + params.M + 1
+    at_or_below = np.zeros(size)
+    # alpha - 1 is -(1 - alpha) exactly, with +0.0 at alpha = 1
+    at_or_below[K + 1:K + A + 1] = alpha - 1.0
+    at_or_below[K + A + 1:] = -1.0
+    above = np.zeros(size)
+    above[:K + A + 1] = alpha
+    table = np.empty((params.M + 1, 2 * K + 1))
+    table[:, :K + 1] = _windows(at_or_below, params.M + 1, K + 1)
+    table[:, K + 1:] = _windows(above, params.M + 1, K, K + 1)
+    return _windows(table, K + 2, K)[ms, K + 1 - ks].T
+
+
+def _windows(a: np.ndarray, count: int, width: int, start: int = 0) -> np.ndarray:
+    """View whose entry [..., i, j] is a[..., start + i + j], for i < count
+    and j < width: the windows of `a`'s last axis, which must hold them."""
+    step = a.strides[-1]
+    return np.ndarray(
+        a.shape[:-1] + (count, width),
+        buffer=a,
+        offset=start * step,
+        strides=a.strides[:-1] + (step, step),
     )
 
 
@@ -211,7 +249,9 @@ def build_lp(params: ModelParams, p_th: float) -> LpProblem:
     ks, ms = np.nonzero(feasibility_mask(params))
     # small-alpha instances scale the balance rows to keep pivots healthy
     scale = 1.0 / params.alpha if params.alpha < 0.1 else 1.0
-    A_eq = np.vstack([equilibrium_matrix(params, ks, ms) * scale, np.ones((1, len(ks)))])
+    A_eq = np.empty((params.K + 1, len(ks)))
+    np.multiply(equilibrium_matrix(params, ks, ms), scale, out=A_eq[:-1])
+    A_eq[-1] = 1.0
     b_eq = np.zeros(params.K + 1)
     b_eq[-1] = 1.0
     return LpProblem(
@@ -312,16 +352,17 @@ def _dual_simplex(
     dual feasible" (the start), or "no entering column" for a row whose
     infeasibility is within rounding.
 
-    Every pivot factors the basis afresh and solves for x_B and the leaving
-    row rho = B^-T e_r; the pivot row is rho@A, and the reduced costs are
-    updated in place.  The most negative basic value leaves, and among
-    ratio ties the largest pivot enters.  After DEGENERATE_STREAK degenerate
-    pivots in a row, Bland's rule (lowest leaving basis index among the
-    infeasible rows, lowest entering index) takes over until a pivot is
-    nondegenerate.
+    Every pivot factors the basis afresh and solves for x_B and
+    rho = -B^-T e_r of the leaving row r; rho@A is the pivot row negated,
+    and the reduced costs are updated in place.  The most negative basic
+    value leaves, and among ratio ties the largest pivot enters.  After
+    DEGENERATE_STREAK degenerate pivots in a row, Bland's rule (lowest
+    leaving basis index among the infeasible rows, lowest entering index)
+    takes over until a pivot is nondegenerate.
     """
     pivots = streak = 0
-    factors = _factor(A[:, basis])
+    B = A[:, basis]
+    factors = _factor(B)
     if factors is None:
         return "singular basis", pivots
     lu, piv = factors
@@ -332,6 +373,7 @@ def _dual_simplex(
         raise SimplexBreakdown("dual solve gave non-finite values")
     if least < -REDUCED_COST_TOL:
         return "not dual feasible", pivots
+    n = lp.n_vars
     unit = np.zeros(len(b))
     while True:
         x_B = dgetrs(lu, piv, b)[0]
@@ -346,34 +388,40 @@ def _dual_simplex(
         if bland:
             rows = (x_B < -RATIO_TOL).nonzero()[0]
             leave = int(rows[basis[rows].argmin()])
-        unit[leave] = 1.0
+        # rho = -B^-T e_r, so row = rho@A is the pivot row negated
+        unit[leave] = -1.0
         rho = dgetrs(lu, piv, unit, trans=1)[0]
         unit[leave] = 0.0
         row = rho @ A
         # a NaN in rho reaches the largest entry, which then empties `cols`
-        largest = np.abs(row).max()
+        largest = abs(row).max()
         row[basis] = 0.0
-        cols = (row < -PIVOT_TOL * largest).nonzero()[0]
+        cols = (row > PIVOT_TOL * largest).nonzero()[0]
         if not cols.size:
             if not math.isfinite(largest):
                 raise SimplexBreakdown("pivot row solve gave non-finite values")
-            if x_B[leave] < -FEAS_TOL * (1.0 + np.abs(rho) @ np.abs(b)):
+            # the most the entries left out can lower the row's value at a
+            # feasible x, whose variables sum to 1 and whose slack is at
+            # most p_th
+            dropped = max(row[:n].max(), 0.0) + max(row[n], 0.0) * b[0]
+            if x_B[leave] < -dropped - FEAS_TOL * (1.0 + abs(rho) @ abs(b)):
                 return LpSolution(status="infeasible", iterations=pivots), pivots
             return "no entering column", pivots
-        ratio = np.maximum(reduced[cols], 0.0) / -row[cols]
+        ratio = np.maximum(reduced[cols], 0.0) / row[cols]
         step = ratio.min()
         tied = cols[ratio <= step + RATIO_TOL]
-        enter = int(tied[0] if bland else tied[row[tied].argmin()])
+        enter = int(tied[0] if bland or len(tied) == 1 else tied[row[tied].argmax()])
         theta = reduced[enter] / row[enter]
         reduced -= theta * row
-        reduced[basis[leave]] = -theta
+        reduced[basis[leave]] = theta
         reduced[enter] = 0.0
         basis[leave] = enter
         pivots += 1
         if pivots > MAX_PIVOTS:
             raise IterationLimit(f"simplex exceeded {MAX_PIVOTS} pivots")
         streak = streak + 1 if step <= RATIO_TOL else 0
-        factors = _factor(A[:, basis])
+        B[:, leave] = A[:, enter]
+        factors = _factor(B)
         if factors is None:
             return "singular basis", pivots
         lu, piv = factors
@@ -384,10 +432,12 @@ def _drain_basis(lp: LpProblem) -> Optional[np.ndarray]:
     the power slack plus that policy's columns.  None if `lp` lacks
     `build_lp`'s shape.
 
-    min(k, M) is state k's largest feasible action, so its column is the
-    last of the state's row of the mask.
+    State k's actions are max(k - Q, 0)..min(k, M), and the largest, the
+    drain policy's, is the last of the state's columns.
     """
-    counts = feasibility_mask(lp.params).sum(axis=1)
+    params = lp.params
+    k = np.arange(params.K + 1)
+    counts = np.minimum(k, params.M) - np.maximum(k - params.Q, 0) + 1
     if len(lp.b_eq) != len(counts) or counts.sum() != lp.n_vars:
         return None
     return np.concatenate([[lp.n_vars], np.cumsum(counts) - 1])
@@ -398,16 +448,20 @@ def solve_simplex(lp: LpProblem) -> LpSolution:
     Where that basis is unavailable, singular or not dual feasible, or its
     solve ends uncertified or without a verdict, the solve restarts from
     one artificial per row; the pivots of both attempts count together."""
-    # standard form: the power row gets a slack, equalities as-is
-    A = np.hstack([np.vstack([lp.a_power, lp.A_eq]), np.eye(len(lp.b_eq) + 1, 1)])
+    # standard form: the power row and its slack over the equalities
+    n = lp.n_vars
+    A = np.zeros((len(lp.b_eq) + 1, n + 1))
+    A[0, :n] = lp.a_power
+    A[0, n] = 1.0
+    A[1:, :n] = lp.A_eq
     b = np.concatenate([[lp.p_th], lp.b_eq])
     c = np.concatenate([lp.c, [0.0]])
     if lp.start is None:
         basis = _drain_basis(lp)
     else:
         basis = np.array(lp.start, dtype=int)
-        if basis.shape != b.shape or not (0 <= basis.min() and basis.max() <= lp.n_vars):
-            raise ModelError(f"start must hold {len(b)} column indices in 0..{lp.n_vars}")
+        if basis.shape != b.shape or not (0 <= basis.min() and basis.max() <= n):
+            raise ModelError(f"start must hold {len(b)} column indices in 0..{n}")
     pivots, reason = 0, "no start"
     if basis is not None:
         out, pivots = _dual_simplex(lp, A, b, c, basis)
@@ -420,7 +474,7 @@ def solve_simplex(lp: LpProblem) -> LpSolution:
     # nonnegative right-hand side, one artificial per row
     sign = np.where(b < 0, -1.0, 1.0)
     A = np.hstack([A * sign[:, None], np.eye(len(b))])
-    sol = _two_phase(lp, A, b * sign, np.arange(lp.n_vars + 1, A.shape[1]), pivots)
+    sol = _two_phase(lp, A, b * sign, np.arange(n + 1, A.shape[1]), pivots)
     return replace(sol, restart=reason)
 
 
@@ -480,12 +534,14 @@ def _solution(
     A0, x0 = A[:, :n_total], x_full[:n_total]
     reduced = c[:n_total] - y @ A0
     reduced[basis[basis < n_total]] = 0.0
-    gap = float(c[basis] @ x_B - y @ b)
-    gap_size = 1.0 + np.abs(y) @ np.abs(b) + np.abs(c[basis]) @ np.abs(x_B)
+    c_B = c[basis]
+    gap = float(c_B @ x_B - y @ b)
+    gap_size = 1.0 + abs(y) @ abs(b) + abs(c_B) @ abs(x_B)
+    # a NaN fails each test, as the least or largest entry is then NaN
     certified = bool(
-        np.all(x0 >= -FEAS_TOL)
-        and np.all(np.abs(A0 @ x0 - b) <= FEAS_TOL)
-        and np.all(reduced >= -REDUCED_COST_TOL)
+        x0.min() >= -FEAS_TOL
+        and abs(A0 @ x0 - b).max() <= FEAS_TOL
+        and reduced.min() >= -REDUCED_COST_TOL
         and abs(gap) <= REDUCED_COST_TOL * gap_size
     )
     return LpSolution(
@@ -495,10 +551,8 @@ def _solution(
         power=float(lp.a_power @ x),
         reduced_costs=reduced,
         iterations=pivots,
-        equilibrium_residual=float(
-            np.max(np.abs(lp.A_eq @ x - lp.b_eq)) if lp.A_eq.size else 0.0
-        ),
-        normalization_residual=abs(float(np.sum(x)) - 1.0),
+        equilibrium_residual=float(abs(lp.A_eq @ x - lp.b_eq).max()) if lp.A_eq.size else 0.0,
+        normalization_residual=abs(float(x.sum()) - 1.0),
         duality_gap=gap,
         basis=basis.copy() if certified and basis.max() < n_total else None,
     )

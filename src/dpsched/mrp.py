@@ -11,7 +11,8 @@ chains at once (N=1 for a single policy): find each chain's closed prefix
 from the supports of its policy rows (`_prefix_sizes`), build the band of
 the transition matrix lam on the prefix columns alone, factor the
 normalized balance systems H of the prefixes (`lu_factor`), solve them
-with iterative refinement, then take the rewards of the stationary
+with one refinement step (GTH on the closed class of a chain that the LU
+cannot resolve), then take the rewards of the stationary
 distributions (`_score`).  The band comes from policy rows (`_lam_band`,
 for `score_stack`) or from the actions of deterministic policies
 (`_map_band`, for `score_maps` and `score_map_runs`), bit for bit the band
@@ -24,8 +25,9 @@ block-diagonal lam (Anderson et al., LAPACK Users' Guide, 1999).  Two
 callers pass one block of all K+1 states: `stationary_distribution(lam)`,
 an independent re-solve of a given matrix, and the factor of F in
 `mixing_analysis`, whose v = H^-1 delta_k lives on all states.  Scoring
-builds no dense (K+1)^2 matrix; `build_transition_enumerative` gives lam
-to the callers that want it.
+builds no dense (K+1)^2 matrix, except the prefix of a chain sent to GTH
+(see below); `build_transition_enumerative` gives lam to the callers
+that want it.
 
 From state i the chain moves only to i-m or i-m+A (0 <= m <= M), so
 lam - I has A sub- and M super-diagonals and only the ones row of H is
@@ -95,19 +97,29 @@ smallest of a nonsingular chain 0.030 (the dense LU of H gave 5.0e-16 and
 of 9216 chains as singular.  The gap narrows as alpha nears 0 or 1,
 where nearly decomposable chains have pivots of order alpha^j or
 (1-alpha)^j; there the transient states past the prefix no longer blur
-the verdict: at alpha=0.999 the prefix solve misclassifies 3 of 2304
-chains (Q=5) and 48 of 9216 (Q=6) against the exact closed-class count,
-the full-size solve 11 and 116.
+the verdict, and the chains the LU cannot resolve go to GTH (below),
+whose closed-class count is exact: at alpha=0.999 the prefix solve
+misclassifies none of 2304 chains (Q=5) and 1 of 9216 (Q=6) against the
+exact closed-class count, the full-size solve none and 2 (3 and 48, 11
+and 116 with refinement alone).
 
-Refinement runs per chain until its correction is at most REFINE_TOL.  A
-well-conditioned chain stops after one step: on the brute-force instances
-and the walk at K=203 the first correction is at most 2.6e-14, and one
-flat maximum settles the whole stack.  A nearly decomposable one takes
-more: at alpha=1e-4, A=M=2, Q=4, the chain whose mass sits in states 4
-and 6 (cond(H) 8.1e12, smallest pivot 1.0e-8) has corrections 6.1e-5,
-8.8e-9 and 8.5e-13, and its pi ends 2.3e-17 from the exact one (8.8e-9
-after one step).  A correction that does not halve the last one is not
-applied, and that chain stops.
+Every chain takes one refinement step.  A well-conditioned chain needs
+no more: on the brute-force instances and the walk at K=203 the
+correction is at most 2.6e-14, and one flat maximum settles the whole
+stack.  A chain whose correction exceeds REFINE_TOL is nearly
+decomposable, and refinement with a working-precision residual cannot
+be trusted to reach the exact pi: at alpha=0.994, A=M=3, Q=3 a chain
+whose last prefix state is transient has an LU pi 1.3e-14 off the exact
+one, and a correction of 1.1e-12 that moves it 1.1e-12 off.  Such a
+chain is solved again by `_closed_class_pi`: the transitive closure of
+lam's nonzero pattern gives its closed classes, exactly, and GTH
+elimination, which never subtracts, solves the one closed class, or the
+chain is singular.  At alpha=1e-4, A=M=2, Q=4, the chain whose mass sits
+in states 4 and 6 (cond(H) 8.1e12, smallest pivot 1.0e-8, first
+correction 6.1e-5) ends 1.1e-16 from the exact pi.  Such chains are
+rare: none on the brute-force instances at alpha=0.4 or the walk at
+ladder K=22 to 203, 36 of 2304 at alpha=0.01 and 165 of 9216 at
+alpha=0.999, Q=6; each is a dense solve of its prefix, O(n^3).
 """
 from __future__ import annotations
 
@@ -128,10 +140,9 @@ from .model import ModelParams, Policy
 # rounding-level pivots (at most 2.4e-15), nonsingular ones at least 0.030.
 SINGULAR_TOL = 1e-12
 STATIONARITY_TOL = 1e-10
-# A chain's iterative refinement stops once its correction is at most
-# REFINE_TOL, or after MAX_REFINE_STEPS steps (see the module docstring).
+# A chain whose one refinement correction exceeds REFINE_TOL is solved
+# again by GTH elimination on its closed class (see the module docstring).
 REFINE_TOL = 1e-12
-MAX_REFINE_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -223,6 +234,16 @@ def _gather_band(lam: np.ndarray, lower: int, upper: int) -> np.ndarray:
     return lam.take(index) * keep
 
 
+def _band_matrix(band: np.ndarray, lower: int, upper: int) -> np.ndarray:
+    """The n x n matrix of a band (lower+upper+1, n), rows as
+    `_lam_band`'s: the inverse of `_gather_band`."""
+    n = band.shape[1]
+    index, keep = _band_index(n, lower, upper)
+    lam = np.zeros((n, n))
+    lam.reshape(-1)[index[keep]] = band[keep]
+    return lam
+
+
 def build_transition_enumerative(
     params: ModelParams, policy: Union[Policy, np.ndarray]
 ) -> np.ndarray:
@@ -236,11 +257,7 @@ def build_transition_enumerative(
     1-alpha) and to i-m+A with one (probability alpha).  The entries are
     those of `_lam_band`, which the scoring path uses instead.
     """
-    n = params.K + 1
-    index, keep = _band_index(n, params.A, params.M)
-    lam = np.zeros((n, n))
-    lam.reshape(-1)[index[keep]] = _lam_band(params, _matrix(policy))[keep]
-    return _read_only(lam)
+    return _read_only(_band_matrix(_lam_band(params, _matrix(policy)), params.A, params.M))
 
 
 def build_transition_piecewise(params: ModelParams, policy: Policy) -> np.ndarray:
@@ -422,33 +439,68 @@ def _exceeds(lu: BandLU, a: np.ndarray, bound: float):
 
 def _stationary(lu: BandLU) -> tuple[np.ndarray, np.ndarray]:
     """Stationary solves H pi = e_0 of the factored chains, their columns
-    in order, with iterative refinement against H itself, cleaned by
-    `_clean_pi`, whose mask of failed chains comes with them.  Every chain
-    takes the first correction; a chain stops once its correction is at
-    most REFINE_TOL, after MAX_REFINE_STEPS steps, or at a correction that
-    does not halve the last one, which is not applied.  Each chain's steps
-    depend on its own corrections alone, so its pi is bit for bit that of
-    its own solve."""
+    in order, with one step of iterative refinement against H itself,
+    cleaned by `_clean_pi`, whose mask of failed chains comes with them.
+    A chain whose correction exceeds REFINE_TOL is solved again by
+    `_closed_class_pi` on its dense lam, and fails if it has more than one
+    closed class.  Each chain's pi depends on its own columns alone, so it
+    is bit for bit that of its own solve."""
     if not lu.chains.size:
         return np.empty(0), np.zeros(0, dtype=bool)
     e0 = np.zeros(lu.band.shape[1])
     e0[lu.starts] = 1.0
     x = lu_solve(lu, e0)
-    active, last = True, np.inf
-    for i in range(MAX_REFINE_STEPS):
-        d = lu_solve(lu, _residual(lu, x))
-        size = np.abs(d)
-        if not i and size.max() <= REFINE_TOL:
-            x += d  # the usual case: every chain takes its first correction and stops
+    d = lu_solve(lu, _residual(lu, x))
+    x += d
+    rough = _exceeds(lu, np.abs(d), REFINE_TOL)
+    if rough is False:  # the usual case: every correction is within REFINE_TOL
+        return _clean_pi(lu, x)
+    several = np.zeros(lu.chains.size, dtype=bool)
+    for i in rough.nonzero()[0]:
+        block = slice(lu.starts[i], lu.last[i] + 1)
+        pi = _closed_class_pi(_band_matrix(lu.band[:, block], lu.kl - 1, lu.ku))
+        if pi is None:
+            several[i] = True
+        else:
+            x[block] = pi
+    pi, failed = _clean_pi(lu, x)
+    return pi, failed | several
+
+
+def _closed_class_pi(lam: np.ndarray) -> Optional[np.ndarray]:
+    """The stationary distribution of the column-stochastic lam (n x n),
+    or None when lam has more than one closed class (or a pivot
+    underflows).  The closed class comes from the transitive closure of
+    lam's nonzero pattern; its states keep their order, and GTH
+    elimination (Grassmann, Taksar & Heyman 1985) censors them out from
+    the last to the second, each pivot the state's outflow to the states
+    left, which is positive in an irreducible chain.  No subtraction
+    occurs, so every entry has a small relative error (O'Cinneide 1993);
+    the transient states get exact zeros."""
+    n = len(lam)
+    p = lam.T  # p[i, j]: probability of i -> j
+    reach = (p != 0) | np.eye(n, dtype=bool)
+    while True:
+        grown = (reach @ reach.astype(float)) > 0
+        if (grown == reach).all():
             break
-        step = np.maximum.reduceat(size, lu.starts)
-        active = active & (step <= last / 2)
-        np.add(x, d, out=x, where=active.repeat(lu.sizes))
-        active &= step > REFINE_TOL
-        if not active.any():
-            break
-        last = step
-    return _clean_pi(lu, x)
+        reach = grown
+    closed = (reach <= reach.T).all(axis=1).nonzero()[0]  # the recurrent states
+    if not reach[np.ix_(closed, closed)].all():
+        return None
+    q = p[np.ix_(closed, closed)]
+    for k in range(len(closed) - 1, 0, -1):
+        q[:k, k] /= q[k, :k].sum()
+        q[:k, :k] += np.outer(q[:k, k], q[k, :k])
+    x = np.zeros(len(closed))
+    x[0] = 1.0
+    for k in range(1, len(closed)):
+        x[k] = x[:k] @ q[:k, k]
+    if not np.isfinite(x).all():
+        return None
+    pi = np.zeros(n)
+    pi[closed] = x / x.sum()
+    return pi
 
 
 def _clean_pi(lu: BandLU, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -474,8 +526,8 @@ def _singular(lu: BandLU, chain: int = 0) -> SingularChain:
         )
     return SingularChain(
         f"stationary solve has mass below {-SINGULAR_TOL}, a stationarity "
-        f"residual above {STATIONARITY_TOL} or a delay below {-STATIONARITY_TOL}; "
-        "the chain likely has multiple recurrent classes"
+        f"residual above {STATIONARITY_TOL}, a delay below {-STATIONARITY_TOL} "
+        "or more than one closed class; the chain likely has multiple recurrent classes"
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from dpsched import errors, lp as lp_module, mrp
+from dpsched import errors, lp as lp_module, model, mrp
 from dpsched.lp import (
     LpProblem,
     LpSolution,
@@ -139,6 +139,26 @@ def bland_reference(lp: LpProblem) -> LpSolution:
     )
 
 
+def select_cut_rows(params, ks, ms):
+    """The cut-balance rows of `equilibrium_matrix` from its three interval
+    conditions, one np.select over the (K, n) masks."""
+    alpha = params.alpha
+    k = np.arange(1, params.K + 1)[:, None]
+    low = ks - ms
+    high = low + params.A
+    return np.select(
+        [(ks < k) & (k <= high), (low < k) & (k <= ks) & (k <= high), (high < k) & (k <= ks)],
+        [alpha, alpha - 1.0, -1.0],
+    )
+
+
+def mask_drain_basis(params):
+    """The drain basis read off the feasibility mask: the power slack, then
+    the last column of each state's row of the mask."""
+    counts = feasibility_mask(params).sum(axis=1)
+    return np.concatenate([[counts.sum()], np.cumsum(counts) - 1])
+
+
 def restart_instance():
     """Ladder rung K=5 at alpha=0.9 (P_min = 7.578), where the dual simplex
     pivots and then sends RESTART_BUDGET to the restart."""
@@ -209,6 +229,34 @@ class TestBuildLp:
             assert np.max(np.abs(eq[:, j] - suffix[1:])) <= 1e-15, (r, m)
 
 
+@given(
+    family=st.sampled_from(EDGE_FAMILIES),
+    alpha=st.floats(0.05, 0.95),
+    eps=st.floats(1e-4, 0.02),
+    A=st.integers(1, 3),
+    extra_m=st.integers(0, 2),
+    Q=st.integers(0, 6),
+)
+@settings(max_examples=100, deadline=None)
+@example(family="alpha->1", alpha=0.5, eps=1e-4, A=2, extra_m=1, Q=3)  # alpha = 1
+@example(family="Q=0", alpha=0.4, eps=1e-3, A=1, extra_m=2, Q=0)  # M = 3 > K = 1
+@example(family="M=A", alpha=0.4, eps=1e-3, A=3, extra_m=0, Q=2)
+def test_cut_rows_and_drain_basis_match_mask_references(family, alpha, eps, A, extra_m, Q):
+    """`equilibrium_matrix`, over the feasible pairs and over every (state,
+    action) pair, is the np.select formula bit for bit, the sign of zero
+    included (alpha - 1 is +0.0 at alpha = 1); and the drain basis counted
+    from the action bounds is the last column of each row of the mask."""
+    params = edge_params(family, alpha, eps, A, extra_m, Q)
+    ks, ms = np.nonzero(feasibility_mask(params))
+    every = np.indices((params.K + 1, params.M + 1)).reshape(2, -1)
+    for rs, acts in ((ks, ms), every):
+        got, want = equilibrium_matrix(params, rs, acts), select_cut_rows(params, rs, acts)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    basis = lp_module._drain_basis(build_lp(params, 1.0))
+    assert basis.tobytes() == mask_drain_basis(params).tobytes()
+
+
 class TestSimplexCore:
     def test_textbook_lp(self, params_vi):
         # max x1 + x2 s.t. x1 + 2 x2 <= 4 (power row), x1 + x2 + s = 2
@@ -224,6 +272,8 @@ class TestSimplexCore:
         sol = solve_simplex(lp)
         assert sol.status == "optimal"
         assert float(lp.c @ sol.x) == pytest.approx(-2.0, abs=1e-12)
+        # one equality row, not one per state: no drain basis to start from
+        assert lp_module._drain_basis(lp) is None and sol.restart == "no start"
 
     def test_infeasible_budget(self, params_vi):
         # zero budget forbids all transmission, but state K must transmit
@@ -622,13 +672,51 @@ class TestStart:
     """The dual simplex starts from the drain policy's basis, and the solve
     restarts from one artificial per row only for the reason it records."""
 
+    # Pivots per budget from P_min up at ladder rung K=22.  A change that
+    # moves the pivot path changes these and must say so.
+    LADDER_K22_PIVOTS = [
+        77, 76, 63, 70, 61, 58, 61, 57, 47, 40, 37, 38, 39, 38, 22, 23, 24,
+        23, 23, 15, 15, 15, 15, 15, 15, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6,
+        6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 0,
+    ]
+
     def test_ladder_k22_never_restarts(self):
         # the median is 10.5 pivots, against 15.5 for the primal two-phase
         # solve from the same basis and 58 from one artificial per row
         params = validate_params(0.5, 3, 5, 19, [0, 1, 4, 9, 16, 25])
         sols = [solve_simplex(build_lp(params, b)) for b in ladder_budgets(params)]
         assert all(s.status == "optimal" and s.restart is None for s in sols)
-        assert np.median([s.iterations for s in sols]) <= 11
+        assert [s.iterations for s in sols] == self.LADDER_K22_PIVOTS
+        assert np.median(self.LADDER_K22_PIVOTS) == 10.5
+
+    def test_one_feasibility_mask_per_solve(self, monkeypatch):
+        # build_lp reads the variables off the mask; the drain basis counts
+        # each state's actions from its bounds instead of a second mask
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return feasibility_mask(params)
+
+        monkeypatch.setattr(model, "feasibility_mask", counted)
+        monkeypatch.setattr(lp_module, "feasibility_mask", counted)
+        params = validate_params(0.5, 3, 5, 19, [0, 1, 4, 9, 16, 25])
+        sol = solve_simplex(build_lp(params, 3.0))
+        assert sol.status == "optimal" and sol.restart is None
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("pivot_tol", [1e-9, 3e-9, 1e-8])
+    def test_infeasible_verdict_counts_entries_below_pivot_tol(self, monkeypatch, pivot_tol):
+        # At the P_min budget of ladder rung K=83 the dual simplex reaches a
+        # row with no entering column.  At PIVOT_TOL 3e-9 and 1e-8 that row
+        # has entries just below the pivot threshold which a feasible x can
+        # use; unless the Farkas test allows for their largest contribution,
+        # it calls the feasible budget infeasible.  The row gives no verdict,
+        # and the restart ends uncertified, as at 1e-9.
+        monkeypatch.setattr(lp_module, "PIVOT_TOL", pivot_tol)
+        params = validate_params(0.5, 3, 5, 80, [0, 1, 4, 9, 16, 25])
+        sol = solve_simplex(build_lp(params, algorithm1(params).min_power))
+        assert sol.status == "uncertified" and sol.restart == "no entering column"
 
     def test_singular_drain_basis_restarts(self):
         # at alpha=1, A=M=1 every state t >= 1 keeps its backlog under the
