@@ -97,9 +97,9 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import mrp
+from ._lapack import dgetrf, dgetrs
 from .errors import (
     DegenerateSolution,
     IterationLimit,

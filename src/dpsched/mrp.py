@@ -128,9 +128,8 @@ from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from ._lapack import dgbmv, dgbtrf, dgbtrs
 from .errors import DegenerateSegment, RowDiffCountMismatch, SingularChain
 from .model import ModelParams, Policy
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dpsched import model, mrp, pareto, policies
 from dpsched.cli import main, write_cloud
-from dpsched.errors import InvalidPolicy, SingularChain
+from dpsched.errors import InvalidPolicy, PowerNotIncreasingPerBit, SingularChain
 from dpsched.model import validate_params
 from dpsched.mrp import DelayPowerPoint, evaluate, score_maps
 from dpsched.pareto import (
@@ -493,6 +493,30 @@ class TestFrontierEquivalence:
             walk = algorithm1(params)
             brute = brute_force_frontier(params)
             assert curves_match(walk, brute) <= 1e-9, params
+
+    def test_weakly_convex_tables(self):
+        # power tables with a tied increment: convex, so accepted, but not
+        # strictly; random_params draws only strictly convex tables.  The
+        # increments are multiples of 1/8, so the table is exact and the
+        # ties survive validate_params taking the increments back from it.
+        rng = np.random.default_rng(20261021)
+        drawn = 0
+        while drawn < 20:
+            A = int(rng.integers(1, 4))
+            M = A + int(rng.integers(0, 3))
+            Q = int(rng.integers(1, 6))
+            alpha = float(rng.uniform(0.15, 0.9))
+            if M < 2:
+                continue
+            inc = np.sort(rng.integers(4, 25, M)) / 8
+            tie = int(rng.integers(0, M - 1))
+            inc[tie + 1] = inc[tie]
+            try:
+                params = validate_params(alpha, A, M, Q, [0.0, *np.cumsum(inc)])
+            except PowerNotIncreasingPerBit:
+                continue  # a tie in the first increment
+            drawn += 1
+            assert curves_match(algorithm1(params), brute_force_frontier(params)) <= 1e-9, params
 
     def test_q_zero_single_vertex(self):
         params = validate_params(0.5, 2, 2, 0, [0, 1, 3])
