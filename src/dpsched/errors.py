@@ -26,8 +26,9 @@ class PowerNotIncreasingPerBit(ModelError):
 
 
 class PowerNotConvex(ModelError):
-    """A power table whose increments power[m+1] - power[m] decrease; the
-    threshold walk's frontier is wrong on such a table."""
+    """A power table whose increments power[m+1] - power[m] decrease by
+    more than their rounding (model.CONVEX_TOL); the threshold walk's
+    frontier is wrong on such a table."""
 
 
 class PowerZeroNonzero(ModelError):

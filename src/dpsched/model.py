@@ -25,6 +25,15 @@ from .errors import (
     StateOutOfRange,
 )
 
+# Relative allowance for a power table's increments to decrease, against
+# S, the largest magnitude of the three entries two neighbouring increments
+# come from.  An entry written in decimal is within eps/2 of its value
+# relative to itself, and each difference rounds within eps/2 of itself; in
+# a table of increasing nonnegative entries an increment is at most S, so
+# each is within 1.5 eps * S of its exact value and their difference within
+# 3 eps * S.  So a tie written in decimal, such as 0, 1, 2.2, 3.4, passes.
+CONVEX_TOL = 4 * float(np.finfo(float).eps)
+
 # Absolute tolerance for probability comparisons (row sums, entry bounds).
 PROB_TOL = 1e-12
 
@@ -40,6 +49,7 @@ class ModelParams:
     power  power[m] = cost of transmitting m bits, finite, power[0] = 0,
            strictly increasing with strictly increasing per-bit cost, and
            convex: its increments power[m+1] - power[m] do not decrease
+           by more than their rounding (CONVEX_TOL)
     """
 
     alpha: float
@@ -81,7 +91,8 @@ class ModelParams:
                     f"power[{m + 1}]/{m + 1}={self.power[m + 1] / (m + 1)}"
                 )
             step, next_step = self.power[m] - self.power[m - 1], self.power[m + 1] - self.power[m]
-            if not step <= next_step:
+            scale = max(map(abs, self.power[m - 1 : m + 2]))
+            if not step <= next_step + CONVEX_TOL * scale:
                 raise PowerNotConvex(
                     f"power must be convex (nondecreasing increments): "
                     f"power[{m}]-power[{m - 1}]={step}, "

@@ -43,12 +43,17 @@ computed exactly without a per-slot loop:
    state, and pass 2 reruns every block from it, recording q for the steps
    before the lanes met: all L steps if they never met.
 5. Adding the q path to the events gives every slot's key, and the keys
-   give every statistic: the distinct keys before burn-in and after, with
-   their counts (a bincount up to _TABLE_KEYS keys, np.unique beyond),
-   give the occupancy and both violation counters, and power[sent[key]]
-   the power path, summed by a sequential np.add.accumulate, so it rounds
-   exactly like a running sum.  The padding slots are dropped before any
-   statistic.
+   give every statistic, a chunk of whole batches at a time: each chunk
+   holds max(1, _CHUNK // L) * L post-burn-in slots and starts on a batch
+   boundary.  The distinct keys before burn-in and after, with their counts
+   (a bincount added into one count array up to _TABLE_KEYS keys, per-chunk
+   np.unique merged beyond), give the occupancy and both violation
+   counters.  power[sent[key]] gives a chunk's powers in one reused buffer:
+   its batch means, each its own row's reduction, and its share of the
+   power sum, a sequential np.add.accumulate with the carried sum added
+   into its first entry, so it rounds exactly like one running sum.  The
+   padding slots are dropped before any statistic, and the trace is
+   written _CHUNK rows at a time.
 
 Cost: the Python loops run L + m lockstep steps over B-wide rows (Q+1 rows
 of them until the lanes meet), m <= L being the steps pass 1 takes until
@@ -63,12 +68,17 @@ has 1 cut and 16 keys, and ladder K=203 with every row randomized 999
 cuts and 256,000 keys, both tabled.  Ladder K=2003 with every row
 randomized has 9,999 cuts and 2.0e7 keys, which the tables would hold in
 about 1 GB; there a step takes, per lane, a gather, a comparison and an
-add per threshold column, as many passes as one per action and step, and
-memory stays O(slots + (Q+1)*B).  The work is O(slots) once the lanes have
-merged.  A chain whose lanes never merge (e.g. alpha = 1 under a policy
-that sends A in every state it reaches) keeps all Q+1 lanes and runs 2L
-steps, so pass 1 costs O(slots * (Q+1)): 0.3-0.5 s at Q = 200 and 10^6
-slots on a 2-CPU x86-64 host.
+add per threshold column, as many passes as one per action and step.
+Memory is O(slots) bytes of keys and paths: the events and their
+step-major copy in the smallest signed type that holds every key (intp
+past the tables), the recorded q and the q path in that of Q + 1, 1 byte
+each on the reference instance.  Beyond those it is O((Q+1)*B) lanes and
+O(chunk) floats: the tracemalloc peak of 10^6 slots on the reference
+instance is 3.2 MB, with a trace 4.9 MB.  The work is O(slots) once the
+lanes have merged.  A chain whose lanes never merge (e.g. alpha = 1 under
+a policy that sends A in every state it reaches) keeps all Q+1 lanes and
+runs 2L steps, so pass 1 costs O(slots * (Q+1)): 0.3-0.5 s at Q = 200 and
+10^6 slots on a 2-CPU x86-64 host.
 """
 from __future__ import annotations
 
@@ -92,7 +102,8 @@ _NO_HALFWIDTH = float("nan")
 _FEW_CUTS = 4
 # the draw rule is tabled up to this many keys, (cuts + 1) << shift
 _TABLE_KEYS = 1 << 18
-# draws are binned this many at a time
+# draws are binned, statistics taken and trace rows written in chunks of
+# about this many slots
 _CHUNK = 1 << 14
 
 
@@ -195,11 +206,27 @@ def _bin(u, cuts, out):
         out += u >= c
 
 
-def _key_counts(key, size):
-    """The distinct values of `key`, of [0, size), and their counts."""
+def _key_counts(chunks, size):
+    """The distinct values of the key arrays `chunks`, of [0, size), and
+    their counts over all of them.
+
+    Up to _TABLE_KEYS keys the counts add up in one array; beyond, each
+    chunk's distinct keys merge into the sorted ones seen so far."""
     if size > _TABLE_KEYS:
-        return np.unique(key, return_counts=True)
-    n = np.bincount(key)
+        seen, n_seen = np.empty(0, np.intp), np.empty(0, np.intp)
+        for chunk in chunks:
+            keys, n = np.unique(chunk, return_counts=True)
+            keys, n = np.concatenate([seen, keys]), np.concatenate([n_seen, n])
+            # two sorted runs: a stable sort merges them in one pass
+            order = np.argsort(keys, kind="stable")
+            keys, n = keys[order], n[order]
+            first = np.flatnonzero(np.diff(keys, prepend=-1))
+            seen, n_seen = keys[first], np.add.reduceat(n, first)
+        return seen, n_seen
+    n = np.zeros(size, np.intp)
+    for chunk in chunks:
+        n_chunk = np.bincount(chunk)
+        n[: len(n_chunk)] += n_chunk
     seen = np.flatnonzero(n)
     return seen, n[seen]
 
@@ -208,6 +235,52 @@ def _step(next_of, event, q):
     """Backlogs after one slot of the blocks from backlogs q (last axis =
     blocks), `event` being the slot's event row."""
     return next_of(event, q)
+
+
+def _batch_chunks(burn: int, slots: int, L: int) -> list[slice]:
+    """Slices of the post-burn-in slots burn..slots-1, each of whole batches
+    of L slots (the last one may end in the remainder) and starting on a
+    batch boundary."""
+    width = max(1, _CHUNK // L) * L
+    return [slice(lo, min(lo + width, slots)) for lo in range(burn, slots, width)]
+
+
+def _batch_pass(power_of, key, q_path, chunks, L):
+    """The running sum of the powers over the slots of `chunks` (from
+    `_batch_chunks`), and the power and backlog means of each whole batch.
+
+    A chunk's powers are gathered into one reused buffer.  Each batch mean
+    is its own row's reduction, so it is bit for bit that of one
+    (batches, L) array; the carried sum is added into a chunk's first entry
+    before the sequential np.add.accumulate, so the sum rounds exactly like
+    one running sum over every slot."""
+    burn = chunks[0].start
+    n_batch = (chunks[-1].stop - burn) // L
+    power_means, q_means = np.empty(n_batch), np.empty(n_batch)
+    p = np.empty(chunks[0].stop - burn)
+    power_sum = 0.0
+    for c in chunks:
+        n = c.stop - c.start
+        p_n = power_of(key[c], out=p[:n])
+        b, nb = (c.start - burn) // L, n // L
+        power_means[b : b + nb] = p_n[: nb * L].reshape(nb, L).mean(axis=1)
+        q_means[b : b + nb] = q_path[c.start : c.start + nb * L].reshape(nb, L).mean(axis=1)
+        if c.start > burn:
+            p_n[0] += power_sum
+        power_sum = float(np.add.accumulate(p_n, out=p_n)[-1])
+    return power_sum, power_means, q_means
+
+
+def _write_trace(path, key, q_path, mask, sent_of):
+    """Write the rows n,a,t,s,q of the slots of `key`, _CHUNK rows at a
+    time."""
+    with Path(path).open("w") as fh:
+        fh.write("n,a,t,s,q\n")
+        for lo in range(0, len(key), _CHUNK):
+            k = key[lo : lo + _CHUNK]
+            t, q = k & mask, q_path[lo : lo + len(k)]
+            rows = np.column_stack([np.arange(lo, lo + len(k)), t != q, t, sent_of(k), q])
+            fh.write(("%d,%d,%d,%d,%d\n" * len(k)) % tuple(rows.reshape(-1).tolist()))
 
 
 def _halfwidth(batch_means: np.ndarray) -> float:
@@ -305,9 +378,9 @@ def simulate(
 
     burn = min(slots // 10, 10_000)
     n_eff = slots - burn
-    n_batch = n_eff // L
-    post, n_post = _key_counts(key[burn:], size)
-    pre, n_pre = _key_counts(key[:burn], size)
+    chunks = _batch_chunks(burn, slots, L)
+    post, n_post = _key_counts((key[c] for c in chunks), size)
+    pre, n_pre = _key_counts([key[:burn]], size)
     counts = np.bincount(post & mask, weights=n_post, minlength=K + 1).tolist()
     total = sum(counts)
     seen = np.concatenate([pre, post])
@@ -315,27 +388,13 @@ def simulate(
     d = (seen & mask) - sent_of(seen)
     underflow = int(n_seen[d < 0].sum())
     overflow = int(n_seen[d > Q].sum())
-    q_post = q_path[burn:]
-    q_sum = float(q_post.sum(dtype=np.int64))
-    power_of = of_sent(params.power_array)
-    p_post = np.empty(n_eff)
-    for lo in range(0, n_eff, _CHUNK):
-        power_of(key[burn + lo : burn + lo + _CHUNK], out=p_post[lo : lo + _CHUNK])
-    power_hw = _halfwidth(p_post[: n_batch * L].reshape(n_batch, L).mean(axis=1))
-    delay_hw = _halfwidth(
-        q_post[: n_batch * L].reshape(n_batch, L).mean(axis=1) / (alpha * A)
+    q_sum = float(q_path[burn:].sum(dtype=np.int64))
+    power_sum, power_means, q_means = _batch_pass(
+        of_sent(params.power_array), key, q_path, chunks, L
     )
-    power_sum = float(np.add.accumulate(p_post, out=p_post)[-1])
 
     if trace_path is not None:
-        cap = min(slots, TRACE_ROW_CAP)
-        t_path = key[:cap] & mask
-        q_cap = q_path[:cap]
-        rows = np.column_stack(
-            [np.arange(cap), t_path != q_cap, t_path, sent_of(key[:cap]), q_cap]
-        )
-        text = ("%d,%d,%d,%d,%d\n" * cap) % tuple(rows.reshape(-1).tolist())
-        Path(trace_path).write_text("n,a,t,s,q\n" + text)
+        _write_trace(trace_path, key[:TRACE_ROW_CAP], q_path, mask, sent_of)
     return SimulationResult(
         slots=slots,
         burn_in=burn,
@@ -345,6 +404,6 @@ def simulate(
         state_occupancy=tuple(cnt / total for cnt in counts),
         overflow_violations=overflow,
         underflow_violations=underflow,
-        power_halfwidth=power_hw,
-        delay_halfwidth=delay_hw,
+        power_halfwidth=_halfwidth(power_means),
+        delay_halfwidth=_halfwidth(q_means / (alpha * A)),
     )

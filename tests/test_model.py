@@ -78,6 +78,14 @@ class TestValidateParams:
         # weakly convex (tied increments 2, 2) stays accepted
         assert validate_params(0.5, 1, 3, 3, [0, 1, 3, 5]).power == (0.0, 1.0, 3.0, 5.0)
 
+    @pytest.mark.parametrize("power", [[0, 1, 2.2, 3.4], [0, 0.5, 1.1, 1.7]])
+    def test_tie_written_in_decimal_is_convex(self, power):
+        # the tied increments differ by rounding: 1.2000000000000002 against
+        # 1.1999999999999997, and 0.6000000000000001 against 0.5999999999999999
+        steps = np.diff(power)
+        assert steps[1] > steps[2]
+        assert validate_params(0.4, 1, 3, 5, power).power == tuple(power)
+
     def test_alpha_bounds(self):
         with pytest.raises(errors.NonPositiveAlpha):
             validate_params(0.0, 1, 1, 1, [0, 1])

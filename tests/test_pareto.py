@@ -518,6 +518,32 @@ class TestFrontierEquivalence:
             drawn += 1
             assert curves_match(algorithm1(params), brute_force_frontier(params)) <= 1e-9, params
 
+    def test_ties_written_in_decimal(self):
+        # tables whose tied increments are written in decimal, as a user
+        # types them: entries of tenths, a tie that exact comparison of the
+        # increments would reject, accepted within model.CONVEX_TOL
+        rng = np.random.default_rng(20261022)
+        drawn = 0
+        while drawn < 8:
+            A = int(rng.integers(1, 4))
+            M = A + int(rng.integers(0, 3))
+            Q = int(rng.integers(3, 6))
+            alpha = float(rng.uniform(0.15, 0.9))
+            if M < 3:
+                continue
+            tenths = np.sort(rng.integers(3, 30, M))
+            tie = int(rng.integers(1, M - 1))
+            tenths[tie + 1] = tenths[tie]
+            if tenths[0] == tenths[1]:
+                continue  # a tie in the first increment: per-bit cost not rising
+            power = [float(f"{c / 10:.1f}") for c in np.cumsum([0, *tenths])]
+            steps = np.diff(power)
+            if not steps[tie] > steps[tie + 1]:
+                continue  # this tie rounds exactly
+            params = validate_params(alpha, A, M, Q, power)
+            drawn += 1
+            assert curves_match(algorithm1(params), brute_force_frontier(params)) <= 1e-9, params
+
     def test_q_zero_single_vertex(self):
         params = validate_params(0.5, 2, 2, 0, [0, 1, 3])
         walk = algorithm1(params)

@@ -17,7 +17,7 @@ from dpsched.model import (
     validate_params,
 )
 from dpsched.pareto import algorithm1
-from dpsched.sim import _MERGE_CHECK_EVERY, Z_95, simulate
+from dpsched.sim import _MERGE_CHECK_EVERY, _NO_HALFWIDTH, Z_95, simulate
 from dpsched.verify import random_policy
 
 from conftest import EDGE_FAMILIES, edge_params
@@ -511,21 +511,48 @@ def test_draw_bins_match_searchsorted(cuts):
     assert np.array_equal(got, np.searchsorted(cuts, u, side="right"))
 
 
-def test_peak_memory_of_a_million_slots():
-    """The sim benchmark's run: 10^6 slots on the reference instance under
-    the LP optimum at p_th = 1.2 (one randomized row).  Its tracemalloc peak
-    was 25.0 MB when each step compared the draws with every threshold row;
-    the table gives about 10 MB."""
+def reference_lp_optimum():
+    """The sim benchmark's instance and policy: the reference instance under
+    the LP optimum at p_th = 1.2 (one randomized row)."""
     params = validate_params(*EXACT_INSTANCES["reference"])
     pol = lp.recover_policy(params, lp.solve_simplex(lp.build_lp(params, 1.2)))
     assert np.count_nonzero((pol.f > 0).sum(axis=1) > 1) == 1
+    return params, pol
+
+
+def traced_peak(run):
     tracemalloc.start()
     try:
-        simulate(params, pol, 1_000_000, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 25.0e6
+
+
+def test_peak_memory_of_a_million_slots():
+    """The sim benchmark's run: 10^6 slots.  What grows with the run is its
+    1-byte-per-slot arrays (int8 keys and backlogs): the events, their
+    step-major copy and the recorded q, 3 MB at once in pass 2, the q path
+    replacing the step-major copy after it.  The statistics take a chunk of
+    whole batches at a time, about 0.1 MB of floats and intp keys each.
+    The peak is 3.2 MB; it was 10.3 MB when the statistics held the power
+    path and an intp copy of every key (8 MB each), and 25.0 MB when each
+    step compared the draws with every threshold row."""
+    params, pol = reference_lp_optimum()
+    assert traced_peak(lambda: simulate(params, pol, 1_000_000, seed=0)) <= 4.5e6
+
+
+def test_peak_memory_of_a_traced_million_slots(tmp_path):
+    """The same run with a trace of its first 10^5 slots.  The trace is
+    written _CHUNK = 16,384 rows at a time: each chunk's (rows, 5) intp array
+    (0.66 MB), the tuple of its 81,920 ints with the int objects above 256
+    (about 1.2 MB) and the text (about 0.5 MB) come on top of the untraced
+    run's 3 MB of keys and backlogs.  The peak is 4.9 MB; it was 26.9 MB
+    with the trace formatted from one tuple of all 500,000 ints."""
+    params, pol = reference_lp_optimum()
+    trace = tmp_path / "t.csv"
+    assert traced_peak(lambda: simulate(params, pol, 1_000_000, 0, trace_path=trace)) <= 6.0e6
+    assert trace.read_bytes().count(b"\n") == sim.TRACE_ROW_CAP + 1
 
 
 def test_peak_memory_of_a_policy_randomized_in_every_state():
@@ -674,3 +701,72 @@ class TestConfidenceHalfwidth:
         # were the 40 intervals independent with 95% coverage, 33 or fewer
         # hits would have probability 0.34%
         assert hits >= 34
+
+
+def full_array_halfwidths(params, trace, burn, L):
+    """Both half-widths from one (batches, L) array of the post-burn-in
+    slots of a trace, as one pass over the whole run would take them."""
+    post = np.loadtxt(trace, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)[burn:]
+    n_batch = len(post) // L
+    if n_batch < 2:
+        return _NO_HALFWIDTH, _NO_HALFWIDTH
+    power = params.power_array[post[:, 3]]
+    power_means = power[: n_batch * L].reshape(n_batch, L).mean(axis=1)
+    q_means = post[: n_batch * L, 4].reshape(n_batch, L).mean(axis=1)
+    return tuple(
+        float(Z_95 * np.std(means, ddof=1) / np.sqrt(n_batch))
+        for means in (power_means, q_means / (params.alpha * params.A))
+    )
+
+
+class TestChunkedStatistics:
+    """The statistics are taken a chunk of whole batches at a time: every
+    field must be that of one pass over the whole run, whatever the chunk."""
+
+    # L = 111 for 12,345 slots: chunks below L, at L, above L and not a
+    # multiple of it, a multiple of it, and one chunk for the whole run
+    @pytest.mark.parametrize("chunk", (1, 7, 50, 111, 200, 333, 1 << 14))
+    # 1 slot is one batch, 2 slots two; at 12,345 slots the burn-in of 1,234
+    # is not a multiple of L and the last 11 slots are in no batch
+    @pytest.mark.parametrize("slots", (1, 2, 12345))
+    @pytest.mark.parametrize("tabled", (True, False), ids=("tabled", "untabled"))
+    def test_same_fields_and_halfwidths(self, monkeypatch, tmp_path, params_vi, chunk, slots, tabled):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        if not tabled:
+            monkeypatch.setattr(sim, "_TABLE_KEYS", 0)
+        pol = random_policy(params_vi, np.random.default_rng(slots))
+        got = simulate(params_vi, pol, slots, 9, trace_path=tmp_path / "new.csv")
+        want = loop_simulate(params_vi, pol, slots, 9, trace_path=tmp_path / "loop.csv")
+        assert {f: repr(getattr(got, f)) for f in LOOP_FIELDS} == {
+            f: repr(v) for f, v in want.items()
+        }
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        L = int(np.sqrt(slots))
+        halfwidths = full_array_halfwidths(params_vi, tmp_path / "loop.csv", got.burn_in, L)
+        assert repr((got.power_halfwidth, got.delay_halfwidth)) == repr(halfwidths)
+
+    @pytest.mark.parametrize("chunk", (1, 5, 7, 30, 1 << 14))
+    @pytest.mark.parametrize("burn, slots, L", [
+        (3, 8, 7),  # 5 slots after burn-in: no batch
+        (3, 10, 7),  # one batch
+        (4, 19, 7),  # two batches and a remainder of 1
+        (10, 110, 7),  # 14 batches and a remainder of 2
+    ])
+    def test_batch_pass(self, monkeypatch, chunk, burn, slots, L):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        rng = np.random.default_rng([chunk, slots])
+        values = rng.random(4) * 10
+        key = rng.integers(0, 4, slots).astype(np.int8)
+        q_path = rng.integers(0, 6, slots).astype(np.int8)
+        chunks = sim._batch_chunks(burn, slots, L)
+        assert [c.start for c in chunks] == list(range(burn, slots, chunks[0].stop - burn))
+        assert all((c.stop - c.start) % L == 0 for c in chunks[:-1])
+        power_sum, power_means, q_means = sim._batch_pass(
+            lambda k, out: values.take(k, out=out), key, q_path, chunks, L
+        )
+        n_batch = (slots - burn) // L
+        power = values[key[burn:]]
+        assert repr(power_sum) == repr(float(np.add.accumulate(power)[-1]))
+        for got, x in ((power_means, power), (q_means, q_path[burn:])):
+            want = x[: n_batch * L].reshape(n_batch, L).mean(axis=1)
+            assert got.shape == (n_batch,) and repr(got.tolist()) == repr(want.tolist())
